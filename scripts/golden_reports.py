@@ -21,37 +21,14 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 MODELS_DIR = ROOT / "models"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-# the constructed warm-up pair lives with the test helpers, so the suite and
-# the golden files share one definition
+# the constructed pairs live with the test helpers, so the suite and the
+# golden files share one definition
 sys.path.insert(0, str(ROOT / "tests"))
 
 from compat_matrix import CONFIGS, DEFAULT_PAIRS  # noqa: E402
-from helpers import DRIFTER, MIRROR  # noqa: E402
+from helpers import DRIFTER, LATE_WRAP, MIRROR, MOD12  # noqa: E402
 
 from dfcompat import check_compatibility, parse_model  # noqa: E402
-
-
-def _counter(name: str, top: int) -> str:
-    """Counter of inc steps over 0..top shown on y, wrapping back to 0."""
-    return (
-        f"model {name}\nin inc : bool\nout y : int[0,12]\n"
-        f"block Cnt : UnitDelay(0, int[0,{top}])\nblock Top : Constant({top})\n"
-        "block AtTop : Relational(==)\nblock Zero : Constant(0)\n"
-        "block One : Constant(1)\nblock Next : Sum(++)\n"
-        "block Wrap : Switch\nblock Go : Switch\n"
-        "wire Cnt -> AtTop.in1\nwire Top -> AtTop.in2\n"
-        "wire Cnt -> Next.in1\nwire One -> Next.in2\n"
-        "wire AtTop -> Wrap.ctrl\nwire Zero -> Wrap.in1\nwire Next -> Wrap.in3\n"
-        "wire inc -> Go.ctrl\nwire Wrap -> Go.in1\nwire Cnt -> Go.in3\n"
-        "wire Go -> Cnt.in\nwire Cnt -> y\n"
-    )
-
-
-# the late counter wraps one count after the mod-12 one: the states agree
-# for twelve increments, so refuting it takes a 13-step counterexample whose
-# deaths all come out of the simulation fixpoint
-LATE_WRAP = _counter("LateWrap", 12)
-MOD12 = _counter("Mod12", 11)
 
 
 def cases() -> dict[str, tuple[str, str]]:

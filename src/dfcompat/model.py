@@ -75,7 +75,12 @@ def domain_size(dt: DataType) -> int:
 
 
 def first_value(dt: DataType) -> Value:
-    return domain_values(dt)[0]
+    """First element of domain_values(dt), without building the domain."""
+    if isinstance(dt, BoolType):
+        return False
+    if isinstance(dt, IntType):
+        return dt.lo
+    return dt.variants[0]
 
 
 def in_domain(dt: DataType, v: Value) -> bool:

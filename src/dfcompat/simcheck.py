@@ -12,15 +12,16 @@ restore compatibility.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import IterationCapExceeded
-from .exprs import Binary, Expr, Unary, Value, disjoin, eval_expr, partial_eval
+from .errors import ArithmeticOverflow, IterationCapExceeded
+from .exprs import Binary, Value, conjoin, eval_expr, free_names, partial_eval
 from .model import (
     FlatModel,
     InterfaceReport,
@@ -35,6 +36,7 @@ from .solver import (
     DEFAULT_BUDGET,
     Domain,
     exists_forall_constants,
+    query_names,
     sat_witness,
 )
 from .symbolic import (
@@ -84,6 +86,174 @@ class SimResult:
     visited: tuple[tuple[str, str], ...] = ()
 
 
+class _Rows:
+    """Numbered rows of a finite domain, with the caches of one simulates call.
+
+    A sorted name tuple spans the product of its names' domain values.  Row
+    i is the i-th combination in ``itertools.product`` order, the first name
+    most significant, so the lowest set bit of a row bitset is the
+    lexicographically least row: the witness sat_witness returns.
+    """
+
+    def __init__(self, dom: Domain, budget: int):
+        self.dom = dom
+        self.budget = budget
+        self._values: dict[str, tuple[Value, ...]] = {}
+        self._pos: dict[str, dict[Value, int]] = {}
+        self._spaces: dict[tuple, tuple[str, ...]] = {}
+        self._base = {n: dom.first(n) for n in dom.sorted_names()}
+
+    def values(self, name: str) -> tuple[Value, ...]:
+        if name not in self._values:
+            self._values[name] = self.dom.values(name)
+        return self._values[name]
+
+    def space(self, *name_sets: Iterable[str]) -> tuple[str, ...]:
+        """The names a query over these name sets enumerates.
+
+        Refused with the error sat_witness raises for the same formula.
+        """
+        key = tuple(name_sets)
+        if key not in self._spaces:
+            names = set().union(*name_sets)
+            self._spaces[key] = tuple(query_names(names, self.dom, self.budget))
+        return self._spaces[key]
+
+    def product(self, names: Sequence[str]) -> Iterable[tuple[Value, ...]]:
+        return itertools.product(*(self.values(n) for n in names))
+
+    def row(self, names: Sequence[str], i: int) -> dict[str, Value]:
+        """Row i over names as a total assignment, other names at their
+        first value."""
+        row = dict(self._base)
+        for n in reversed(names):
+            vals = self.values(n)
+            i, r = divmod(i, len(vals))
+            row[n] = vals[r]
+        return row
+
+    def index(self, names: Sequence[str], row: Mapping[str, Value]) -> int | None:
+        """Position of the row's values over names, None when one lies
+        outside the domain."""
+        i = 0
+        for n in names:
+            if n not in self._pos:
+                self._pos[n] = {v: k for k, v in enumerate(self.values(n))}
+            k = self._pos[n].get(row[n])
+            if k is None:
+                return None
+            i = i * len(self.values(n)) + k
+        return i
+
+
+def _bitsets(placed: Iterable[tuple[int, int]], count: int, size: int) -> list[int]:
+    """Row bitsets of size bits for edges 0..count-1 from (row, edge) pairs."""
+    bufs = [bytearray((size + 7) >> 3) for _ in range(count)]
+    for i, edge in placed:
+        bufs[edge][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(b, "little") for b in bufs]
+
+
+class _Side:
+    """One transition system seen through the rows of the simulation domain.
+
+    Each transition has the names its guard mentions and, per query space
+    (a superset of them), a row bitset over that space: stored rows are
+    placed by their values, a hand-built guard is evaluated once per row.
+    A state whose rows all take one transition has the guard TRUE, with no
+    names, which holds on every row of the domain, also outside the
+    system's declared input range.  Outputs become value vectors over a
+    query's names.
+    """
+
+    def __init__(self, ts: Ts, rows: _Rows):
+        self.ts = ts
+        self.rows = rows
+        self.declared = _Rows(ts.input_domain(), rows.budget)
+        self._names: dict[int, list[tuple[str, ...]]] = {}
+        self._bits: dict[tuple[int, tuple[str, ...]], list[int | None]] = {}
+        self._out_names: dict[tuple[int, str], frozenset[str]] = {}
+        self._vectors: dict[tuple[int, str, tuple[str, ...]], list[Value] | None] = {}
+
+    def targets(self, s: int) -> list[int]:
+        if self.ts.rows:
+            return self.ts.rows[s].targets
+        return [t for _, t in self.ts.transitions[s]]
+
+    def names(self, s: int) -> list[tuple[str, ...]]:
+        """Per transition, the names its guard mentions."""
+        if s not in self._names:
+            if self.ts.rows:
+                count = len(self.ts.rows[s].targets)
+                names = self.ts.rows[s].names if count > 1 else ()
+                self._names[s] = [names] * count
+            else:
+                edges = self.ts.transitions[s]
+                self._names[s] = [tuple(sorted(free_names(g))) for g, _ in edges]
+        return self._names[s]
+
+    def bits(self, s: int, j: int, space: tuple[str, ...]) -> int:
+        """Row bitset over space of transition j of state s.
+
+        Called only once a query over space has passed the budget.
+        """
+        key = (s, space)
+        if key not in self._bits:
+            self._bits[key] = (
+                self._stored_bits(s, space) if self.ts.rows
+                else [None] * len(self.ts.transitions[s])
+            )
+        cached = self._bits[key]
+        if cached[j] is None:
+            guard = self.ts.transitions[s][j][0]
+            fires = (
+                (i, 0) for i, combo in enumerate(self.rows.product(space))
+                if eval_expr(guard, dict(zip(space, combo)))
+            )
+            cached[j] = _bitsets(fires, 1, self.rows.dom.space(space))[0]
+        return cached[j]
+
+    def _stored_bits(self, s: int, space: tuple[str, ...]) -> list[int | None]:
+        stored = self.ts.rows[s]
+        size = self.rows.dom.space(space)
+        count = len(stored.targets)
+        if count == 1:
+            return [(1 << size) - 1]
+        dtypes = self.rows.dom.dtypes
+        placed: Iterable[tuple[int, int]]
+        if stored.names == space and all(dtypes[n] == self.ts.inputs[n] for n in space):
+            placed = enumerate(stored.edges)
+        else:
+            # place each row of the space by its values on the state's
+            # names; a row outside their declared ranges takes no transition
+            slots = (
+                self.declared.index(stored.names, dict(zip(space, combo)))
+                for combo in self.rows.product(space)
+            )
+            placed = ((i, stored.edges[k]) for i, k in enumerate(slots) if k is not None)
+        return _bitsets(placed, count, size)
+
+    def output_names(self, s: int, port: str) -> frozenset[str]:
+        key = (s, port)
+        if key not in self._out_names:
+            self._out_names[key] = free_names(self.ts.outputs[s][port])
+        return self._out_names[key]
+
+    def vector(self, s: int, port: str, names: tuple[str, ...]) -> list[Value] | None:
+        """Output values on every row over names; None when one overflows."""
+        key = (s, port, names)
+        if key not in self._vectors:
+            e = self.ts.outputs[s][port]
+            try:
+                self._vectors[key] = [
+                    eval_expr(e, dict(zip(names, combo)))
+                    for combo in self.rows.product(names)
+                ]
+            except ArithmeticOverflow:
+                self._vectors[key] = None
+        return self._vectors[key]
+
+
 def simulates(
     cand: Ts, ref: Ts, dom: Domain, budget: int = DEFAULT_BUDGET
 ) -> SimResult:
@@ -93,102 +263,145 @@ def simulates(
     pairs failing output equality die immediately, then pairs whose
     reference moves are no longer answerable by moves into live pairs are
     removed until the relation stabilizes.
+
+    Guards are row bitsets over the simulation domain, so a joint move is a
+    nonzero ``ga & gb`` and the least uncovered row is the lowest set bit of
+    ``gb & ~live``; outputs compare as value vectors, first differing row
+    first.  Each query is refused past the budget exactly as sat_witness
+    would refuse the formula it stands for.  ``queries`` counts the joint,
+    residual and output checks answered.
     """
+    rows = _Rows(dom, budget)
+    a, b = _Side(cand, rows), _Side(ref, rows)
     queries = 0
-    joint_cache: dict[tuple[Expr, Expr], dict[str, Value] | None] = {}
 
-    def jsat(ga: Expr, gb: Expr) -> dict[str, Value] | None:
-        nonlocal queries
-        key = (ga, gb)
-        if key not in joint_cache:
-            queries += 1
-            joint_cache[key] = sat_witness(Binary("and", ga, gb), dom, budget)
-        return joint_cache[key]
+    def output_diff(ai: int, bi: int, port: str) -> dict[str, Value] | None:
+        names = rows.space(a.output_names(ai, port), b.output_names(bi, port))
+        va, vb = a.vector(ai, port, names), b.vector(bi, port, names)
+        if va is None or vb is None:
+            # an overflow surfaces only if enumeration reaches it before the
+            # first difference; the enumerating solver decides which
+            expr = Binary("ne", cand.outputs[ai][port], ref.outputs[bi][port])
+            return sat_witness(expr, dom, budget)
+        if va == vb:
+            return None
+        first = next(i for i, (x, y) in enumerate(zip(va, vb)) if x != y)
+        return rows.row(names, first)
 
+    # breadth-first product exploration; index = discovery order
     start = (cand.init, ref.init)
-    alive: dict[tuple[int, int], bool] = {}
-    reason: dict[tuple[int, int], tuple] = {}
-    order: list[tuple[int, int]] = []
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        pair = queue.popleft()
-        ai, bi = pair
-        order.append(pair)
-        dead = False
+    index = {start: 0}
+    order = [start]
+    alive: list[bool] = []
+    # per pair and reference transition: (candidate transition, successor
+    # pair) for every candidate move jointly enabled with it
+    moves: list[list[list[tuple[int, int]]]] = []
+    reason: dict[int, tuple] = {}
+    i = 0
+    while i < len(order):
+        ai, bi = order[i]
+        moves.append([])
+        alive.append(True)
         for port in sorted(ref.outputs[bi]):
             queries += 1
-            diff = sat_witness(
-                Binary("ne", cand.outputs[ai][port], ref.outputs[bi][port]),
-                dom,
-                budget,
-            )
+            diff = output_diff(ai, bi, port)
             if diff is not None:
-                reason[pair] = ("output", port, diff)
-                alive[pair] = False
-                dead = True
+                reason[i] = ("output", port, diff)
+                alive[i] = False
                 break
-        if dead:
-            continue
-        alive[pair] = True
-        for gb, bj in ref.transitions[bi]:
-            for ga, aj in cand.transitions[ai]:
-                if jsat(ga, gb) is not None and (aj, bj) not in seen:
-                    seen.add((aj, bj))
-                    queue.append((aj, bj))
+        if alive[i]:
+            names_a, names_b = a.names(ai), b.names(bi)
+            targets_a = a.targets(ai)
+            for jb, bj in enumerate(b.targets(bi)):
+                hits = []
+                for ja, aj in enumerate(targets_a):
+                    queries += 1
+                    space = rows.space(names_a[ja], names_b[jb])
+                    if a.bits(ai, ja, space) & b.bits(bi, jb, space):
+                        pair = (aj, bj)
+                        if pair not in index:
+                            index[pair] = len(order)
+                            order.append(pair)
+                        hits.append((ja, index[pair]))
+                moves[i].append(hits)
+        i += 1
+    preds: list[list[int]] = [[] for _ in order]
+    for i, per_ref in enumerate(moves):
+        for hits in per_ref:
+            for _, q in hits:
+                preds[q].append(i)
 
-    changed = True
-    while changed:
-        changed = False
-        for pair in order:
-            if not alive[pair]:
+    def residual(i: int) -> tuple[dict[str, Value], int] | None:
+        """The least reference row no live candidate move answers, with the
+        successor pair its first firing candidate move leads to."""
+        nonlocal queries
+        ai, bi = order[i]
+        names_a, names_b = a.names(ai), b.names(bi)
+        for jb, hits in enumerate(moves[i]):
+            live = [ja for ja, q in hits if alive[q]]
+            queries += 1
+            space = rows.space(names_b[jb], *(names_a[ja] for ja in live))
+            cover = 0
+            for ja in live:
+                cover |= a.bits(ai, ja, space)
+            rest = b.bits(bi, jb, space) & ~cover
+            if not rest:
                 continue
-            ai, bi = pair
-            for gb, bj in ref.transitions[bi]:
-                live = [
-                    ga
-                    for ga, aj in cand.transitions[ai]
-                    if alive.get((aj, bj), False) and jsat(ga, gb) is not None
-                ]
-                queries += 1
-                residual = sat_witness(
-                    Binary("and", gb, Unary("not", disjoin(live))), dom, budget
-                )
-                if residual is None:
-                    continue
-                firing = [
-                    aj
-                    for ga, aj in cand.transitions[ai]
-                    if eval_expr(ga, residual)
-                ]
-                if firing:
-                    reason[pair] = ("step", residual, (firing[0], bj))
-                else:
-                    reason[pair] = ("uncovered", residual)
-                alive[pair] = False
-                changed = True
-                break
+            row = rows.row(space, (rest & -rest).bit_length() - 1)
+            bj = b.targets(bi)[jb]
+            for ja, aj in enumerate(a.targets(ai)):
+                own = names_a[ja]
+                if a.bits(ai, ja, own) >> rows.index(own, row) & 1:
+                    return row, index[(aj, bj)]
+            return row, -1
+        return None
 
-    visited = tuple((cand.label(a), ref.label(b)) for a, b in order)
-    if alive[start]:
+    # Worklist fixpoint with the visit order of a loop that rescans all
+    # pairs in discovery order until nothing changes: a pair is re-checked
+    # only after one of its successors died, later in this round when it
+    # comes after the dead pair and in the next round otherwise, so every
+    # death and witness is the one the rescanning loop finds.
+    current = [i for i in range(len(order)) if alive[i]]
+    while current:
+        queued = set(current)
+        later: set[int] = set()
+        while current:
+            i = heapq.heappop(current)
+            if not alive[i]:
+                continue
+            found = residual(i)
+            if found is None:
+                continue
+            row, nxt = found
+            reason[i] = ("step", row, nxt) if nxt >= 0 else ("uncovered", row)
+            alive[i] = False
+            for p in preds[i]:
+                if not alive[p]:
+                    continue
+                if p < i:
+                    later.add(p)
+                elif p not in queued:
+                    queued.add(p)
+                    heapq.heappush(current, p)
+        current = sorted(later)
+
+    visited = tuple((cand.label(x), ref.label(y)) for x, y in order)
+    if alive[0]:
         return SimResult(True, None, len(order), queries, visited)
 
-    rows: list[dict[str, Value]] = []
-    cur = start
+    trace: list[dict[str, Value]] = []
+    cur = 0
     while reason[cur][0] == "step":
-        rows.append(reason[cur][1])
+        trace.append(reason[cur][1])
         cur = reason[cur][2]
     tail = reason[cur]
+    ca, cb = cand.label(order[cur][0]), ref.label(order[cur][1])
     if tail[0] == "output":
-        rows.append(tail[2])
-        failure = SimFailure(
-            "output-mismatch", tail[1], rows, cand.label(cur[0]), ref.label(cur[1])
-        )
+        trace.append(tail[2])
+        failure = SimFailure("output-mismatch", tail[1], trace, ca, cb)
     else:
-        rows.append(tail[1])
-        failure = SimFailure(
-            "uncovered-input", None, rows, cand.label(cur[0]), ref.label(cur[1])
-        )
+        trace.append(tail[1])
+        failure = SimFailure("uncovered-input", None, trace, ca, cb)
     return SimResult(False, failure, len(order), queries, visited)
 
 
@@ -421,13 +634,20 @@ def _to_counterexample(
     a_names = [p.name for p in prep.flat_a.inputs]
     a_to_b = {a: b for b, a in prep.mapping.pairs}
     bound = dict(bound or {})
+    # equal rows, keys in the same order, are kept as one object: a report
+    # often repeats a row across steps and between both namespaces
+    shared: dict[tuple, dict[str, Value]] = {}
+
+    def share(row: dict[str, Value]) -> dict[str, Value]:
+        return shared.setdefault(tuple((k, type(v), v) for k, v in row.items()), row)
+
     rows_a = []
     rows_b = []
     for row in failure.rows:
         full = dict(row) | bound
-        rows_a.append({n: full[n] for n in a_names if n in full})
+        rows_a.append(share({n: full[n] for n in a_names if n in full}))
         rows_b.append(
-            {a_to_b[n]: v for n, v in full.items() if n in a_to_b}
+            share({a_to_b[n]: v for n, v in full.items() if n in a_to_b})
         )
     expected = actual = None
     if failure.kind == "output-mismatch" and failure.port:
@@ -489,7 +709,7 @@ def fix_free_ports(
         )
         for p in ports
     ]
-    necessary = agree[0] if len(agree) == 1 else _conj_all(agree)
+    necessary = conjoin(agree)
 
     b_side, _ = _mapped_input_domains(prep)
     dom_check = Domain(b_side)
@@ -510,13 +730,6 @@ def fix_free_ports(
     raise IterationCapExceeded(
         f"no verified constant fix within {config.fix_iterations} attempts"
     )
-
-
-def _conj_all(terms: list[Expr]) -> Expr:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Binary("and", acc, t)
-    return acc
 
 
 # ---------------------------------------------------------------------------

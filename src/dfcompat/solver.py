@@ -100,17 +100,33 @@ def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
     return sorted(names)
 
 
-def sat_witness(
-    expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET
-) -> dict[str, Value] | None:
-    """Least satisfying total assignment, or None when unsatisfiable."""
-    free = _free_in_domain(expr, dom)
+def query_names(
+    names: Iterable[str], dom: Domain, budget: int = DEFAULT_BUDGET
+) -> list[str]:
+    """Sorted names a satisfiability query enumerates.
+
+    Raises DomainError for undeclared names and DomainTooLarge when their
+    product space exceeds the budget.
+    """
+    names = list(names)
+    missing = [n for n in names if n not in dom]
+    if missing:
+        raise DomainError(f"formula mentions undeclared names: {sorted(missing)}")
+    free = sorted(names)
     space = dom.space(free)
     if space > budget:
         raise DomainTooLarge(
             f"satisfiability over {len(free)} names needs {space} evaluations "
             f"(budget {budget})"
         )
+    return free
+
+
+def sat_witness(
+    expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET
+) -> dict[str, Value] | None:
+    """Least satisfying total assignment, or None when unsatisfiable."""
+    free = query_names(free_names(expr), dom, budget)
     base = {n: dom.first(n) for n in dom.sorted_names()}
     for combo in itertools.product(*(dom.values(n) for n in free)):
         env = base | dict(zip(free, combo))

@@ -4,14 +4,16 @@ A symbolic step summary is turned into an explicit transition system: state
 variables become enumerated states, each state keeps its output expressions
 specialized to that state (functions of inputs only), and transitions carry
 input guards partitioned by successor.  Every transition also remembers one
-concrete input row, so counterexample traces can be replayed later.
+concrete input row, so counterexample traces can be replayed later, and every
+state keeps the transition each of its enumerated input rows takes, which
+the simulation check reads instead of the guards.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
 from .exprs import (
@@ -132,19 +134,40 @@ def compute_image(
     return image
 
 
+@dataclass(frozen=True)
+class StateRows:
+    """The input rows one state's unfolding enumerated.
+
+    Row i is the i-th combination of the names' declared values in
+    ``itertools.product`` order; ``edges[i]`` is the position, in the state's
+    transition list, of the transition row i takes, and ``targets[j]`` is
+    the successor state of transition j.
+    """
+
+    names: tuple[str, ...]
+    edges: list[int]
+    targets: list[int]
+
+
 @dataclass
 class Ts:
-    """Explicit transition system over enumerated reachable states."""
+    """Explicit transition system over enumerated reachable states.
+
+    ``rows`` holds one StateRows per state when the system was unfolded and
+    is empty for a system built by hand, whose guards are then the only
+    description of its transitions.
+    """
 
     name: str
     var_names: tuple[str, ...]
     states: list[StateVec]
     init: int
     outputs: list[dict[str, Expr]]
-    transitions: list[list[tuple[Expr, int]]]
+    transitions: Sequence[list[tuple[Expr, int]]]
     witnesses: dict[tuple[int, int], dict[str, Value]]
     inputs: dict[str, DataType]
     enums: dict[str, EnumType] = field(default_factory=dict)
+    rows: list[StateRows] = field(default_factory=list)
 
     def input_domain(self) -> Domain:
         return Domain(dict(self.inputs))
@@ -165,15 +188,42 @@ def _fmt(v: Value) -> str:
     return str(v)
 
 
-def _guard_for(rows: list[dict[str, Value]], active: Sequence[str], total: int) -> Expr:
-    if len(rows) == total:
-        return TRUE
-    terms = []
-    for row in rows:
-        terms.append(
-            conjoin([Binary("eq", InputRef(n), Const(row[n])) for n in active])
+def _guards(rows: StateRows, values: Sequence[tuple[Value, ...]]) -> list[Expr]:
+    """One guard per transition: the disjunction of its rows' point
+    equalities, or TRUE when every row takes the only transition."""
+    if len(rows.targets) == 1:
+        return [TRUE]
+    refs = [InputRef(n) for n in rows.names]
+    terms: list[list[Expr]] = [[] for _ in rows.targets]
+    for combo, edge in zip(itertools.product(*values), rows.edges):
+        terms[edge].append(
+            conjoin([Binary("eq", r, Const(v)) for r, v in zip(refs, combo)])
         )
-    return disjoin(terms)
+    return [disjoin(t) for t in terms]
+
+
+class _LazyTransitions(Sequence):
+    """Transition lists of an unfolded system.
+
+    The simulation check reads the stored rows, so a state's guards are
+    only built when something asks for its transition list (DOT output,
+    ``run_ts``, ``--emit-ts``).
+    """
+
+    def __init__(self, rows: list[StateRows], values: Mapping[str, tuple[Value, ...]]):
+        self._rows = rows
+        self._values = values
+        self._built: dict[int, list[tuple[Expr, int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, s: int) -> list[tuple[Expr, int]]:
+        rows = self._rows[s]
+        if s not in self._built:
+            guards = _guards(rows, [self._values[n] for n in rows.names])
+            self._built[s] = list(zip(guards, rows.targets))
+        return self._built[s]
 
 
 def unfold_to_ts(
@@ -194,8 +244,9 @@ def unfold_to_ts(
     index: dict[StateVec, int] = {init_vec: 0}
     states: list[StateVec] = [init_vec]
     outputs: list[dict[str, Expr]] = []
-    transitions: list[list[tuple[Expr, int]]] = []
     witnesses: dict[tuple[int, int], dict[str, Value]] = {}
+    state_rows: list[StateRows] = []
+    values: dict[str, tuple[Value, ...]] = {}
 
     base = {n: dom.first(n) for n in dom.sorted_names()}
     queue = 0
@@ -213,11 +264,14 @@ def unfold_to_ts(
             else set()
         )
         _enum_space(dom, active, budget, f"unfolding {step.name}")
-        groups: dict[int, list[dict[str, Value]]] = {}
+        for n in active:
+            if n not in values:
+                values[n] = dom.values(n)
+        active_values = [values[n] for n in active]
+        edge_of: dict[int, int] = {}
         order: list[int] = []
-        total = 0
-        for combo in itertools.product(*(dom.values(n) for n in active)):
-            total += 1
+        edges: list[int] = []
+        for combo in itertools.product(*active_values):
             row = dict(zip(active, combo))
             env = base | row
             succ = []
@@ -239,14 +293,13 @@ def unfold_to_ts(
                 index[vec] = len(states)
                 states.append(vec)
             tidx = index[vec]
-            if tidx not in groups:
-                groups[tidx] = []
+            edge = edge_of.get(tidx)
+            if edge is None:
+                edge = edge_of[tidx] = len(order)
                 order.append(tidx)
                 witnesses[(sidx, tidx)] = env
-            groups[tidx].append(row)
-        transitions.append(
-            [(_guard_for(groups[t], active, total), t) for t in order]
-        )
+            edges.append(edge)
+        state_rows.append(StateRows(tuple(active), edges, order))
 
     return Ts(
         name=step.name,
@@ -254,10 +307,11 @@ def unfold_to_ts(
         states=states,
         init=0,
         outputs=outputs,
-        transitions=transitions,
+        transitions=_LazyTransitions(state_rows, values),
         witnesses=witnesses,
         inputs=dict(step.inputs),
         enums=dict(step.enums),
+        rows=state_rows,
     )
 
 

@@ -57,6 +57,29 @@ DRIFTER = (
 MIRROR = "model Mirror\nin u : bool\nout y : bool\nwire u -> y\n"
 
 
+def counter_text(name: str, top: int) -> str:
+    """Counter of inc steps over 0..top shown on y, wrapping back to 0."""
+    return (
+        f"model {name}\nin inc : bool\nout y : int[0,12]\n"
+        f"block Cnt : UnitDelay(0, int[0,{top}])\nblock Top : Constant({top})\n"
+        "block AtTop : Relational(==)\nblock Zero : Constant(0)\n"
+        "block One : Constant(1)\nblock Next : Sum(++)\n"
+        "block Wrap : Switch\nblock Go : Switch\n"
+        "wire Cnt -> AtTop.in1\nwire Top -> AtTop.in2\n"
+        "wire Cnt -> Next.in1\nwire One -> Next.in2\n"
+        "wire AtTop -> Wrap.ctrl\nwire Zero -> Wrap.in1\nwire Next -> Wrap.in3\n"
+        "wire inc -> Go.ctrl\nwire Wrap -> Go.in1\nwire Cnt -> Go.in3\n"
+        "wire Go -> Cnt.in\nwire Cnt -> y\n"
+    )
+
+
+# the late counter wraps one count after the mod-12 one: the states agree
+# for twelve increments, so refuting it takes a 13-step counterexample whose
+# deaths all come out of the simulation fixpoint
+LATE_WRAP = counter_text("LateWrap", 12)
+MOD12 = counter_text("Mod12", 11)
+
+
 # (candidate, reference) pairs exercised by several suites
 FIXTURE_PAIRS = [
     ("flipflop", "flipflop"),

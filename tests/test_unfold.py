@@ -1,11 +1,13 @@
 """Reachable unfolding into explicit transition systems."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from dfcompat import (
     DomainError,
+    DomainTooLarge,
     Interpreter,
     StateBudgetExceeded,
     compute_image,
@@ -14,7 +16,7 @@ from dfcompat import (
     summarize,
     unfold_to_ts,
 )
-from dfcompat.exprs import Binary, Const, InputRef, VarRef, eval_expr
+from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType
 from dfcompat.solver import Domain
 from dfcompat.symbolic import SymbolicStep
@@ -120,6 +122,24 @@ def test_run_rejects_out_of_domain_input():
 def test_state_budget_enforced():
     with pytest.raises(StateBudgetExceeded, match="reachable states"):
         unfold_to_ts(pump_step(), state_budget=3)
+
+
+def test_huge_input_refused_without_building_its_domain():
+    step = SymbolicStep(
+        name="Huge",
+        inputs={"u": IntType(0, 10**12)},
+        vars={"m": (IntType(0, 1), 0)},
+        outputs={"y": VarRef("m")},
+        updates={"m": Ite(Binary("lt", InputRef("u"), Const(5)), Const(0), Const(1))},
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainTooLarge, match="budget"):
+            unfold_to_ts(step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024
 
 
 def test_unfold_detects_domain_escape():
