@@ -8,6 +8,7 @@ parsing the printed form yields a structurally equal model.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import (
     DslSyntaxError,
@@ -83,7 +84,7 @@ class _Parser:
             m = _RE_MODEL.match(line)
             if not m:
                 self.error(f"expected 'model <name>', got {line!r}")
-            name = m.group(1)
+            name = sys.intern(m.group(1))
             break
         if name is None:
             raise DslSyntaxError("empty model text", 0)
@@ -147,6 +148,9 @@ class _Parser:
         if not m:
             return False
         direction, name, type_text, init_text = m.groups()
+        # port and model names end up in every report of a check; interned,
+        # reports of repeated parses share them
+        name = sys.intern(name)
         dtype = self._parse_type(type_text)
         init: Value | None = None
         if init_text is not None:

@@ -629,14 +629,17 @@ def _to_counterexample(
     ref_step: SymbolicStep,
     cand_step: SymbolicStep,
     bound: Mapping[str, Value] | None,
+    shared: dict[tuple, dict[str, Value]],
 ) -> Counterexample:
-    """Lift witness rows into replayable traces for both concrete models."""
+    """Lift witness rows into replayable traces for both concrete models.
+
+    Equal rows, keys in the same order, are kept as one object, the one in
+    shared: a report often repeats a row across steps, between both
+    namespaces and between both directions.
+    """
     a_names = [p.name for p in prep.flat_a.inputs]
     a_to_b = {a: b for b, a in prep.mapping.pairs}
     bound = dict(bound or {})
-    # equal rows, keys in the same order, are kept as one object: a report
-    # often repeats a row across steps and between both namespaces
-    shared: dict[tuple, dict[str, Value]] = {}
 
     def share(row: dict[str, Value]) -> dict[str, Value]:
         return shared.setdefault(tuple((k, type(v), v) for k, v in row.items()), row)
@@ -769,6 +772,7 @@ def check_compatibility(
     extra_doms = {n: step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
     dom_backward = Domain(b_side | extra_doms)
     dom_upward = Domain(a_side | extra_doms)
+    shared_rows: dict[tuple, dict[str, Value]] = {}
 
     t0 = time.perf_counter()
     holds, per_port, failure, pairs, queries = _check_direction(
@@ -780,7 +784,7 @@ def check_compatibility(
     )
     if not holds and failure is not None:
         back.counterexample = _to_counterexample(
-            prep, failure, "backward", step_b, step_a, None
+            prep, failure, "backward", step_b, step_a, None, shared_rows
         )
     if not holds and prep.mapping.extra_inputs_a:
         fixed = fix_free_ports(prep, dom_backward, ports, config)
@@ -807,7 +811,7 @@ def check_compatibility(
     )
     if not holds and failure is not None:
         up.counterexample = _to_counterexample(
-            prep, failure, "upward", step_a, step_b, None
+            prep, failure, "upward", step_a, step_b, None, shared_rows
         )
     report.upward = up
 

@@ -33,6 +33,14 @@ def test_basic_model_shape():
     assert m.diagram.inputs[0].dtype == BoolType()
 
 
+def test_repeated_parses_share_port_and_model_names():
+    first, again = load_model("limiter_plain"), load_model("limiter_plain")
+    assert again.name is first.name
+    for ports in ("inputs", "outputs"):
+        for p, q in zip(getattr(first.diagram, ports), getattr(again.diagram, ports)):
+            assert q.name is p.name
+
+
 def test_int_port_bounds():
     m = parse_model("model M\nin u : int[-3,7]\nout y : int[-3,7]\nwire u -> y\n")
     assert m.diagram.inputs[0].dtype == IntType(-3, 7)

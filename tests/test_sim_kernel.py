@@ -202,6 +202,9 @@ def test_counterexample_rows_are_shared():
     assert cx.rows_a[0] == {"inc": True}
     assert all(r is cx.rows_a[0] for r in cx.rows_a[:12])
     assert all(a is b for a, b in zip(cx.rows_a, cx.rows_b))
+    # the upward trace repeats the same rows
+    up = report.upward.counterexample
+    assert all(u is r for u, r in zip(up.rows_a, cx.rows_a))
 
 
 def test_stored_rows_placed_in_a_wider_space():
