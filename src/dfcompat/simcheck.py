@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArithmeticOverflow, IterationCapExceeded
+from .errors import IterationCapExceeded
 from .exprs import Binary, Value, conjoin, eval_expr, free_names, partial_eval
 from .model import (
     FlatModel,
@@ -37,7 +37,6 @@ from .solver import (
     Domain,
     exists_forall_constants,
     query_names,
-    sat_witness,
 )
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
@@ -162,8 +161,7 @@ class _Side:
     placed by their values, a hand-built guard is evaluated once per row.
     A state whose rows all take one transition has the guard TRUE, with no
     names, which holds on every row of the domain, also outside the
-    system's declared input range.  Outputs become value vectors over a
-    query's names.
+    system's declared input range.
     """
 
     def __init__(self, ts: Ts, rows: _Rows):
@@ -173,7 +171,6 @@ class _Side:
         self._names: dict[int, list[tuple[str, ...]]] = {}
         self._bits: dict[tuple[int, tuple[str, ...]], list[int | None]] = {}
         self._out_names: dict[tuple[int, str], frozenset[str]] = {}
-        self._vectors: dict[tuple[int, str, tuple[str, ...]], list[Value] | None] = {}
 
     def targets(self, s: int) -> list[int]:
         if self.ts.rows:
@@ -239,20 +236,6 @@ class _Side:
             self._out_names[key] = free_names(self.ts.outputs[s][port])
         return self._out_names[key]
 
-    def vector(self, s: int, port: str, names: tuple[str, ...]) -> list[Value] | None:
-        """Output values on every row over names; None when one overflows."""
-        key = (s, port, names)
-        if key not in self._vectors:
-            e = self.ts.outputs[s][port]
-            try:
-                self._vectors[key] = [
-                    eval_expr(e, dict(zip(names, combo)))
-                    for combo in self.rows.product(names)
-                ]
-            except ArithmeticOverflow:
-                self._vectors[key] = None
-        return self._vectors[key]
-
 
 def simulates(
     cand: Ts, ref: Ts, dom: Domain, budget: int = DEFAULT_BUDGET
@@ -266,8 +249,8 @@ def simulates(
 
     Guards are row bitsets over the simulation domain, so a joint move is a
     nonzero ``ga & gb`` and the least uncovered row is the lowest set bit of
-    ``gb & ~live``; outputs compare as value vectors, first differing row
-    first.  Each query is refused past the budget exactly as sat_witness
+    ``gb & ~live``; outputs compare row by row up to the first difference.
+    Each query is refused past the budget exactly as sat_witness
     would refuse the formula it stands for.  ``queries`` counts the joint,
     residual and output checks answered.
     """
@@ -276,17 +259,16 @@ def simulates(
     queries = 0
 
     def output_diff(ai: int, bi: int, port: str) -> dict[str, Value] | None:
+        # rows in order, the candidate's output evaluated first: the least
+        # differing row, and an overflow only where enumeration reaches it
+        # first, as sat_witness over the two outputs' inequality
+        oa, ob = cand.outputs[ai][port], ref.outputs[bi][port]
         names = rows.space(a.output_names(ai, port), b.output_names(bi, port))
-        va, vb = a.vector(ai, port, names), b.vector(bi, port, names)
-        if va is None or vb is None:
-            # an overflow surfaces only if enumeration reaches it before the
-            # first difference; the enumerating solver decides which
-            expr = Binary("ne", cand.outputs[ai][port], ref.outputs[bi][port])
-            return sat_witness(expr, dom, budget)
-        if va == vb:
-            return None
-        first = next(i for i, (x, y) in enumerate(zip(va, vb)) if x != y)
-        return rows.row(names, first)
+        for i, combo in enumerate(rows.product(names)):
+            env = dict(zip(names, combo))
+            if eval_expr(oa, env) != eval_expr(ob, env):
+                return rows.row(names, i)
+        return None
 
     # breadth-first product exploration; index = discovery order
     start = (cand.init, ref.init)
