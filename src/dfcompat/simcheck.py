@@ -170,7 +170,6 @@ class _Side:
         self.declared = _Rows(ts.input_domain(), rows.budget)
         self._names: dict[int, list[tuple[str, ...]]] = {}
         self._bits: dict[tuple[int, tuple[str, ...]], list[int | None]] = {}
-        self._out_names: dict[tuple[int, str], frozenset[str]] = {}
 
     def targets(self, s: int) -> list[int]:
         if self.ts.rows:
@@ -230,12 +229,6 @@ class _Side:
             placed = ((i, stored.edges[k]) for i, k in enumerate(slots) if k is not None)
         return _bitsets(placed, count, size)
 
-    def output_names(self, s: int, port: str) -> frozenset[str]:
-        key = (s, port)
-        if key not in self._out_names:
-            self._out_names[key] = free_names(self.ts.outputs[s][port])
-        return self._out_names[key]
-
 
 def simulates(
     cand: Ts, ref: Ts, dom: Domain, budget: int = DEFAULT_BUDGET
@@ -263,7 +256,7 @@ def simulates(
         # differing row, and an overflow only where enumeration reaches it
         # first, as sat_witness over the two outputs' inequality
         oa, ob = cand.outputs[ai][port], ref.outputs[bi][port]
-        names = rows.space(a.output_names(ai, port), b.output_names(bi, port))
+        names = rows.space(free_names(oa), free_names(ob))
         for i, combo in enumerate(rows.product(names)):
             env = dict(zip(names, combo))
             if eval_expr(oa, env) != eval_expr(ob, env):

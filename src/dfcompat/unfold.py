@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
 from .exprs import (
@@ -134,8 +135,7 @@ def compute_image(
     return image
 
 
-@dataclass(frozen=True)
-class StateRows:
+class StateRows(NamedTuple):
     """The input rows one state's unfolding enumerated.
 
     Row i is the i-th combination of the names' declared values in

@@ -171,7 +171,7 @@ def test_output_overflow_before_first_difference_is_raised():
         simulates(cand, ref, dom)
 
 
-def test_guard_over_other_names_is_lifted():
+def test_hand_built_guards_over_different_names():
     """A guard over p alone and one over p and q meet in the space of both."""
     p, q = InputRef("p"), InputRef("q")
     dom = Domain.of(p=BoolType(), q=IntType(0, 2))
