@@ -37,6 +37,7 @@ from .solver import (
     Domain,
     exists_forall_constants,
     query_names,
+    sat_witness,  # noqa: F401 - dfbench/tracing.py wraps this module's sat_witness
 )
 from .symbolic import (
     DEFAULT_SPLIT_CAP,

@@ -92,12 +92,16 @@ class Domain:
         return Domain(joined)
 
 
-def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
-    names = free_names(expr)
+def _declared(names: Iterable[str], dom: Domain) -> list[str]:
+    names = sorted(names)
     missing = [n for n in names if n not in dom]
     if missing:
-        raise DomainError(f"formula mentions undeclared names: {sorted(missing)}")
-    return sorted(names)
+        raise DomainError(f"formula mentions undeclared names: {missing}")
+    return names
+
+
+def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
+    return _declared(free_names(expr), dom)
 
 
 def query_names(
@@ -108,11 +112,7 @@ def query_names(
     Raises DomainError for undeclared names and DomainTooLarge when their
     product space exceeds the budget.
     """
-    names = list(names)
-    missing = [n for n in names if n not in dom]
-    if missing:
-        raise DomainError(f"formula mentions undeclared names: {sorted(missing)}")
-    free = sorted(names)
+    free = _declared(names, dom)
     space = dom.space(free)
     if space > budget:
         raise DomainTooLarge(
