@@ -229,14 +229,15 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
     update_assigns: list[tuple[str, Expr]] = []
     for path in schedule.update_phase:
         blk = flat.blocks[path]
+        rhs: Expr
         if blk.kind == "UnitDelay":
-            rhs: Expr = src_expr(blk.inputs["in"])
-            if blk.enables:
-                gate = conjoin([_bool_src(flat, s) for s in blk.enables])
-                rhs = Ite(gate, rhs, VarRef(path))
-            update_assigns.append((path, rhs))
+            var, rhs = path, src_expr(blk.inputs["in"])
         else:  # HoldOutput: latch the emitted value
-            update_assigns.append((hold_var(path), SignalRef(path)))
+            var, rhs = hold_var(path), SignalRef(path)
+        if blk.enables:  # only while every enclosing scope runs
+            gate = conjoin([_bool_src(flat, s) for s in blk.enables])
+            rhs = Ite(gate, rhs, VarRef(var))
+        update_assigns.append((var, rhs))
 
     exit_node = new_node([("var", t, e) for t, e in update_assigns])
     edges: list[CfgEdge] = []

@@ -42,7 +42,8 @@ from .simcheck import (
     CheckConfig,
     CompatReport,
     build_step,
-    check_compatibility,
+    check_compatibility,  # noqa: F401 - dfbench/tracing.py wraps this module's check_compatibility
+    check_prepared,
     prepare,
 )
 from .symbolic import step_to_text, summarize
@@ -75,8 +76,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="max alternatives per case split")
     p.add_argument("--fix-iterations", type=int, default=None, metavar="N",
                    help="max constant-fix candidates to verify")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="thread pool size for per-port checks")
 
 
 def _config_from(args: argparse.Namespace) -> CheckConfig:
@@ -85,7 +84,6 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
         output_split=not args.no_output_split,
         datastore=args.datastore,
         datastore_order=args.datastore_order,
-        workers=args.workers,
     )
     overrides = {}
     if args.solver_budget is not None:
@@ -314,27 +312,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("error: --emit-* flags require --artifacts DIR", file=sys.stderr)
         return 3
 
-    report = check_compatibility(model_a, model_b, overrides, config)
+    prep = prepare(model_a, model_b, overrides, config)
+    report = check_prepared(prep, config)
 
     if outdir is not None:
-        prep = prepare(model_a, model_b, overrides, config)
         (outdir / "report.json").write_text(report.to_json() + "\n")
         if report.interface_ok:
             _write_counterexamples(report, outdir, prep)
             pairs = (("A", prep.flat_a, prep.step_a), ("B", prep.flat_b, prep.step_b))
             for tag, flat, step in pairs:
-                if args.emit_cfg or args.emit_efa or args.emit_ts or args.emit_summary:
+                if args.emit_cfg:
                     cfg = extract_cfg(flat, sorted_order(flat, config.datastore_order))
-                    if args.emit_cfg:
-                        (outdir / f"cfg.{tag}.dot").write_text(cfg_to_dot(cfg, flat.name))
-                    if args.emit_summary:
-                        (outdir / f"summary.{tag}.txt").write_text(step_to_text(step))
-                    if args.emit_efa:
-                        efa = build_efa(step, config.split_cap, config.solver_budget)
-                        (outdir / f"efa.{tag}.txt").write_text(efa_to_text(efa))
-                    if args.emit_ts:
-                        ts = unfold_to_ts(step, config.state_budget, config.solver_budget)
-                        (outdir / f"ts.{tag}.dot").write_text(ts_to_dot(ts))
+                    (outdir / f"cfg.{tag}.dot").write_text(cfg_to_dot(cfg, flat.name))
+                if args.emit_summary:
+                    (outdir / f"summary.{tag}.txt").write_text(step_to_text(step))
+                if args.emit_efa:
+                    efa = build_efa(step, config.split_cap, config.solver_budget)
+                    (outdir / f"efa.{tag}.txt").write_text(efa_to_text(efa))
+                if args.emit_ts:
+                    ts = unfold_to_ts(step, config.state_budget, config.solver_budget)
+                    (outdir / f"ts.{tag}.dot").write_text(ts_to_dot(ts))
             if args.emit_smt:
                 smtdir = outdir / "smt"
                 smtdir.mkdir(exist_ok=True)

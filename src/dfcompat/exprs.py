@@ -205,9 +205,27 @@ def substitute(
 
 
 def partial_eval(e: Expr, binding: Mapping[str, Value]) -> Expr:
-    """Fix some inputs/variables to concrete values and fold constants."""
-    consts = {k: Const(v) for k, v in binding.items()}
-    return fold(substitute(e, variables=consts, inputs=consts))
+    """Fix some inputs/variables to concrete values and fold constants.
+
+    One bottom-up pass that substitutes at the leaves and folds on the way
+    up, the same tree as ``fold`` applied after ``substitute``.  Total:
+    overflowing folds are skipped.
+    """
+    if isinstance(e, (InputRef, VarRef)):
+        return Const(binding[e.name]) if e.name in binding else e
+    if isinstance(e, (Const, SignalRef)):
+        return e
+    if isinstance(e, Unary):
+        return _fold_unary(e.op, partial_eval(e.arg, binding))
+    if isinstance(e, Binary):
+        return _fold_binary(
+            e.op, partial_eval(e.left, binding), partial_eval(e.right, binding)
+        )
+    c = partial_eval(e.cond, binding)
+    if isinstance(c, Const):
+        return partial_eval(e.then if c.value else e.other, binding)
+    t, o = partial_eval(e.then, binding), partial_eval(e.other, binding)
+    return t if t == o else Ite(c, t, o)
 
 
 def _fold_unary(op: str, a: Expr) -> Expr:
@@ -253,19 +271,7 @@ def _fold_binary(op: str, a: Expr, b: Expr) -> Expr:
 
 def fold(e: Expr) -> Expr:
     """Bottom-up constant folding.  Total: overflowing folds are skipped."""
-    if isinstance(e, (Const, InputRef, VarRef, SignalRef)):
-        return e
-    if isinstance(e, Unary):
-        return _fold_unary(e.op, fold(e.arg))
-    if isinstance(e, Binary):
-        return _fold_binary(e.op, fold(e.left), fold(e.right))
-    c = fold(e.cond)
-    if isinstance(c, Const):
-        return fold(e.then) if c.value else fold(e.other)
-    t, o = fold(e.then), fold(e.other)
-    if t == o:
-        return t
-    return Ite(c, t, o)
+    return partial_eval(e, {})
 
 
 _KIND_RANK = {Const: 0, InputRef: 1, VarRef: 2, SignalRef: 3, Unary: 4, Binary: 5, Ite: 6}

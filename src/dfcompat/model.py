@@ -277,12 +277,11 @@ class _Level:
     """One diagram instance during flattening."""
 
     def __init__(self, diagram: Diagram, prefix: str, parent: "_Level | None",
-                 name_in_parent: str, enables: tuple[Src, ...], group: tuple[str, ...]):
+                 name_in_parent: str, group: tuple[str, ...]):
         self.diagram = diagram
         self.prefix = prefix  # "" at top, otherwise "Sub/" style
         self.parent = parent
         self.name_in_parent = name_in_parent
-        self.enables = enables
         self.group = group
         self.drivers: dict[tuple[str, str], Connection] = {}
 
@@ -350,8 +349,8 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
     levels: list[_Level] = []
     store_paths: dict[_Level, dict[str, str]] = {}
 
-    def build_level(diagram, prefix, parent, name_in_parent, enables, group) -> _Level:
-        lvl = _Level(diagram, prefix, parent, name_in_parent, enables, group)
+    def build_level(diagram, prefix, parent, name_in_parent, group) -> _Level:
+        lvl = _Level(diagram, prefix, parent, name_in_parent, group)
         _check_endpoints(lvl)
         _index_drivers(lvl)
         levels.append(lvl)
@@ -362,7 +361,7 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
         }
         return lvl
 
-    top = build_level(model.diagram, "", None, "", (), ())
+    top = build_level(model.diagram, "", None, "", ())
 
     # source resolution with through-wire cycle detection
     memo: dict[tuple[int, str, str], Src] = {}
@@ -411,31 +410,28 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
                 raise ModelValidationError(f"unknown block kind {blk.kind!r}")
             if blk.kind in SUBSYSTEM_KINDS:
                 prefix = level.path(name) + "/"
+                group = level.group
                 if blk.kind == "EnabledSubsystem":
-                    enables = level.enables  # own enable source attached later
-                    group = level.group + (level.path(name),)
-                else:
-                    enables = level.enables
-                    group = level.group
-                sub = build_level(blk.children, prefix, level, name, enables, group)
+                    group += (level.path(name),)
+                sub = build_level(blk.children, prefix, level, name, group)
                 child_levels[(id(level), name)] = sub
                 expand(sub)
 
     expand(top)
 
-    # pass 2: emit flat blocks in creation order
-    def emit(level: _Level) -> None:
-        own_enable: tuple[Src, ...] = ()
+    # pass 2: emit flat blocks in creation order; outer is the enable chain
+    # of the enclosing scope, one source per enabled subsystem around it
+    def emit(level: _Level, outer: tuple[Src, ...]) -> None:
+        enables = outer
         if level.parent is not None:
             pblk = level.parent.diagram.blocks[level.name_in_parent]
             if pblk.kind == "EnabledSubsystem":
-                own_enable = (driver_src(level.parent, level.name_in_parent, "enable"),)
-        enables = level.enables + own_enable
+                enables += (driver_src(level.parent, level.name_in_parent, "enable"),)
 
         for name, blk in level.diagram.blocks.items():
             path = level.path(name)
             if blk.kind in SUBSYSTEM_KINDS:
-                emit(child_levels[(id(level), name)])
+                emit(child_levels[(id(level), name)], enables)
                 continue
             if blk.kind == "Inport":
                 if level.parent is None:
@@ -481,7 +477,7 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
                         "HoldOutput",
                         {"dtype": port.dtype, "init": init, "gate": enables},
                         {"in": driver_src(level, port.name, "in")},
-                        enables=level.enables,  # runs in the parent scope
+                        enables=outer,  # runs in the parent scope
                         group=level.group[:-1],
                     )
                     flat.blocks[path] = blkf
@@ -495,7 +491,7 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
             lvl = lvl.parent
         raise ModelValidationError(f"unknown data store {store_name!r}")
 
-    emit(top)
+    emit(top, ())
 
     _check_inits(flat)
     order = schedule_units(flat)

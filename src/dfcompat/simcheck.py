@@ -12,13 +12,13 @@ restore compatibility.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IterationCapExceeded
 from .exprs import Binary, Value, conjoin, eval_expr, free_names, partial_eval
@@ -61,7 +61,6 @@ class CheckConfig:
     split_cap: int = DEFAULT_SPLIT_CAP
     state_budget: int = DEFAULT_STATE_BUDGET
     fix_iterations: int = 16
-    workers: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -551,44 +550,41 @@ def _mapped_output_ports(prep: _Prepared) -> list[str]:
     return sorted(a for b, a in prep.mapping.pairs if b in b_out)
 
 
+Unfolder = Callable[[tuple[str, ...]], Ts]
+
+
+def _unfolder(step: SymbolicStep, config: CheckConfig) -> Unfolder:
+    """Per port group, the step restricted to the group's outputs and
+    unfolded."""
+    return lambda group: unfold_to_ts(
+        restrict_to_outputs(step, group), config.state_budget, config.solver_budget
+    )
+
+
 def _check_direction(
-    cand_step: SymbolicStep,
-    ref_step: SymbolicStep,
+    cand: Unfolder,
+    ref: Unfolder,
     ports: Sequence[str],
     dom: Domain,
     config: CheckConfig,
 ) -> tuple[bool, dict[str, bool], SimFailure | None, int, int]:
-    """Simulate per mapped output port (or jointly) and merge the results."""
+    """Simulate per mapped output port (or jointly) and merge the results.
 
-    def run_ports(port_group: Sequence[str]):
-        cand = unfold_to_ts(
-            restrict_to_outputs(cand_step, port_group),
-            config.state_budget,
-            config.solver_budget,
-        )
-        ref = unfold_to_ts(
-            restrict_to_outputs(ref_step, port_group),
-            config.state_budget,
-            config.solver_budget,
-        )
-        return simulates(cand, ref, dom, config.solver_budget)
-
-    groups: list[Sequence[str]]
+    A group's systems are obtained, the candidate's first, only when its
+    simulation starts, so errors from building and from simulating them
+    come in group order.
+    """
+    groups: list[tuple[str, ...]]
     if config.output_split and len(ports) > 1:
-        groups = [[p] for p in ports]
+        groups = [(p,) for p in ports]
     else:
-        groups = [list(ports)]
-
-    if config.workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run_ports, groups))
-    else:
-        results = [run_ports(g) for g in groups]
+        groups = [tuple(ports)]
 
     per_port: dict[str, bool] = {}
     failure: SimFailure | None = None
     pairs = queries = 0
-    for group, res in zip(groups, results):
+    for group in groups:
+        res = simulates(cand(group), ref(group), dom, config.solver_budget)
         pairs += res.pairs
         queries += res.queries
         for p in group:
@@ -666,6 +662,7 @@ def fix_free_ports(
     dom_free: Domain,
     ports: Sequence[str],
     config: CheckConfig,
+    ref: Unfolder | None = None,
 ) -> tuple[dict[str, Value], dict[str, bool], int, int] | None:
     """Search constants for A's extra inputs restoring backward simulation.
 
@@ -673,7 +670,8 @@ def fix_free_ports(
     state pair for every shared input; each survivor is then verified by a
     full simulation run and excluded on failure.  Returns None when no
     candidate exists; raises IterationCapExceeded when the verification
-    loop runs out of attempts.
+    loop runs out of attempts.  ``ref`` gives B's unfolded systems, which
+    every attempt shares; by default they are built here.
     """
     extras = sorted(prep.mapping.extra_inputs_a)
     step_a, step_b = prep.step_a, prep.step_b
@@ -690,6 +688,8 @@ def fix_free_ports(
     ]
     necessary = conjoin(agree)
 
+    if ref is None:
+        ref = functools.cache(_unfolder(step_b, config))
     b_side, _ = _mapped_input_domains(prep)
     dom_check = Domain(b_side)
     exclude: list[dict[str, Value]] = []
@@ -699,9 +699,9 @@ def fix_free_ports(
         )
         if cand is None:
             return None
-        fixed_a = bind_inputs(step_a, cand)
+        fixed_a = _unfolder(bind_inputs(step_a, cand), config)
         holds, per_port, _, pairs, queries = _check_direction(
-            fixed_a, step_b, ports, dom_check, config
+            fixed_a, ref, ports, dom_check, config
         )
         if holds:
             return cand, per_port, pairs, queries
@@ -722,7 +722,12 @@ def check_compatibility(
     config: CheckConfig = CheckConfig(),
 ) -> CompatReport:
     """Full pipeline: flatten, align interfaces, unfold, simulate both ways."""
-    prep = prepare(model_a, model_b, overrides, config)
+    return check_prepared(prepare(model_a, model_b, overrides, config), config)
+
+
+def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
+    """The check on a pair prepare() built: the interface verdict, then
+    simulation both ways and the constant-fix search."""
     b_outs = {p.name for p in prep.flat_b.outputs}
     report = CompatReport(
         a_name=prep.flat_a.name,
@@ -749,10 +754,15 @@ def check_compatibility(
     dom_backward = Domain(b_side | extra_doms)
     dom_upward = Domain(a_side | extra_doms)
     shared_rows: dict[tuple, dict[str, Value]] = {}
+    # each model's system per port group, built on first use and kept for
+    # this check: both directions and every fix attempt compare the same
+    # ones.  A fix candidate's step is bound anew per attempt and not kept.
+    unfold_a = functools.cache(_unfolder(step_a, config))
+    unfold_b = functools.cache(_unfolder(step_b, config))
 
     t0 = time.perf_counter()
     holds, per_port, failure, pairs, queries = _check_direction(
-        step_a, step_b, ports, dom_backward, config
+        unfold_a, unfold_b, ports, dom_backward, config
     )
     back = DirectionResult(
         holds, per_port=per_port, pairs=pairs, queries=queries,
@@ -763,7 +773,7 @@ def check_compatibility(
             prep, failure, "backward", step_b, step_a, None, shared_rows
         )
     if not holds and prep.mapping.extra_inputs_a:
-        fixed = fix_free_ports(prep, dom_backward, ports, config)
+        fixed = fix_free_ports(prep, dom_backward, ports, config, unfold_b)
         if fixed is not None:
             binding, per_port_f, pairs_f, queries_f = fixed
             back = DirectionResult(
@@ -779,7 +789,7 @@ def check_compatibility(
 
     t1 = time.perf_counter()
     holds, per_port, failure, pairs, queries = _check_direction(
-        step_b, step_a, ports, dom_upward, config
+        unfold_b, unfold_a, ports, dom_upward, config
     )
     up = DirectionResult(
         holds, per_port=per_port, pairs=pairs, queries=queries,

@@ -56,6 +56,57 @@ DRIFTER = (
 
 MIRROR = "model Mirror\nin u : bool\nout y : bool\nwire u -> y\n"
 
+# an enabled subsystem (Inner, gated by b) and a plain one (Plain) inside an
+# enabled subsystem (Outer, gated by a); each holds a toggle bit that flips
+# on t while every enable around it is high
+NESTED_ENABLED = """\
+model Nested
+in a : bool
+in b : bool
+in t : bool
+out p : bool
+out q : bool
+block Outer : EnabledSubsystem {
+  in g : bool
+  in u : bool
+  out ip : bool
+  out iq : bool
+  block Inner : EnabledSubsystem {
+    in v : bool
+    out m : bool = false
+    block D : UnitDelay(false)
+    block X : Logic(XOR)
+    wire v -> X.in1
+    wire D -> X.in2
+    wire X -> D.in
+    wire D -> m
+  }
+  block Plain : Subsystem {
+    in w : bool
+    out k : bool
+    block E : UnitDelay(false)
+    block Y : Logic(XOR)
+    wire w -> Y.in1
+    wire E -> Y.in2
+    wire Y -> E.in
+    wire E -> k
+  }
+  wire g -> Inner.enable
+  wire u -> Inner.v
+  wire u -> Plain.w
+  wire Inner.m -> ip
+  wire Plain.k -> iq
+}
+wire a -> Outer.enable
+wire b -> Outer.g
+wire t -> Outer.u
+wire Outer.ip -> p
+wire Outer.iq -> q
+"""
+
+# the same model with Inner gated by t instead of b
+NESTED_REWIRED = NESTED_ENABLED.replace("wire g -> Inner.enable", "wire u -> Inner.enable")
+
 
 def counter_text(name: str, top: int) -> str:
     """Counter of inc steps over 0..top shown on y, wrapping back to 0."""

@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
-from dfcompat import Interpreter, extract_cfg, flatten_and_validate, sorted_order
+from dfcompat import Interpreter, extract_cfg, flatten_and_validate, parse_model, sorted_order
 from dfcompat.cfg import cfg_to_dot, count_paths, run_cfg_step
 from dfcompat.model import domain_values
-from helpers import load_model
+from helpers import NESTED_ENABLED, NESTED_REWIRED, load_model
 
 EXPECTED_PATHS = {
     "flipflop": 4,
@@ -64,6 +64,19 @@ def test_cfg_walk_matches_interpreter_sampled(name):
     for state in states[:40]:
         for inputs in rows[:40]:
             assert run_cfg_step(cfg, state, inputs) == interp.step(state, inputs)
+
+
+@pytest.mark.parametrize("text", [NESTED_ENABLED, NESTED_REWIRED], ids=["nested", "rewired"])
+def test_cfg_walk_matches_interpreter_in_nested_enabled_subsystems(text):
+    flat = flatten_and_validate(parse_model(text))
+    cfg = extract_cfg(flat)
+    interp = Interpreter(flat)
+    for trace in itertools.product(list(_input_space(flat)), repeat=3):
+        state = interp.initial_state()
+        for inputs in trace:
+            step = run_cfg_step(cfg, state, inputs)
+            assert step == interp.step(state, inputs)
+            state = step[1]
 
 
 def test_entry_is_empty_and_exit_updates_state():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dfcompat import CompatReport
+from dfcompat import CompatReport, cli, simcheck
 from helpers import model_path, run_cli
 
 FLIPFLOP = str(model_path("flipflop"))
@@ -100,7 +100,7 @@ def test_check_map_file(tmp_path):
 def test_check_pipeline_flags_accepted():
     code, out, _ = run_cli(
         "check", LIMITER_A, LIMITER_B,
-        "--no-clone-pruning", "--no-output-split", "--workers", "2",
+        "--no-clone-pruning", "--no-output-split",
         "--datastore", "global", "--solver-budget", "100000",
     )
     assert code == 1
@@ -170,6 +170,22 @@ def test_artifact_inventory(tmp_path):
         assert first in ("; expected: sat", "; expected: unsat")
     fix = (outdir / "smt" / "fix_constants_exist.smt2").read_text()
     assert fix.splitlines()[0] == "; expected: sat"
+
+
+def test_artifacts_reuse_the_checked_pipeline(tmp_path, monkeypatch):
+    flattened = []
+    for module in (simcheck, cli):
+        real = module.flatten_and_validate
+        monkeypatch.setattr(
+            module, "flatten_and_validate",
+            lambda model, real=real, **kw: flattened.append(model.name) or real(model, **kw),
+        )
+    code, _, _ = run_cli(
+        "check", LIMITER_A, LIMITER_B, "--artifacts", str(tmp_path / "arts"),
+        "--emit-cfg", "--emit-efa", "--emit-ts", "--emit-summary", "--emit-smt",
+    )
+    assert code == 1
+    assert len(flattened) == 2 and len(set(flattened)) == 2
 
 
 def test_interface_failure_writes_report_only(tmp_path):

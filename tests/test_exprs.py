@@ -2,10 +2,13 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dfcompat import ArithmeticOverflow
 from dfcompat.exprs import (
     FALSE,
+    INT64_MAX,
+    INT64_MIN,
     TRUE,
     Binary,
     Const,
@@ -138,6 +141,45 @@ def test_partial_eval_partial_binding():
     r = partial_eval(e, {"u": 3})
     assert free_names(r) == {"w"}
     assert eval_expr(r, {"w": 2}) == 5
+
+
+# leaves of both namespaces under each name, and constants whose products,
+# sums and negations leave 64 bits, so that some folds must keep their node
+_PE_LEAVES = st.sampled_from([
+    Const(True), Const(False), Const(0), Const(-2), Const(1 << 62),
+    Const(INT64_MIN), Const(INT64_MAX),
+    InputRef("p"), VarRef("p"), InputRef("u"), VarRef("u"), VarRef("q"), VarRef("w"),
+])
+_PE_EXPRS = st.recursive(
+    _PE_LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["not", "neg"]), sub),
+        st.builds(
+            Binary,
+            st.sampled_from(["and", "or", "xor", "add", "sub", "mul", "min", "max",
+                             "eq", "ne", "lt", "le", "gt", "ge"]),
+            sub, sub,
+        ),
+        st.builds(Ite, sub, sub, sub),
+        st.builds(lambda c, t: Ite(c, t, t), sub, sub),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_PE_EXPRS, envs(), st.sets(st.sampled_from(["p", "q", "u", "w"])))
+def test_partial_eval_is_fold_of_substitute(e, env, bound):
+    binding = {k: v for k, v in env.items() if k in bound}
+    consts = {k: Const(v) for k, v in binding.items()}
+    want = fold(substitute(e, variables=consts, inputs=consts))
+    # repr also tells Const(True) from Const(1), which == does not
+    assert repr(partial_eval(e, binding)) == repr(want)
+
+
+def test_partial_eval_keeps_overflowing_node():
+    e = Binary("mul", VarRef("w"), Const(1 << 62))
+    assert partial_eval(e, {"w": 2}) == Binary("mul", Const(2), Const(1 << 62))
+    assert partial_eval(e, {"w": 1}) == Const(1 << 62)
 
 
 def test_free_name_queries():

@@ -15,7 +15,7 @@ from dfcompat import (
     write_trace_csv,
 )
 from dfcompat.errors import CsvSchemaError
-from helpers import interp_for, load_model
+from helpers import NESTED_ENABLED, interp_for, load_model
 
 
 def run_outputs(name, rows, port):
@@ -26,6 +26,18 @@ def bool_rows(names, length):
     for combo in itertools.product([False, True], repeat=length * len(names)):
         it = iter(combo)
         yield [dict(zip(names, it)) for _ in range(length)]
+
+
+def test_nested_subsystems_run_only_under_every_enclosing_enable():
+    interp = Interpreter(flatten_and_validate(parse_model(NESTED_ENABLED)))
+    rows = [
+        {"a": True, "b": False, "t": True},  # Plain toggles, Inner is off
+        {"a": False, "b": True, "t": True},  # Outer off: both hold
+        {"a": True, "b": True, "t": True},  # both toggle
+        {"a": True, "b": True, "t": False},
+    ]
+    outs = [(r["p"], r["q"]) for r in interp.run(rows)]
+    assert outs == [(False, False), (False, False), (False, True), (True, False)]
 
 
 def test_latch_set_hold_reset():

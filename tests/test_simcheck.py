@@ -6,6 +6,7 @@ from dfcompat import (
     CheckConfig,
     CompatReport,
     Domain,
+    Interpreter,
     IterationCapExceeded,
     build_step,
     check_compatibility,
@@ -14,11 +15,20 @@ from dfcompat import (
     simulates,
     unfold_to_ts,
 )
+from dfcompat import simcheck
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, eval_expr
 from dfcompat.model import IntType
 from dfcompat.simcheck import fix_free_ports, prepare
 from dfcompat.unfold import Ts
-from helpers import DRIFTER, EXPECTED_VERDICTS, FIXTURE_PAIRS, MIRROR, load_model
+from helpers import (
+    DRIFTER,
+    EXPECTED_VERDICTS,
+    FIXTURE_PAIRS,
+    MIRROR,
+    NESTED_ENABLED,
+    NESTED_REWIRED,
+    load_model,
+)
 
 
 def report_for(cand, ref, **kw):
@@ -80,6 +90,24 @@ def test_widened_range_only_breaks_upward():
     assert cx.port is None
     assert cx.rows_a == [{"u": 70}]
     assert cx.rows_b == [{"u": 70}]
+
+
+def test_nested_enabled_subsystems_checked_and_refuted():
+    model = parse_model(NESTED_ENABLED)
+    assert check_compatibility(model, model).verdict == "full"
+
+    mutant = parse_model(NESTED_REWIRED)
+    report = check_compatibility(mutant, model)
+    assert report.verdict == "incompatible"
+    for res in (report.backward, report.upward):
+        cx = res.counterexample
+        assert cx.kind == "output-mismatch"
+        outs_a = [o[cx.port] for o in Interpreter(flatten_and_validate(mutant)).run(cx.rows_a)]
+        outs_b = [o[cx.port] for o in Interpreter(flatten_and_validate(model)).run(cx.rows_b)]
+        assert outs_a[:-1] == outs_b[:-1]
+        assert outs_a[-1] != outs_b[-1]
+        cand, ref = (outs_a, outs_b) if res is report.backward else (outs_b, outs_a)
+        assert (cx.actual[cx.port], cx.expected[cx.port]) == (cand[-1], ref[-1])
 
 
 def test_mapped_ports_and_stats_present():
@@ -185,6 +213,58 @@ def test_divergence_after_warmup_step():
 
 # ---------------------------------------------------------------------------
 # constant search for added ports
+
+
+# the candidate's y repeats u one step late only with k high; z always does.
+# Both k pass the initial-output filter, so k=false is verified and refused
+# before k=true is found.
+DELAY_REF = (
+    "model Ref\nin u : bool\nout y : bool\nout z : bool\n"
+    "block Ry : UnitDelay(false)\nblock Rz : UnitDelay(false)\n"
+    "wire u -> Ry.in\nwire u -> Rz.in\nwire Ry -> y\nwire Rz -> z\n"
+)
+DELAY_KEYED = (
+    "model Keyed\nin u : bool\nin k : bool\nout y : bool\nout z : bool\n"
+    "block Inv : Logic(NOT)\nblock Pick : Switch\n"
+    "block Dy : UnitDelay(false)\nblock Dz : UnitDelay(false)\n"
+    "wire u -> Inv.in1\nwire k -> Pick.ctrl\nwire u -> Pick.in1\nwire Inv -> Pick.in3\n"
+    "wire Pick -> Dy.in\nwire u -> Dz.in\nwire Dy -> y\nwire Dz -> z\n"
+)
+
+
+def _record_unfolds(monkeypatch) -> list[str]:
+    """Model name of the step behind every unfold_to_ts call of a check."""
+    names = []
+    real = simcheck.unfold_to_ts
+
+    def counted(step, *args):
+        names.append(step.name)
+        return real(step, *args)
+
+    monkeypatch.setattr(simcheck, "unfold_to_ts", counted)
+    return names
+
+
+def test_both_directions_share_unfolded_systems(monkeypatch):
+    unfolds = _record_unfolds(monkeypatch)
+    assert report_for("tri_latch", "tri_latch").verdict == "full"
+    assert len(unfolds) == 2 * 3
+
+
+def test_fix_attempts_share_reference_systems(monkeypatch):
+    unfolds = _record_unfolds(monkeypatch)
+    binds = []
+    monkeypatch.setattr(
+        simcheck, "bind_inputs",
+        lambda step, binding, real=simcheck.bind_inputs: binds.append(binding)
+        or real(step, binding),
+    )
+    report = check_compatibility(parse_model(DELAY_KEYED), parse_model(DELAY_REF))
+    assert report.backward.fixed_inputs == {"k": True}
+    assert binds == [{"k": False}, {"k": True}]
+    # per port group: each model once, then the bound candidate per attempt
+    assert unfolds.count("Ref") == 2
+    assert unfolds.count("Keyed") == 2 + 2 * len(binds)
 
 
 def test_fix_free_ports_direct():
@@ -313,14 +393,6 @@ def test_joint_output_check_same_verdict():
     assert set(split.backward.per_port) == set(joint.backward.per_port)
     # the joint product explores the full state space; split stays small
     assert joint.backward.pairs > split.backward.pairs
-
-
-def test_parallel_workers_same_result():
-    seq = report_for("tri_latch", "tri_latch")
-    par = report_for("tri_latch", "tri_latch", config=CheckConfig(workers=3))
-    assert seq.verdict == par.verdict
-    assert seq.backward.per_port == par.backward.per_port
-    assert seq.backward.pairs == par.backward.pairs
 
 
 # ---------------------------------------------------------------------------
