@@ -13,43 +13,34 @@ import sys
 import time
 from pathlib import Path
 
-from dfcompat import (
-    CheckConfig,
-    build_efa,
-    build_step,
-    extract_cfg,
-    flatten_and_validate,
-    parse_model,
-    unfold_to_ts,
+from dfcompat import CheckConfig, flatten_and_validate, parse_model
+from dfcompat.cli import model_stats
+from dfcompat.simcheck import cfg_and_step
+from dfcompat.symbolic import prune_clones
+
+COLUMNS = (
+    "model", "blocks", "inputs", "outputs", "cfg_nodes", "cfg_edges", "cfg_paths",
+    "vars_raw", "vars_pruned", "efa_transitions", "ts_states", "ts_transitions",
+    "seconds",
 )
-from dfcompat.cfg import count_paths, sorted_order
 
 
 def report_one(path: Path) -> dict:
+    """The numbers ``dfcompat stats`` prints, plus the state variables
+    before clone pruning and the seconds the stages took."""
     model = parse_model(path.read_text())
     flat = flatten_and_validate(model)
     started = time.perf_counter()
-    cfg = extract_cfg(flat, sorted_order(flat))
-    raw = build_step(flat, CheckConfig(clone_pruning=False))
-    step = build_step(flat)
-    efa = build_efa(step)
-    ts = unfold_to_ts(step)
+    cfg, raw = cfg_and_step(flat, CheckConfig(clone_pruning=False))
+    step, _ = prune_clones(raw)
+    stats = model_stats(cfg, step, CheckConfig())
     elapsed = time.perf_counter() - started
-    return {
-        "model": flat.name,
-        "blocks": len(flat.blocks),
-        "inputs": len(flat.inputs),
-        "outputs": len(flat.outputs),
-        "cfg_nodes": len(cfg.nodes),
-        "cfg_edges": len(cfg.edges),
-        "cfg_paths": count_paths(cfg),
+    row = stats | {
         "vars_raw": len(raw.vars),
-        "vars_pruned": len(step.vars),
-        "efa_transitions": len(efa.transitions),
-        "ts_states": len(ts.states),
-        "ts_transitions": sum(len(t) for t in ts.transitions),
+        "vars_pruned": stats["state_vars"],
         "seconds": round(elapsed, 4),
     }
+    return {c: row[c] for c in COLUMNS}
 
 
 def main(argv=None) -> int:

@@ -24,14 +24,19 @@ from .errors import (
     SolverFailure,
     StateBudgetExceeded,
 )
-from .exprs import Binary, Unary, partial_eval
+from .exprs import Binary, Unary, conjoin
 from .interp import Interpreter, read_trace_csv, write_trace_csv
 from .model import flatten_and_validate
 from .parser import parse_mapping_file, parse_model
-from .cfg import cfg_to_dot, count_paths, extract_cfg, sorted_order
+from .cfg import (
+    Cfg,
+    cfg_to_dot,
+    count_paths,
+    extract_cfg,  # noqa: F401 - dfbench/tracing.py wraps this module's extract_cfg
+    sorted_order,  # noqa: F401 - dfbench/tracing.py wraps this module's sorted_order
+)
 from .efa import build_efa, efa_to_text
 from .solver import (
-    Domain,
     emit_check_sat,
     emit_exists_forall,
     exists_forall_constants,
@@ -41,12 +46,15 @@ from .solver import (
 from .simcheck import (
     CheckConfig,
     CompatReport,
-    build_step,
+    _direction_domains,
+    _initial_agreement,
+    _mapped_output_ports,
+    cfg_and_step,
     check_compatibility,  # noqa: F401 - dfbench/tracing.py wraps this module's check_compatibility
     check_prepared,
     prepare,
 )
-from .symbolic import step_to_text, summarize
+from .symbolic import SymbolicStep, step_to_text
 from .unfold import ts_to_dot, unfold_to_ts
 
 _INCONCLUSIVE = (
@@ -236,47 +244,32 @@ def _write_counterexamples(report: CompatReport, outdir: Path, prep) -> None:
 
 def _smt_queries(prep, config: CheckConfig) -> list[tuple[str, str, str]]:
     """(name, script, expected verdict) for the three query shapes used."""
-    step_a, step_b = prep.step_a, prep.step_b
-    b_in = {p.name: p.dtype for p in prep.flat_b.inputs}
-    dom_map = {}
-    for b, a in prep.mapping.pairs:
-        if b in b_in:
-            dom_map[a] = b_in[b]
-    extras = {n: step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
-    dom = Domain(dom_map | extras)
-    enums = {**step_a.enums, **step_b.enums}
-    init_a, init_b = step_a.initial_state(), step_b.initial_state()
+    dom, _ = _direction_domains(prep)
+    extras = sorted(prep.mapping.extra_inputs_a)
+    enums = {**prep.step_a.enums, **prep.step_b.enums}
     queries: list[tuple[str, str, str]] = []
 
-    b_out = {p.name for p in prep.flat_b.outputs}
-    ports = sorted(a for b, a in prep.mapping.pairs if b in b_out)
-    agreements = []
-    for port in ports:
-        ea = partial_eval(step_a.outputs[port], init_a)
-        eb = partial_eval(step_b.outputs[port], init_b)
-        diff = Binary("ne", ea, eb)
+    ports = _mapped_output_ports(prep)
+    agreements = _initial_agreement(prep, ports)
+    for port, agree in zip(ports, agreements):
+        diff = Binary("ne", agree.left, agree.right)
         verdict = "sat" if is_sat(diff, dom, config.solver_budget) else "unsat"
         queries.append(
             (f"init_output_diff_{port}", emit_check_sat(diff, dom, enums), verdict)
         )
-        agreements.append(Binary("eq", ea, eb))
     if agreements:
-        joint = agreements[0]
-        for term in agreements[1:]:
-            joint = Binary("and", joint, term)
+        joint = conjoin(agreements)
         neg = Unary("not", joint)
         verdict = "sat" if is_sat(neg, dom, config.solver_budget) else "unsat"
         queries.append(
             ("init_outputs_agree_neg", emit_check_sat(neg, dom, enums), verdict)
         )
         if extras:
-            found = exists_forall_constants(
-                joint, sorted(extras), dom, config.solver_budget
-            )
+            found = exists_forall_constants(joint, extras, dom, config.solver_budget)
             queries.append(
                 (
                     "fix_constants_exist",
-                    emit_exists_forall(joint, sorted(extras), dom, enums),
+                    emit_exists_forall(joint, extras, dom, enums),
                     "sat" if found is not None else "unsat",
                 )
             )
@@ -319,11 +312,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         (outdir / "report.json").write_text(report.to_json() + "\n")
         if report.interface_ok:
             _write_counterexamples(report, outdir, prep)
-            pairs = (("A", prep.flat_a, prep.step_a), ("B", prep.flat_b, prep.step_b))
-            for tag, flat, step in pairs:
+            pairs = (("A", prep.cfg_a, prep.step_a), ("B", prep.cfg_b, prep.step_b))
+            for tag, cfg, step in pairs:
                 if args.emit_cfg:
-                    cfg = extract_cfg(flat, sorted_order(flat, config.datastore_order))
-                    (outdir / f"cfg.{tag}.dot").write_text(cfg_to_dot(cfg, flat.name))
+                    (outdir / f"cfg.{tag}.dot").write_text(cfg_to_dot(cfg, cfg.flat.name))
                 if args.emit_summary:
                     (outdir / f"summary.{tag}.txt").write_text(step_to_text(step))
                 if args.emit_efa:
@@ -394,15 +386,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    model = _load_model(args.model)
-    flat = flatten_and_validate(model, datastore=config.datastore)
-    cfg = extract_cfg(flat, sorted_order(flat, config.datastore_order))
-    step = build_step(flat, config)
+def model_stats(cfg: Cfg, step: SymbolicStep, config: CheckConfig) -> dict:
+    """Size of each pipeline stage for one model, as ``stats`` prints it."""
+    flat = cfg.flat
     efa = build_efa(step, config.split_cap, config.solver_budget)
     ts = unfold_to_ts(step, config.state_budget, config.solver_budget)
-    data = {
+    return {
         "model": flat.name,
         "blocks": len(flat.blocks),
         "inputs": len(flat.inputs),
@@ -415,6 +404,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "ts_states": len(ts.states),
         "ts_transitions": sum(len(t) for t in ts.transitions),
     }
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    config = _config_from(args)
+    model = _load_model(args.model)
+    flat = flatten_and_validate(model, datastore=config.datastore)
+    data = model_stats(*cfg_and_step(flat, config), config)
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:

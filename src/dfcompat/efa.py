@@ -5,7 +5,9 @@ of the alternatives yields a flat list of transitions, each with an
 ite-free guard over inputs and pre-state plus ite-free right-hand sides.
 Unsatisfiable combinations are pruned as the product is built, and the
 result can be verified to be deterministic (pairwise disjoint guards) and
-total (guards cover the whole domain).
+total (guards cover the whole domain).  ``image_map`` takes each state's
+successors under one transition from unfolding's row primitive
+(``unfold._Image``), so it shares unfolding's per-state budget and errors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError, DomainTooLarge
+from .errors import DomainTooLarge
 from .exprs import (
     Binary,
     Expr,
@@ -23,12 +25,9 @@ from .exprs import (
     VarRef,
     conjoin,
     disjoin,
-    eval_expr,
     free_inputs,
-    partial_eval,
     to_str,
 )
-from .model import in_domain
 from .solver import DEFAULT_BUDGET, Domain, is_sat, sat_witness
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
@@ -37,10 +36,7 @@ from .symbolic import (
     _extend,
     split_expr,
 )
-
-
-def input_domain(step: SymbolicStep) -> Domain:
-    return Domain(dict(step.inputs))
+from .unfold import _Image
 
 
 def state_domain(step: SymbolicStep) -> Domain:
@@ -48,7 +44,7 @@ def state_domain(step: SymbolicStep) -> Domain:
 
 
 def full_domain(step: SymbolicStep) -> Domain:
-    return input_domain(step).merged(state_domain(step))
+    return Domain(dict(step.inputs)).merged(state_domain(step))
 
 
 @dataclass(frozen=True)
@@ -133,46 +129,27 @@ def image_map(
     input.  Transitions that leave every variable unchanged contribute an
     empty map since they cannot reach new states.
     """
-    step = efa.step
-    var_names = sorted(step.vars)
-    var_dom = state_domain(step)
-    in_dom = input_domain(step)
+    image = _Image(efa.step, budget)
+    var_names = image.var_names
+    var_dom = state_domain(efa.step)
     maps: list[dict[tuple[Value, ...], frozenset[tuple[Value, ...]]]] = []
     for tr in efa.transitions:
         if all(tr.updates[v] == VarRef(v) for v in var_names):
             maps.append({})
             continue
-        active = sorted(
-            (free_inputs(tr.guard) | set().union(
-                *(free_inputs(e) for e in tr.updates.values())
-            )) & set(step.inputs)
-        )
-        space = var_dom.space(var_names) * in_dom.space(active)
+        active = free_inputs(tr.guard).union(*map(free_inputs, tr.updates.values()))
+        space = var_dom.space(var_names) * image.dom.space(active)
         if space > budget:
             raise DomainTooLarge(
                 f"image of one transition needs {space} evaluations (budget {budget})"
             )
-        base = {n: in_dom.first(n) for n in in_dom.sorted_names()}
-        entry: dict[tuple[Value, ...], set[tuple[Value, ...]]] = {}
+        entry: dict[tuple[Value, ...], frozenset[tuple[Value, ...]]] = {}
         for old in itertools.product(*(var_dom.values(v) for v in var_names)):
-            binding = dict(zip(var_names, old))
-            guard = partial_eval(tr.guard, binding)
-            updates = {v: partial_eval(tr.updates[v], binding) for v in var_names}
-            for combo in itertools.product(*(in_dom.values(n) for n in active)):
-                env = base | dict(zip(active, combo))
-                if not eval_expr(guard, env):
-                    continue
-                succ = []
-                for v in var_names:
-                    val = eval_expr(updates[v], env)
-                    dt = step.vars[v][0]
-                    if not in_domain(dt, val):
-                        raise DomainError(
-                            f"update of {v} leaves {dt} at state {binding} on {env}"
-                        )
-                    succ.append(val)
-                entry.setdefault(old, set()).add(tuple(succ))
-        maps.append({k: frozenset(v) for k, v in entry.items()})
+            _, rows = image.rows(dict(zip(var_names, old)), tr.updates, tr.guard)
+            succs = frozenset(succ for _, succ in rows)
+            if succs:
+                entry[old] = succs
+        maps.append(entry)
     return maps
 
 

@@ -31,7 +31,7 @@ from .model import (
     derive_port_mapping,
     flatten_and_validate,
 )
-from .cfg import extract_cfg, sorted_order
+from .cfg import Cfg, extract_cfg, sorted_order
 from .solver import (
     DEFAULT_BUDGET,
     Domain,
@@ -488,11 +488,18 @@ def build_step(
     flat: FlatModel, config: CheckConfig = CheckConfig()
 ) -> SymbolicStep:
     """Flat model to symbolic step under the configured reductions."""
+    return cfg_and_step(flat, config)[1]
+
+
+def cfg_and_step(
+    flat: FlatModel, config: CheckConfig = CheckConfig()
+) -> tuple[Cfg, SymbolicStep]:
+    """The model's CFG and the symbolic step build_step makes of it."""
     cfg = extract_cfg(flat, sorted_order(flat, config.datastore_order))
     step = summarize(cfg)
     if config.clone_pruning:
         step, _ = prune_clones(step)
-    return step
+    return cfg, step
 
 
 @dataclass
@@ -501,6 +508,8 @@ class _Prepared:
     flat_b: FlatModel
     mapping: PortMapping
     iface: InterfaceReport
+    cfg_a: Cfg | None = None
+    cfg_b: Cfg | None = None
     step_a: SymbolicStep | None = None
     step_b: SymbolicStep | None = None  # ports renamed onto A's names
 
@@ -525,8 +534,8 @@ def prepare(
     prep = _Prepared(flat_a, flat_b, mapping, iface)
     if not iface.compatible:
         return prep
-    prep.step_a = build_step(flat_a, config)
-    step_b = build_step(flat_b, config)
+    prep.cfg_a, prep.step_a = cfg_and_step(flat_a, config)
+    prep.cfg_b, step_b = cfg_and_step(flat_b, config)
     b_to_a = {b: a for b, a in mapping.pairs}
     prep.step_b = _rename_outputs(rename_inputs(step_b, b_to_a), b_to_a)
     return prep
@@ -545,9 +554,31 @@ def _mapped_input_domains(prep: _Prepared) -> tuple[dict, dict]:
     return b_side, a_side
 
 
+def _direction_domains(prep: _Prepared) -> tuple[Domain, Domain]:
+    """Input domains of the backward and the upward check, keyed by A-side
+    names: B's or A's declared mapped inputs, then A's extra inputs."""
+    b_side, a_side = _mapped_input_domains(prep)
+    extras = {n: prep.step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
+    return Domain(b_side | extras), Domain(a_side | extras)
+
+
 def _mapped_output_ports(prep: _Prepared) -> list[str]:
     b_out = {p.name for p in prep.flat_b.outputs}
     return sorted(a for b, a in prep.mapping.pairs if b in b_out)
+
+
+def _initial_agreement(prep: _Prepared, ports: Sequence[str]) -> list[Binary]:
+    """Per port, both models' outputs at their initial states set equal."""
+    init_a = prep.step_a.initial_state()
+    init_b = prep.step_b.initial_state()
+    return [
+        Binary(
+            "eq",
+            partial_eval(prep.step_a.outputs[p], init_a),
+            partial_eval(prep.step_b.outputs[p], init_b),
+        )
+        for p in ports
+    ]
 
 
 Unfolder = Callable[[tuple[str, ...]], Ts]
@@ -676,17 +707,7 @@ def fix_free_ports(
     extras = sorted(prep.mapping.extra_inputs_a)
     step_a, step_b = prep.step_a, prep.step_b
     assert step_a is not None and step_b is not None
-    init_a = step_a.initial_state()
-    init_b = step_b.initial_state()
-    agree = [
-        Binary(
-            "eq",
-            partial_eval(step_a.outputs[p], init_a),
-            partial_eval(step_b.outputs[p], init_b),
-        )
-        for p in ports
-    ]
-    necessary = conjoin(agree)
+    necessary = conjoin(_initial_agreement(prep, ports))
 
     if ref is None:
         ref = functools.cache(_unfolder(step_b, config))
@@ -749,10 +770,7 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
     step_a, step_b = prep.step_a, prep.step_b
     assert step_a is not None and step_b is not None
     ports = _mapped_output_ports(prep)
-    b_side, a_side = _mapped_input_domains(prep)
-    extra_doms = {n: step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
-    dom_backward = Domain(b_side | extra_doms)
-    dom_upward = Domain(a_side | extra_doms)
+    dom_backward, dom_upward = _direction_domains(prep)
     shared_rows: dict[tuple, dict[str, Value]] = {}
     # each model's system per port group, built on first use and kept for
     # this check: both directions and every fix attempt compare the same

@@ -7,13 +7,17 @@ input guards partitioned by successor.  Every transition also remembers one
 concrete input row, so counterexample traces can be replayed later, and every
 state keeps the transition each of its enumerated input rows takes, which
 the simulation check reads instead of the guards.
+
+``_Image.rows`` enumerates one state's input rows and the successor each
+reaches; ``unfold_to_ts``, ``compute_image`` and ``efa.image_map`` keep
+only their own bookkeeping around it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import NamedTuple
 
 from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
@@ -22,11 +26,8 @@ from .exprs import (
     Const,
     Expr,
     InputRef,
-    Ite,
     TRUE,
-    Unary,
     Value,
-    VarRef,
     conjoin,
     disjoin,
     eval_expr,
@@ -34,7 +35,7 @@ from .exprs import (
     partial_eval,
     to_str,
 )
-from .model import DataType, EnumType, IntType, in_domain
+from .model import DataType, EnumType, in_domain
 from .solver import DEFAULT_BUDGET, Domain
 from .symbolic import SymbolicStep
 
@@ -43,54 +44,70 @@ DEFAULT_STATE_BUDGET = 100_000
 StateVec = tuple[Value, ...]
 
 
-def expr_interval(e: Expr, dom: Domain) -> tuple[int, int] | None:
-    """Static bounds of an integer expression, None when not integer-typed.
-
-    A coarse corner analysis: sound for bounding reachable values, used to
-    fail fast before enumerating a state's whole input space.
-    """
-    if isinstance(e, Const):
-        if isinstance(e.value, int) and not isinstance(e.value, bool):
-            return (e.value, e.value)
-        return None
-    if isinstance(e, (InputRef, VarRef)):
-        dt = dom.dtypes.get(e.name)
-        return (dt.lo, dt.hi) if isinstance(dt, IntType) else None
-    if isinstance(e, Binary):
-        a = expr_interval(e.left, dom)
-        b = expr_interval(e.right, dom)
-        if a is None or b is None:
-            return None
-        if e.op == "add":
-            return (a[0] + b[0], a[1] + b[1])
-        if e.op == "sub":
-            return (a[0] - b[1], a[1] - b[0])
-        if e.op == "mul":
-            corners = [x * y for x in a for y in b]
-            return (min(corners), max(corners))
-        if e.op == "min":
-            return (min(a[0], b[0]), min(a[1], b[1]))
-        if e.op == "max":
-            return (max(a[0], b[0]), max(a[1], b[1]))
-        return None
-    if isinstance(e, Ite):
-        t = expr_interval(e.then, dom)
-        o = expr_interval(e.other, dom)
-        if t is None or o is None:
-            return None
-        return (min(t[0], o[0]), max(t[1], o[1]))
-    if isinstance(e, Unary) and e.op == "neg":
-        a = expr_interval(e.arg, dom)
-        return (-a[1], -a[0]) if a else None
-    return None
+Row = tuple[dict[str, Value], StateVec]
 
 
-def _enum_space(dom: Domain, names: Sequence[str], budget: int, what: str) -> None:
-    space = dom.space(names)
-    if space > budget:
-        raise DomainTooLarge(
-            f"{what} needs {space} input evaluations per state (budget {budget})"
-        )
+class _Image:
+    """A step's successors, one state and one input row at a time: the one
+    loop that evaluates a step's updates per input row.  ``values`` keeps
+    each input's value tuple for every state of one call."""
+
+    def __init__(self, step: SymbolicStep, budget: int):
+        self.step = step
+        self.budget = budget
+        self.var_names = tuple(sorted(step.vars))
+        self.dom = Domain(dict(step.inputs))
+        self.base = {n: self.dom.first(n) for n in self.dom.sorted_names()}
+        self.values: dict[str, tuple[Value, ...]] = {}
+
+    def rows(
+        self, binding: dict[str, Value], updates: Mapping[str, Expr],
+        guard: Expr | None = None,
+    ) -> tuple[tuple[str, ...], Iterator[Row]]:
+        """The inputs a state's rows range over, and the rows themselves.
+
+        The updates and the guard are specialised to the state, and only the
+        inputs they still mention are enumerated, in ``itertools.product``
+        order; every other input sits at its first value.  Each row the
+        guard admits (every row without one) yields its total assignment
+        and the successor vector.
+        """
+        spec = [partial_eval(updates[v], binding) for v in self.var_names]
+        mentioned = set().union(*map(free_inputs, spec))
+        if guard is not None:
+            guard = partial_eval(guard, binding)
+            mentioned |= free_inputs(guard)
+        names = tuple(sorted(mentioned))
+        space = self.dom.space(names)
+        if space > self.budget:
+            raise DomainTooLarge(
+                f"unfolding {self.step.name} needs {space} input evaluations "
+                f"per state (budget {self.budget})"
+            )
+        for n in names:
+            if n not in self.values:
+                self.values[n] = self.dom.values(n)
+        return names, self._walk(binding, names, spec, guard)
+
+    def _walk(
+        self, binding: dict[str, Value], names: tuple[str, ...],
+        spec: list[Expr], guard: Expr | None,
+    ) -> Iterator[Row]:
+        checks = [(v, self.step.vars[v][0], e) for v, e in zip(self.var_names, spec)]
+        for combo in itertools.product(*(self.values[n] for n in names)):
+            env = self.base | dict(zip(names, combo))
+            if guard is not None and not eval_expr(guard, env):
+                continue
+            succ = []
+            for v, dt, e in checks:
+                val = eval_expr(e, env)
+                if not in_domain(dt, val):
+                    raise DomainError(
+                        f"{self.step.name}: {v}={val!r} leaves {dt} from state "
+                        f"{binding} on inputs {dict(zip(names, combo))}"
+                    )
+                succ.append(val)
+            yield env, tuple(succ)
 
 
 def compute_image(
@@ -103,35 +120,9 @@ def compute_image(
     Successors are keyed by the sorted-variable value vector; inputs the
     updates do not mention sit at their first domain value in the witness.
     """
-    var_names = sorted(step.vars)
-    dom = Domain(dict(step.inputs))
-    spec_updates = {v: partial_eval(step.updates[v], state) for v in var_names}
-    active = sorted(set().union(*(free_inputs(e) for e in spec_updates.values()))
-                    if spec_updates else set())
-    _enum_space(dom, active, budget, "image computation")
-    for v in var_names:
-        iv = expr_interval(spec_updates[v], dom)
-        dt = step.vars[v][0]
-        if iv is not None and isinstance(dt, IntType) and (
-            iv[1] < dt.lo or iv[0] > dt.hi
-        ):
-            raise DomainError(
-                f"update of {v} always lands in [{iv[0]}, {iv[1]}], outside {dt}"
-            )
-    base = {n: dom.first(n) for n in dom.sorted_names()}
     image: dict[StateVec, dict[str, Value]] = {}
-    for combo in itertools.product(*(dom.values(n) for n in active)):
-        row = base | dict(zip(active, combo))
-        succ = []
-        for v in var_names:
-            val = eval_expr(spec_updates[v], row)
-            dt = step.vars[v][0]
-            if not in_domain(dt, val):
-                raise DomainError(
-                    f"state {v}={val!r} leaves {dt} from {dict(state)} on {row}"
-                )
-            succ.append(val)
-        image.setdefault(tuple(succ), row)
+    for env, succ in _Image(step, budget).rows(dict(state), step.updates)[1]:
+        image.setdefault(succ, env)
     return image
 
 
@@ -232,8 +223,8 @@ def unfold_to_ts(
     budget: int = DEFAULT_BUDGET,
 ) -> Ts:
     """Breadth-first unfolding from the initial state."""
-    var_names = tuple(sorted(step.vars))
-    dom = Domain(dict(step.inputs))
+    image = _Image(step, budget)
+    var_names = image.var_names
     init_binding = step.initial_state()
     init_vec = tuple(init_binding[v] for v in var_names)
     for v in var_names:
@@ -246,9 +237,7 @@ def unfold_to_ts(
     outputs: list[dict[str, Expr]] = []
     witnesses: dict[tuple[int, int], dict[str, Value]] = {}
     state_rows: list[StateRows] = []
-    values: dict[str, tuple[Value, ...]] = {}
 
-    base = {n: dom.first(n) for n in dom.sorted_names()}
     queue = 0
     while queue < len(states):
         sidx = queue
@@ -257,34 +246,11 @@ def unfold_to_ts(
         outputs.append(
             {p: partial_eval(e, binding) for p, e in sorted(step.outputs.items())}
         )
-        spec_updates = {v: partial_eval(step.updates[v], binding) for v in var_names}
-        active = sorted(
-            set().union(*(free_inputs(e) for e in spec_updates.values()))
-            if spec_updates
-            else set()
-        )
-        _enum_space(dom, active, budget, f"unfolding {step.name}")
-        for n in active:
-            if n not in values:
-                values[n] = dom.values(n)
-        active_values = [values[n] for n in active]
+        names, rows = image.rows(binding, step.updates)
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []
-        for combo in itertools.product(*active_values):
-            row = dict(zip(active, combo))
-            env = base | row
-            succ = []
-            for v in var_names:
-                val = eval_expr(spec_updates[v], env)
-                dt = step.vars[v][0]
-                if not in_domain(dt, val):
-                    raise DomainError(
-                        f"{step.name}: {v}={val!r} leaves {dt} from state "
-                        f"{binding} on inputs {row or '{}'}"
-                    )
-                succ.append(val)
-            vec = tuple(succ)
+        for env, vec in rows:
             if vec not in index:
                 if len(states) >= state_budget:
                     raise StateBudgetExceeded(
@@ -299,7 +265,7 @@ def unfold_to_ts(
                 order.append(tidx)
                 witnesses[(sidx, tidx)] = env
             edges.append(edge)
-        state_rows.append(StateRows(tuple(active), edges, order))
+        state_rows.append(StateRows(names, edges, order))
 
     return Ts(
         name=step.name,
@@ -307,7 +273,7 @@ def unfold_to_ts(
         states=states,
         init=0,
         outputs=outputs,
-        transitions=_LazyTransitions(state_rows, values),
+        transitions=_LazyTransitions(state_rows, image.values),
         witnesses=witnesses,
         inputs=dict(step.inputs),
         enums=dict(step.enums),

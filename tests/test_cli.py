@@ -188,6 +188,26 @@ def test_artifacts_reuse_the_checked_pipeline(tmp_path, monkeypatch):
     assert len(flattened) == 2 and len(set(flattened)) == 2
 
 
+def test_cfg_extracted_once_per_model(tmp_path, monkeypatch):
+    extracted = []
+    for module in (simcheck, cli):
+        real = module.extract_cfg
+        monkeypatch.setattr(
+            module, "extract_cfg",
+            lambda flat, *a, real=real: extracted.append(flat.name) or real(flat, *a),
+        )
+    code, _, _ = run_cli(
+        "check", LIMITER_A, LIMITER_B, "--artifacts", str(tmp_path / "arts"),
+        "--emit-cfg", "--emit-efa", "--emit-ts", "--emit-summary", "--emit-smt",
+    )
+    assert code == 1
+    assert sorted(extracted) == ["LimiterPlain", "LimiterSign"]
+    extracted.clear()
+    code, _, _ = run_cli("stats", FLIPFLOP)
+    assert code == 0
+    assert extracted == ["FlipFlop"]
+
+
 def test_interface_failure_writes_report_only(tmp_path):
     a = write(tmp_path, "a.dfm", "model A\nin u : bool\nout y : bool\nwire u -> y\n")
     b = write(tmp_path, "b.dfm",

@@ -1,6 +1,7 @@
 """Reachable unfolding into explicit transition systems."""
 
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -10,19 +11,20 @@ from dfcompat import (
     DomainTooLarge,
     Interpreter,
     StateBudgetExceeded,
+    build_efa,
     compute_image,
     extract_cfg,
     flatten_and_validate,
+    image_map,
     summarize,
     unfold_to_ts,
 )
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType
-from dfcompat.solver import Domain
 from dfcompat.symbolic import SymbolicStep
-from dfcompat.unfold import expr_interval, run_ts, ts_to_dot
-from helpers import all_rows, load_model, ts_outputs, ts_step
-from test_efa import pump_step
+from dfcompat.unfold import run_ts, ts_to_dot
+from helpers import MODELS_DIR, all_rows, load_model, ts_outputs, ts_step
+from test_efa import model_step, pump_step
 
 
 def ts_of(name, **kw):
@@ -64,6 +66,26 @@ def test_image_witness_is_least_row():
     # staying put first happens at u = 5, every rise below that
     assert image[(5,)] == {"u": 5}
     assert image[(10,)] == {"u": 0}
+
+
+@pytest.mark.parametrize(
+    "name", ["pump"] + sorted(p.stem for p in MODELS_DIR.glob("*.dfm"))
+)
+def test_unfold_compute_image_and_image_map_agree(name):
+    step = pump_step() if name == "pump" else model_step(name)
+    ts = unfold_to_ts(step)
+    maps = image_map(build_efa(step))
+    for s, vec in enumerate(ts.states):
+        image = compute_image(step, ts.state_binding(s))
+        targets = ts.rows[s].targets
+        reached = {ts.states[t] for t in targets}
+        assert reached == set(image)
+        for t in targets:
+            assert ts.witnesses[(s, t)] == image[ts.states[t]]
+        # image_map leaves out transitions that move no variable
+        listed = set().union(*(m.get(vec, ()) for m in maps))
+        assert listed <= reached
+        assert reached - {vec} <= listed
 
 
 def test_band_classifier_states_follow_modes():
@@ -134,7 +156,10 @@ def test_huge_input_refused_without_building_its_domain():
     )
     tracemalloc.start()
     try:
-        with pytest.raises(DomainTooLarge, match="budget"):
+        with pytest.raises(DomainTooLarge, match=re.escape(
+            "unfolding Huge needs 1000000000001 input evaluations per state "
+            "(budget 10000000)"
+        )):
             unfold_to_ts(step)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -150,19 +175,10 @@ def test_unfold_detects_domain_escape():
         outputs={"y": VarRef("n")},
         updates={"n": Binary("add", VarRef("n"), Const(1))},
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(
+        "Count: n=4 leaves IntType(lo=0, hi=3) from state {'n': 3} on inputs {}"
+    )):
         unfold_to_ts(step)
-
-
-def test_expr_interval_corners():
-    dom = Domain.of(u=IntType(0, 3), w=IntType(-2, 2))
-    u, w = InputRef("u"), InputRef("w")
-    assert expr_interval(Binary("add", u, w), dom) == (-2, 5)
-    assert expr_interval(Binary("sub", u, w), dom) == (-2, 5)
-    assert expr_interval(Binary("mul", u, w), dom) == (-6, 6)
-    assert expr_interval(Binary("min", u, Const(1)), dom) == (0, 1)
-    assert expr_interval(Binary("max", u, Const(1)), dom) == (1, 3)
-    assert expr_interval(Binary("lt", u, w), dom) is None
 
 
 def test_outputs_specialized_per_state():
