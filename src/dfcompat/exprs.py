@@ -12,8 +12,9 @@ Integer arithmetic is evaluated in 64-bit signed range; leaving it raises
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArithmeticOverflow
 
@@ -130,6 +131,126 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
         raise ValueError(f"unknown binary op {op!r}")
     # Ite
     return eval_expr(e.then, env) if eval_expr(e.cond, env) else eval_expr(e.other, env)
+
+
+# eval_expr's binary operations on already evaluated operands
+_BINARY = {
+    "and": lambda a, b: bool(a) and bool(b),
+    "or": lambda a, b: bool(a) or bool(b),
+    "xor": lambda a, b: bool(a) != bool(b),
+    "add": lambda a, b: _check64(a + b),
+    "sub": lambda a, b: _check64(a - b),
+    "mul": lambda a, b: _check64(a * b),
+    "min": lambda a, b: a if a <= b else b,
+    "max": lambda a, b: a if a >= b else b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+Row = Sequence[Value]
+
+
+def compile_expr(e: Expr, names: Sequence[str]) -> Callable[[Row], Value]:
+    """``e`` as a function of a row whose values are ordered like names.
+
+    ``compile_expr(e, names)(row)`` returns what
+    ``eval_expr(e, dict(zip(names, row)))`` returns and raises what it
+    raises: both operands of a binary operator are evaluated, left first,
+    ``ite`` evaluates only the arm it takes, and a reference the row cannot
+    resolve raises ``KeyError`` when the function is called.  Built in one
+    pass, it replaces a tree walk per row with one closure call per node;
+    constant and reference operands are read in place.
+    """
+    return _as_fn(*_compile(e, {n: i for i, n in enumerate(names)}))
+
+
+def _compile(n: Expr, pos: Mapping[str, int]) -> tuple[str, object]:
+    """How n reads a row: ("const", value), ("ref", row position) or
+    ("fn", function of the row).  One call per tree level, as eval_expr."""
+    kind = type(n)
+    if kind is Const:
+        return "const", n.value
+    if kind is InputRef or kind is VarRef:
+        if n.name in pos:
+            return "ref", pos[n.name]
+        return "fn", _raising(KeyError, n.name)
+    if kind is Binary:
+        f = _BINARY.get(n.op) or _raising(ValueError, f"unknown binary op {n.op!r}")
+        return "fn", _binary(f, _compile(n.left, pos), _compile(n.right, pos))
+    if kind is Ite:
+        return "fn", _ite(_compile(n.cond, pos), _compile(n.then, pos), _compile(n.other, pos))
+    if kind is Unary:
+        a = _as_fn(*_compile(n.arg, pos))
+        if n.op == "not":
+            return "fn", lambda r: not a(r)
+        if n.op == "neg":
+            return "fn", lambda r: _check64(-a(r))
+        bad = _raising(ValueError, f"unknown unary op {n.op!r}")
+        return "fn", lambda r: bad(a(r))
+    return "fn", _raising(KeyError, f"unsubstituted signal reference {n.name!r}")
+
+
+def _ite(
+    cond: tuple[str, object], then: tuple[str, object], other: tuple[str, object]
+) -> Callable[[Row], Value]:
+    """ite over three operand forms; only the arm taken is evaluated."""
+    if then[0] == other[0] == "const":
+        t, o = then[1], other[1]
+        if cond[0] == "ref":
+            i = cond[1]
+            return lambda r: t if r[i] else o
+        c = _as_fn(*cond)
+        return lambda r: t if c(r) else o
+    c, t, o = _as_fn(*cond), _as_fn(*then), _as_fn(*other)
+    return lambda r: t(r) if c(r) else o(r)
+
+
+def _as_fn(kind: str, x) -> Callable[[Row], Value]:
+    """An operand form as a function of the row."""
+    if kind == "const":
+        return lambda r: x
+    if kind == "ref":
+        return operator.itemgetter(x)
+    return x
+
+
+def _raising(cls: type[Exception], arg: str) -> Callable[..., Value]:
+    def fail(*_: object) -> Value:
+        raise cls(arg)
+
+    return fail
+
+
+def _binary(
+    f: Callable[[Value, Value], Value],
+    left: tuple[str, object],
+    right: tuple[str, object],
+) -> Callable[[Row], Value]:
+    """f applied to two operands, each a constant, a row position or a
+    function of the row, the left one evaluated first."""
+    (ka, a), (kb, b) = left, right
+    shape = (ka, kb)
+    if shape == ("fn", "fn"):
+        return lambda r: f(a(r), b(r))
+    if shape == ("fn", "const"):
+        return lambda r: f(a(r), b)
+    if shape == ("fn", "ref"):
+        return lambda r: f(a(r), r[b])
+    if shape == ("ref", "fn"):
+        return lambda r: f(r[a], b(r))
+    if shape == ("ref", "const"):
+        return lambda r: f(r[a], b)
+    if shape == ("ref", "ref"):
+        return lambda r: f(r[a], r[b])
+    if shape == ("const", "fn"):
+        return lambda r: f(a, b(r))
+    if shape == ("const", "ref"):
+        return lambda r: f(a, r[b])
+    return lambda r: f(a, b)
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -305,13 +426,40 @@ def structural_key(e: Expr) -> tuple:
 def normalize(e: Expr) -> Expr:
     """Canonical form: folded constants, sorted commutative operands,
     double negation removed.  Idempotent; clone detection compares these.
+
+    Structural keys are memoised per node for the call, so each node is
+    keyed at most once instead of whole operand subtrees being keyed
+    again at every commutative node above them.
     """
+    # id -> (node, its structural_key); holding the node keeps its id from
+    # being reused within the call
+    keys: dict[int, tuple[Expr, tuple]] = {}
+
+    def key(n: Expr) -> tuple:
+        hit = keys.get(id(n))
+        if hit is not None:
+            return hit[1]
+        if isinstance(n, Unary):
+            k = (4, n.op, key(n.arg))
+        elif isinstance(n, Binary):
+            k = (5, n.op, key(n.left), key(n.right))
+        elif isinstance(n, Ite):
+            k = (6, key(n.cond), key(n.then), key(n.other))
+        else:
+            k = structural_key(n)
+        keys[id(n)] = (n, k)
+        return k
+
+    return _normalize(e, key)
+
+
+def _normalize(e: Expr, key: Callable[[Expr], tuple]) -> Expr:
     if isinstance(e, (Const, InputRef, VarRef, SignalRef)):
         return e
     if isinstance(e, Unary):
-        return _fold_unary(e.op, normalize(e.arg))
+        return _fold_unary(e.op, _normalize(e.arg, key))
     if isinstance(e, Binary):
-        a, b = normalize(e.left), normalize(e.right)
+        a, b = _normalize(e.left, key), _normalize(e.right, key)
         op = e.op
         if op in ("add", "sub") and b == Const(0):
             return a
@@ -330,13 +478,13 @@ def normalize(e: Expr) -> Expr:
             return FALSE
         if op in ("le", "ge") and a == b:
             return TRUE
-        if op in COMMUTATIVE_OPS and structural_key(b) < structural_key(a):
+        if op in COMMUTATIVE_OPS and key(b) < key(a):
             a, b = b, a
         return _fold_binary(op, a, b)
-    c = normalize(e.cond)
+    c = _normalize(e.cond, key)
     if isinstance(c, Const):
-        return normalize(e.then) if c.value else normalize(e.other)
-    t, o = normalize(e.then), normalize(e.other)
+        return _normalize(e.then, key) if c.value else _normalize(e.other, key)
+    t, o = _normalize(e.then, key), _normalize(e.other, key)
     if t == o:
         return t
     if t == TRUE and o == FALSE:

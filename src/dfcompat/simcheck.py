@@ -21,7 +21,15 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IterationCapExceeded
-from .exprs import Binary, Value, conjoin, eval_expr, free_names, partial_eval
+from .exprs import (
+    Binary,
+    Value,
+    compile_expr,
+    conjoin,
+    eval_expr,
+    free_names,
+    partial_eval,
+)
 from .model import (
     FlatModel,
     InterfaceReport,
@@ -48,7 +56,7 @@ from .symbolic import (
     restrict_to_outputs,
     summarize,
 )
-from .unfold import DEFAULT_STATE_BUDGET, Ts, unfold_to_ts
+from .unfold import DEFAULT_STATE_BUDGET, Ts, row_bitsets, unfold_to_ts
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,15 @@ class SimResult:
     failure: SimFailure | None
     pairs: int
     queries: int
-    visited: tuple[tuple[str, str], ...] = ()
+    _visited: Callable[[], tuple[tuple[str, str], ...]] = field(
+        default=tuple, repr=False, compare=False
+    )
+
+    @property
+    def visited(self) -> tuple[tuple[str, str], ...]:
+        """State labels of the product pairs explored, in discovery order;
+        formatted when read."""
+        return self._visited()
 
 
 class _Rows:
@@ -145,23 +161,17 @@ class _Rows:
         return i
 
 
-def _bitsets(placed: Iterable[tuple[int, int]], count: int, size: int) -> list[int]:
-    """Row bitsets of size bits for edges 0..count-1 from (row, edge) pairs."""
-    bufs = [bytearray((size + 7) >> 3) for _ in range(count)]
-    for i, edge in placed:
-        bufs[edge][i >> 3] |= 1 << (i & 7)
-    return [int.from_bytes(b, "little") for b in bufs]
-
-
 class _Side:
     """One transition system seen through the rows of the simulation domain.
 
     Each transition has the names its guard mentions and, per query space
-    (a superset of them), a row bitset over that space: stored rows are
-    placed by their values, a hand-built guard is evaluated once per row.
-    A state whose rows all take one transition has the guard TRUE, with no
-    names, which holds on every row of the domain, also outside the
-    system's declared input range.
+    (a superset of them), a row bitset over that space: the unfolding's
+    bitsets serve the space of the state's own names, on any other space
+    stored rows are placed by their values, and a hand-built guard is
+    compiled and evaluated once per row.  A state whose rows all take one
+    transition has the guard TRUE, with no names, which holds on every row
+    of the domain, also outside the system's declared input range.  Each
+    state's outputs are compiled once per query space.
     """
 
     def __init__(self, ts: Ts, rows: _Rows):
@@ -170,6 +180,22 @@ class _Side:
         self.declared = _Rows(ts.input_domain(), rows.budget)
         self._names: dict[int, list[tuple[str, ...]]] = {}
         self._bits: dict[tuple[int, tuple[str, ...]], list[int | None]] = {}
+        self._out_names: dict[tuple[int, str], frozenset[str]] = {}
+        self._out_fns: dict[tuple[int, str, tuple[str, ...]], Callable] = {}
+
+    def output_names(self, s: int, port: str) -> frozenset[str]:
+        """The names state s's output on port mentions."""
+        key = (s, port)
+        if key not in self._out_names:
+            self._out_names[key] = free_names(self.ts.outputs[s][port])
+        return self._out_names[key]
+
+    def output_fn(self, s: int, port: str, space: tuple[str, ...]) -> Callable:
+        """State s's output on port as a function of a row over space."""
+        key = (s, port, space)
+        if key not in self._out_fns:
+            self._out_fns[key] = compile_expr(self.ts.outputs[s][port], space)
+        return self._out_fns[key]
 
     def targets(self, s: int) -> list[int]:
         if self.ts.rows:
@@ -201,12 +227,12 @@ class _Side:
             )
         cached = self._bits[key]
         if cached[j] is None:
-            guard = self.ts.transitions[s][j][0]
+            guard = compile_expr(self.ts.transitions[s][j][0], space)
             fires = (
                 (i, 0) for i, combo in enumerate(self.rows.product(space))
-                if eval_expr(guard, dict(zip(space, combo)))
+                if guard(combo)
             )
-            cached[j] = _bitsets(fires, 1, self.rows.dom.space(space))[0]
+            cached[j] = row_bitsets(fires, 1, self.rows.dom.space(space))[0]
         return cached[j]
 
     def _stored_bits(self, s: int, space: tuple[str, ...]) -> list[int | None]:
@@ -216,18 +242,16 @@ class _Side:
         if count == 1:
             return [(1 << size) - 1]
         dtypes = self.rows.dom.dtypes
-        placed: Iterable[tuple[int, int]]
         if stored.names == space and all(dtypes[n] == self.ts.inputs[n] for n in space):
-            placed = enumerate(stored.edges)
-        else:
-            # place each row of the space by its values on the state's
-            # names; a row outside their declared ranges takes no transition
-            slots = (
-                self.declared.index(stored.names, dict(zip(space, combo)))
-                for combo in self.rows.product(space)
-            )
-            placed = ((i, stored.edges[k]) for i, k in enumerate(slots) if k is not None)
-        return _bitsets(placed, count, size)
+            return stored.bits
+        # place each row of the space by its values on the state's names; a
+        # row outside their declared ranges takes no transition
+        slots = (
+            self.declared.index(stored.names, dict(zip(space, combo)))
+            for combo in self.rows.product(space)
+        )
+        placed = ((i, stored.edges[k]) for i, k in enumerate(slots) if k is not None)
+        return row_bitsets(placed, count, size)
 
 
 def simulates(
@@ -255,11 +279,10 @@ def simulates(
         # rows in order, the candidate's output evaluated first: the least
         # differing row, and an overflow only where enumeration reaches it
         # first, as sat_witness over the two outputs' inequality
-        oa, ob = cand.outputs[ai][port], ref.outputs[bi][port]
-        names = rows.space(free_names(oa), free_names(ob))
+        names = rows.space(a.output_names(ai, port), b.output_names(bi, port))
+        fa, fb = a.output_fn(ai, port, names), b.output_fn(bi, port, names)
         for i, combo in enumerate(rows.product(names)):
-            env = dict(zip(names, combo))
-            if eval_expr(oa, env) != eval_expr(ob, env):
+            if fa(combo) != fb(combo):
                 return rows.row(names, i)
         return None
 
@@ -360,7 +383,9 @@ def simulates(
                     heapq.heappush(current, p)
         current = sorted(later)
 
-    visited = tuple((cand.label(x), ref.label(y)) for x, y in order)
+    def visited() -> tuple[tuple[str, str], ...]:
+        return tuple((cand.label(x), ref.label(y)) for x, y in order)
+
     if alive[0]:
         return SimResult(True, None, len(order), queries, visited)
 

@@ -5,11 +5,13 @@ variables become enumerated states, each state keeps its output expressions
 specialized to that state (functions of inputs only), and transitions carry
 input guards partitioned by successor.  Every transition also remembers one
 concrete input row, so counterexample traces can be replayed later, and every
-state keeps the transition each of its enumerated input rows takes, which
-the simulation check reads instead of the guards.
+state keeps the transition each of its enumerated input rows takes, and per
+transition the bitset of those rows, which the simulation check reads
+instead of the guards.
 
 ``_Image.rows`` enumerates one state's input rows and the successor each
-reaches; ``unfold_to_ts``, ``compute_image`` and ``efa.image_map`` keep
+reaches, evaluating the state's updates as closures compiled once per
+state; ``unfold_to_ts``, ``compute_image`` and ``efa.image_map`` keep
 only their own bookkeeping around it.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import NamedTuple
 
 from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
@@ -28,6 +30,7 @@ from .exprs import (
     InputRef,
     TRUE,
     Value,
+    compile_expr,
     conjoin,
     disjoin,
     eval_expr,
@@ -40,11 +43,16 @@ from .solver import DEFAULT_BUDGET, Domain
 from .symbolic import SymbolicStep
 
 DEFAULT_STATE_BUDGET = 100_000
+# A state with up to this many rows gets its row bitsets by setting bits on
+# Python ints as the rows come, each step on an int of a word or two; past
+# it, where every step would copy an ever longer int (quadratic in the
+# rows), they are filled in one bytearray per transition after the loop.
+INT_BITSET_ROWS = 64
 
 StateVec = tuple[Value, ...]
 
 
-Row = tuple[dict[str, Value], StateVec]
+Row = tuple[tuple[Value, ...], StateVec]
 
 
 class _Image:
@@ -66,11 +74,12 @@ class _Image:
     ) -> tuple[tuple[str, ...], Iterator[Row]]:
         """The inputs a state's rows range over, and the rows themselves.
 
-        The updates and the guard are specialised to the state, and only the
-        inputs they still mention are enumerated, in ``itertools.product``
-        order; every other input sits at its first value.  Each row the
-        guard admits (every row without one) yields its total assignment
-        and the successor vector.
+        The updates and the guard are specialised to the state and compiled
+        once, and only the inputs they still mention are enumerated, in
+        ``itertools.product`` order; every other input sits at its first
+        value.  Each row the guard admits (every row without one) yields
+        its values over those inputs and the successor vector;
+        ``assignment`` makes a row a total assignment.
         """
         spec = [partial_eval(updates[v], binding) for v in self.var_names]
         mentioned = set().union(*map(free_inputs, spec))
@@ -93,21 +102,28 @@ class _Image:
         self, binding: dict[str, Value], names: tuple[str, ...],
         spec: list[Expr], guard: Expr | None,
     ) -> Iterator[Row]:
-        checks = [(v, self.step.vars[v][0], e) for v, e in zip(self.var_names, spec)]
+        checks = [
+            (v, self.step.vars[v][0], compile_expr(e, names))
+            for v, e in zip(self.var_names, spec)
+        ]
+        admits = None if guard is None else compile_expr(guard, names)
         for combo in itertools.product(*(self.values[n] for n in names)):
-            env = self.base | dict(zip(names, combo))
-            if guard is not None and not eval_expr(guard, env):
+            if admits is not None and not admits(combo):
                 continue
             succ = []
-            for v, dt, e in checks:
-                val = eval_expr(e, env)
+            for v, dt, f in checks:
+                val = f(combo)
                 if not in_domain(dt, val):
                     raise DomainError(
                         f"{self.step.name}: {v}={val!r} leaves {dt} from state "
                         f"{binding} on inputs {dict(zip(names, combo))}"
                     )
                 succ.append(val)
-            yield env, tuple(succ)
+            yield combo, tuple(succ)
+
+    def assignment(self, names: tuple[str, ...], combo: tuple[Value, ...]) -> dict[str, Value]:
+        """A row as a total assignment, other inputs at their first value."""
+        return self.base | dict(zip(names, combo))
 
 
 def compute_image(
@@ -120,10 +136,13 @@ def compute_image(
     Successors are keyed by the sorted-variable value vector; inputs the
     updates do not mention sit at their first domain value in the witness.
     """
-    image: dict[StateVec, dict[str, Value]] = {}
-    for env, succ in _Image(step, budget).rows(dict(state), step.updates)[1]:
-        image.setdefault(succ, env)
-    return image
+    image = _Image(step, budget)
+    names, rows = image.rows(dict(state), step.updates)
+    least: dict[StateVec, dict[str, Value]] = {}
+    for combo, succ in rows:
+        if succ not in least:
+            least[succ] = image.assignment(names, combo)
+    return least
 
 
 class StateRows(NamedTuple):
@@ -131,13 +150,15 @@ class StateRows(NamedTuple):
 
     Row i is the i-th combination of the names' declared values in
     ``itertools.product`` order; ``edges[i]`` is the position, in the state's
-    transition list, of the transition row i takes, and ``targets[j]`` is
-    the successor state of transition j.
+    transition list, of the transition row i takes, ``targets[j]`` is
+    the successor state of transition j, and bit i of ``bits[j]`` is set
+    when row i takes transition j.
     """
 
     names: tuple[str, ...]
     edges: list[int]
     targets: list[int]
+    bits: list[int]
 
 
 @dataclass
@@ -177,6 +198,15 @@ def _fmt(v: Value) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     return str(v)
+
+
+def row_bitsets(placed: Iterable[tuple[int, int]], count: int, size: int) -> list[int]:
+    """Row bitsets of size bits for transitions 0..count-1 from (row,
+    transition) pairs."""
+    bufs = [bytearray((size + 7) >> 3) for _ in range(count)]
+    for i, edge in placed:
+        bufs[edge][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(b, "little") for b in bufs]
 
 
 def _guards(rows: StateRows, values: Sequence[tuple[Value, ...]]) -> list[Expr]:
@@ -250,7 +280,8 @@ def unfold_to_ts(
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []
-        for env, vec in rows:
+        bits: list[int] = []
+        for i, (combo, vec) in enumerate(rows):
             if vec not in index:
                 if len(states) >= state_budget:
                     raise StateBudgetExceeded(
@@ -263,9 +294,14 @@ def unfold_to_ts(
             if edge is None:
                 edge = edge_of[tidx] = len(order)
                 order.append(tidx)
-                witnesses[(sidx, tidx)] = env
+                bits.append(0)
+                witnesses[(sidx, tidx)] = image.assignment(names, combo)
             edges.append(edge)
-        state_rows.append(StateRows(names, edges, order))
+            if i < INT_BITSET_ROWS:
+                bits[edge] |= 1 << i
+        if len(edges) > INT_BITSET_ROWS:
+            bits = row_bitsets(enumerate(edges), len(order), len(edges))
+        state_rows.append(StateRows(names, edges, order, bits))
 
     return Ts(
         name=step.name,

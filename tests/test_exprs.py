@@ -17,6 +17,7 @@ from dfcompat.exprs import (
     SignalRef,
     Unary,
     VarRef,
+    compile_expr,
     conjoin,
     disjoin,
     eval_expr,
@@ -176,6 +177,72 @@ def test_partial_eval_is_fold_of_substitute(e, env, bound):
     assert repr(partial_eval(e, binding)) == repr(want)
 
 
+# leaves of both namespaces, constants whose sums, products and negations
+# leave 64 bits, an enum variant (a TypeError under arithmetic and
+# ordering) and an unsubstituted signal; ops include unknown ones
+_COMPILE_LEAVES = st.sampled_from([
+    Const(True), Const(False), Const(0), Const(-2), Const(1 << 62),
+    Const(INT64_MIN), Const(INT64_MAX), Const("Red"),
+    InputRef("p"), VarRef("q"), InputRef("u"), VarRef("w"), SignalRef("s"),
+])
+_COMPILE_EXPRS = st.recursive(
+    _COMPILE_LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["not", "neg", "inv"]), sub),
+        st.builds(
+            Binary,
+            st.sampled_from(["and", "or", "xor", "add", "sub", "mul", "min", "max",
+                             "eq", "ne", "lt", "le", "gt", "ge", "pow"]),
+            sub, sub,
+        ),
+        st.builds(Ite, sub, sub, sub),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(f):
+    """The value (repr tells True from 1) or the exception class and args."""
+    try:
+        return "value", repr(f())
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), exc.args
+
+
+@given(_COMPILE_EXPRS, envs(), st.permutations(["p", "q", "u", "w"]), st.integers(0, 4))
+def test_compiled_expr_matches_eval_expr(e, env, order, k):
+    # names left out of the row are unresolvable references
+    names = tuple(order[:k])
+    row = tuple(env[n] for n in names)
+    want = _outcome(lambda: eval_expr(e, dict(zip(names, row))))
+    assert _outcome(lambda: compile_expr(e, names)(row)) == want
+
+
+@pytest.mark.parametrize("e", [
+    # both operands of and/or are evaluated, so the overflow raises
+    Binary("and", Const(False), Binary("mul", Const(1 << 62), Const(4))),
+    Binary("or", Const(True), Unary("neg", Const(INT64_MIN))),
+    Binary("add", InputRef("u"), Const(INT64_MAX)),
+    # the arm ite does not take is not evaluated
+    Ite(InputRef("p"), Const(1), Binary("sub", Const(INT64_MIN), Const(1))),
+    Ite(Unary("not", InputRef("p")), SignalRef("s"), InputRef("u")),
+])
+def test_compiled_expr_keeps_eval_semantics(e):
+    names, row = ("p", "u"), (True, 1)
+    want = _outcome(lambda: eval_expr(e, dict(zip(names, row))))
+    assert _outcome(lambda: compile_expr(e, names)(row)) == want
+
+
+def test_compiled_expr_raises_when_called_not_when_built():
+    f = compile_expr(Binary("add", SignalRef("acc"), InputRef("x")), ("u",))
+    with pytest.raises(KeyError, match="unsubstituted signal reference 'acc'"):
+        f((1,))
+    with pytest.raises(KeyError, match="x"):
+        compile_expr(InputRef("x"), ("u",))((1,))
+    with pytest.raises(ArithmeticOverflow, match="exceeds 64-bit signed range"):
+        compile_expr(Binary("mul", InputRef("u"), Const(1 << 62)), ("u",))((4,))
+
+
 def test_partial_eval_keeps_overflowing_node():
     e = Binary("mul", VarRef("w"), Const(1 << 62))
     assert partial_eval(e, {"w": 2}) == Binary("mul", Const(2), Const(1 << 62))
@@ -204,6 +271,25 @@ def test_conjoin_disjoin():
     assert conjoin([TRUE, p]) == p
     assert disjoin([FALSE, q]) == q
     assert conjoin([p, q]) == Binary("and", p, q)
+
+
+def test_normalize_keys_each_node_once(monkeypatch):
+    from dfcompat import exprs
+
+    # a left-deep commutative chain: re-keying every operand subtree at
+    # each level would take about depth**2 / 2 key computations
+    depth = 200
+    e = InputRef("x0")
+    for i in range(1, depth + 1):
+        e = Binary("add", e, InputRef(f"x{i}"))
+    want = normalize(e)
+    calls = []
+    real = exprs.structural_key
+    monkeypatch.setattr(
+        exprs, "structural_key", lambda n: calls.append(n) or real(n)
+    )
+    assert normalize(e) == want
+    assert len(calls) <= 2 * depth + 1
 
 
 def test_structural_key_ranks_kinds():

@@ -251,6 +251,56 @@ def test_both_directions_share_unfolded_systems(monkeypatch):
     assert len(unfolds) == 2 * 3
 
 
+def test_rows_evaluated_by_compiled_code(monkeypatch):
+    """unfold_to_ts and simulates tree-walk no expression, per row or
+    otherwise, and unfolding builds a total assignment only for the
+    witness row of each edge."""
+    from dfcompat import unfold
+
+    running: list[str] = []  # the patched functions currently running
+    walked: list[str] = []  # per eval_expr call inside them, which one
+
+    def counted(real):
+        def eval_expr(e, env):
+            if running:
+                walked.append(running[-1])
+            return real(e, env)
+        return eval_expr
+
+    def tracked(name, real, keep=None):
+        def run(*args):
+            running.append(name)
+            try:
+                result = real(*args)
+            finally:
+                running.pop()
+            if keep is not None:
+                keep.append(result)
+            return result
+        return run
+
+    for module in (unfold, simcheck):
+        monkeypatch.setattr(module, "eval_expr", counted(module.eval_expr))
+    systems: list[Ts] = []
+    monkeypatch.setattr(
+        simcheck, "unfold_to_ts",
+        tracked("unfold_to_ts", simcheck.unfold_to_ts, systems),
+    )
+    monkeypatch.setattr(simcheck, "simulates", tracked("simulates", simcheck.simulates))
+    assignments = []
+    monkeypatch.setattr(
+        unfold._Image, "assignment",
+        lambda self, names, combo, real=unfold._Image.assignment:
+        assignments.append(combo) or real(self, names, combo),
+    )
+    for cand, ref in FIXTURE_PAIRS:
+        report_for(cand, ref)
+    assert walked == []
+    edges = sum(len(ts.witnesses) for ts in systems)
+    rows = sum(len(r.edges) for ts in systems for r in ts.rows)
+    assert len(assignments) == edges < rows
+
+
 def test_fix_attempts_share_reference_systems(monkeypatch):
     unfolds = _record_unfolds(monkeypatch)
     binds = []

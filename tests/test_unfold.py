@@ -78,6 +78,12 @@ def test_unfold_compute_image_and_image_map_agree(name):
     for s, vec in enumerate(ts.states):
         image = compute_image(step, ts.state_binding(s))
         targets = ts.rows[s].targets
+        # each transition's stored bitset holds exactly the rows taking it
+        # (states past INT_BITSET_ROWS rows, as in charge_pump, included)
+        assert ts.rows[s].bits == [
+            sum(1 << i for i, e in enumerate(ts.rows[s].edges) if e == j)
+            for j in range(len(targets))
+        ]
         reached = {ts.states[t] for t in targets}
         assert reached == set(image)
         for t in targets:
