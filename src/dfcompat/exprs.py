@@ -162,60 +162,36 @@ def compile_expr(e: Expr, names: Sequence[str]) -> Callable[[Row], Value]:
     raises: both operands of a binary operator are evaluated, left first,
     ``ite`` evaluates only the arm it takes, and a reference the row cannot
     resolve raises ``KeyError`` when the function is called.  Built in one
-    pass, it replaces a tree walk per row with one closure call per node;
-    constant and reference operands are read in place.
+    pass, it replaces a tree walk per row with one closure call per node.
     """
-    return _as_fn(*_compile(e, {n: i for i, n in enumerate(names)}))
+    return _compile(e, {n: i for i, n in enumerate(names)})
 
 
-def _compile(n: Expr, pos: Mapping[str, int]) -> tuple[str, object]:
-    """How n reads a row: ("const", value), ("ref", row position) or
-    ("fn", function of the row).  One call per tree level, as eval_expr."""
+def _compile(n: Expr, pos: Mapping[str, int]) -> Callable[[Row], Value]:
     kind = type(n)
     if kind is Const:
-        return "const", n.value
+        v = n.value
+        return lambda r: v
     if kind is InputRef or kind is VarRef:
         if n.name in pos:
-            return "ref", pos[n.name]
-        return "fn", _raising(KeyError, n.name)
+            return operator.itemgetter(pos[n.name])
+        return _raising(KeyError, n.name)
     if kind is Binary:
         f = _BINARY.get(n.op) or _raising(ValueError, f"unknown binary op {n.op!r}")
-        return "fn", _binary(f, _compile(n.left, pos), _compile(n.right, pos))
+        a, b = _compile(n.left, pos), _compile(n.right, pos)
+        return lambda r: f(a(r), b(r))
     if kind is Ite:
-        return "fn", _ite(_compile(n.cond, pos), _compile(n.then, pos), _compile(n.other, pos))
+        c, t, o = _compile(n.cond, pos), _compile(n.then, pos), _compile(n.other, pos)
+        return lambda r: t(r) if c(r) else o(r)
     if kind is Unary:
-        a = _as_fn(*_compile(n.arg, pos))
+        a = _compile(n.arg, pos)
         if n.op == "not":
-            return "fn", lambda r: not a(r)
+            return lambda r: not a(r)
         if n.op == "neg":
-            return "fn", lambda r: _check64(-a(r))
+            return lambda r: _check64(-a(r))
         bad = _raising(ValueError, f"unknown unary op {n.op!r}")
-        return "fn", lambda r: bad(a(r))
-    return "fn", _raising(KeyError, f"unsubstituted signal reference {n.name!r}")
-
-
-def _ite(
-    cond: tuple[str, object], then: tuple[str, object], other: tuple[str, object]
-) -> Callable[[Row], Value]:
-    """ite over three operand forms; only the arm taken is evaluated."""
-    if then[0] == other[0] == "const":
-        t, o = then[1], other[1]
-        if cond[0] == "ref":
-            i = cond[1]
-            return lambda r: t if r[i] else o
-        c = _as_fn(*cond)
-        return lambda r: t if c(r) else o
-    c, t, o = _as_fn(*cond), _as_fn(*then), _as_fn(*other)
-    return lambda r: t(r) if c(r) else o(r)
-
-
-def _as_fn(kind: str, x) -> Callable[[Row], Value]:
-    """An operand form as a function of the row."""
-    if kind == "const":
-        return lambda r: x
-    if kind == "ref":
-        return operator.itemgetter(x)
-    return x
+        return lambda r: bad(a(r))
+    return _raising(KeyError, f"unsubstituted signal reference {n.name!r}")
 
 
 def _raising(cls: type[Exception], arg: str) -> Callable[..., Value]:
@@ -223,34 +199,6 @@ def _raising(cls: type[Exception], arg: str) -> Callable[..., Value]:
         raise cls(arg)
 
     return fail
-
-
-def _binary(
-    f: Callable[[Value, Value], Value],
-    left: tuple[str, object],
-    right: tuple[str, object],
-) -> Callable[[Row], Value]:
-    """f applied to two operands, each a constant, a row position or a
-    function of the row, the left one evaluated first."""
-    (ka, a), (kb, b) = left, right
-    shape = (ka, kb)
-    if shape == ("fn", "fn"):
-        return lambda r: f(a(r), b(r))
-    if shape == ("fn", "const"):
-        return lambda r: f(a(r), b)
-    if shape == ("fn", "ref"):
-        return lambda r: f(a(r), r[b])
-    if shape == ("ref", "fn"):
-        return lambda r: f(r[a], b(r))
-    if shape == ("ref", "const"):
-        return lambda r: f(r[a], b)
-    if shape == ("ref", "ref"):
-        return lambda r: f(r[a], r[b])
-    if shape == ("const", "fn"):
-        return lambda r: f(a, b(r))
-    if shape == ("const", "ref"):
-        return lambda r: f(a, r[b])
-    return lambda r: f(a, b)
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -400,6 +348,11 @@ _KIND_RANK = {Const: 0, InputRef: 1, VarRef: 2, SignalRef: 3, Unary: 4, Binary: 
 
 def structural_key(e: Expr) -> tuple:
     """Total order key used for canonical operand ordering."""
+    return _structural_key(e, structural_key)
+
+
+def _structural_key(e: Expr, sub: Callable[[Expr], tuple]) -> tuple:
+    """e's structural key, with ``sub`` giving its children's keys."""
     if isinstance(e, Const):
         v = e.value
         # bools sort before ints before enum variants, values ascending
@@ -417,10 +370,10 @@ def structural_key(e: Expr) -> tuple:
     if isinstance(e, SignalRef):
         return (3, e.name)
     if isinstance(e, Unary):
-        return (4, e.op, structural_key(e.arg))
+        return (4, e.op, sub(e.arg))
     if isinstance(e, Binary):
-        return (5, e.op, structural_key(e.left), structural_key(e.right))
-    return (6, structural_key(e.cond), structural_key(e.then), structural_key(e.other))
+        return (5, e.op, sub(e.left), sub(e.right))
+    return (6, sub(e.cond), sub(e.then), sub(e.other))
 
 
 def normalize(e: Expr) -> Expr:
@@ -439,14 +392,7 @@ def normalize(e: Expr) -> Expr:
         hit = keys.get(id(n))
         if hit is not None:
             return hit[1]
-        if isinstance(n, Unary):
-            k = (4, n.op, key(n.arg))
-        elif isinstance(n, Binary):
-            k = (5, n.op, key(n.left), key(n.right))
-        elif isinstance(n, Ite):
-            k = (6, key(n.cond), key(n.then), key(n.other))
-        else:
-            k = structural_key(n)
+        k = _structural_key(n, key)
         keys[id(n)] = (n, k)
         return k
 

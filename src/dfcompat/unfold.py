@@ -43,11 +43,10 @@ from .solver import DEFAULT_BUDGET, Domain
 from .symbolic import SymbolicStep
 
 DEFAULT_STATE_BUDGET = 100_000
-# A state with up to this many rows gets its row bitsets by setting bits on
-# Python ints as the rows come, each step on an int of a word or two; past
-# it, where every step would copy an ever longer int (quadratic in the
-# rows), they are filled in one bytearray per transition after the loop.
-INT_BITSET_ROWS = 64
+# Bitsets of up to this many rows are built on Python ints, a word each;
+# longer ones are filled in bytearrays, where setting bits one by one on an
+# ever longer int would copy it at every step (quadratic in the rows).
+WORD_ROWS = 64
 
 StateVec = tuple[Value, ...]
 
@@ -203,6 +202,11 @@ def _fmt(v: Value) -> str:
 def row_bitsets(placed: Iterable[tuple[int, int]], count: int, size: int) -> list[int]:
     """Row bitsets of size bits for transitions 0..count-1 from (row,
     transition) pairs."""
+    if size <= WORD_ROWS:
+        bits = [0] * count
+        for i, edge in placed:
+            bits[edge] |= 1 << i
+        return bits
     bufs = [bytearray((size + 7) >> 3) for _ in range(count)]
     for i, edge in placed:
         bufs[edge][i >> 3] |= 1 << (i & 7)
@@ -280,8 +284,7 @@ def unfold_to_ts(
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []
-        bits: list[int] = []
-        for i, (combo, vec) in enumerate(rows):
+        for combo, vec in rows:
             if vec not in index:
                 if len(states) >= state_budget:
                     raise StateBudgetExceeded(
@@ -294,13 +297,12 @@ def unfold_to_ts(
             if edge is None:
                 edge = edge_of[tidx] = len(order)
                 order.append(tidx)
-                bits.append(0)
                 witnesses[(sidx, tidx)] = image.assignment(names, combo)
             edges.append(edge)
-            if i < INT_BITSET_ROWS:
-                bits[edge] |= 1 << i
-        if len(edges) > INT_BITSET_ROWS:
-            bits = row_bitsets(enumerate(edges), len(order), len(edges))
+        bits = (
+            row_bitsets(enumerate(edges), len(order), len(edges)) if len(order) > 1
+            else [(1 << len(edges)) - 1]
+        )
         state_rows.append(StateRows(names, edges, order, bits))
 
     return Ts(

@@ -284,9 +284,9 @@ def test_normalize_keys_each_node_once(monkeypatch):
         e = Binary("add", e, InputRef(f"x{i}"))
     want = normalize(e)
     calls = []
-    real = exprs.structural_key
+    real = exprs._structural_key
     monkeypatch.setattr(
-        exprs, "structural_key", lambda n: calls.append(n) or real(n)
+        exprs, "_structural_key", lambda n, sub: calls.append(n) or real(n, sub)
     )
     assert normalize(e) == want
     assert len(calls) <= 2 * depth + 1

@@ -79,7 +79,6 @@ def test_unfold_compute_image_and_image_map_agree(name):
         image = compute_image(step, ts.state_binding(s))
         targets = ts.rows[s].targets
         # each transition's stored bitset holds exactly the rows taking it
-        # (states past INT_BITSET_ROWS rows, as in charge_pump, included)
         assert ts.rows[s].bits == [
             sum(1 << i for i, e in enumerate(ts.rows[s].edges) if e == j)
             for j in range(len(targets))
