@@ -145,7 +145,7 @@ def image_map(
             )
         entry: dict[tuple[Value, ...], frozenset[tuple[Value, ...]]] = {}
         for old in itertools.product(*(var_dom.values(v) for v in var_names)):
-            _, rows = image.rows(dict(zip(var_names, old)), tr.updates, tr.guard)
+            _, _, rows = image.rows(dict(zip(var_names, old)), tr.updates, tr.guard)
             succs = frozenset(succ for _, succ in rows)
             if succs:
                 entry[old] = succs

@@ -79,7 +79,7 @@ class PathExplosion(DfcError):
 
 
 class DomainTooLarge(DfcError):
-    """Finite-domain enumeration would exceed the evaluation budget."""
+    """Enumerating input rows or values would exceed the budget."""
 
 
 class StateBudgetExceeded(DfcError):

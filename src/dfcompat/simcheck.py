@@ -12,31 +12,38 @@ restore compatibility.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import IterationCapExceeded
+from .errors import DomainTooLarge, IterationCapExceeded
 from .exprs import (
     Binary,
+    Expr,
+    InputRef,
     Value,
+    VarRef,
     compile_expr,
     conjoin,
     eval_expr,
-    free_names,
     partial_eval,
 )
 from .model import (
+    DataType,
     FlatModel,
+    IntType,
     InterfaceReport,
     Model,
     PortMapping,
     check_interface,
     derive_port_mapping,
+    domain_size,
     flatten_and_validate,
 )
 from .cfg import Cfg, extract_cfg, sorted_order
@@ -44,7 +51,7 @@ from .solver import (
     DEFAULT_BUDGET,
     Domain,
     exists_forall_constants,
-    query_names,
+    declared_names,
     sat_witness,  # noqa: F401 - dfbench/tracing.py wraps this module's sat_witness
 )
 from .symbolic import (
@@ -56,7 +63,14 @@ from .symbolic import (
     restrict_to_outputs,
     summarize,
 )
-from .unfold import DEFAULT_STATE_BUDGET, Ts, row_bitsets, unfold_to_ts
+from .unfold import (
+    DEFAULT_STATE_BUDGET,
+    Ts,
+    input_uses,
+    interval_starts,
+    row_bitsets,
+    unfold_to_ts,
+)
 
 
 @dataclass(frozen=True)
@@ -101,21 +115,50 @@ class SimResult:
         return self._visited()
 
 
-class _Rows:
-    """Numbered rows of a finite domain, with the caches of one simulates call.
+# A query part: the names some expression reads, each with the cut points
+# its comparisons with constants put into the name's range, or None when
+# the expression reads the name's value (rows then take every value).
+Part = tuple[tuple[str, "tuple[Value, ...] | None"], ...]
 
-    A sorted name tuple spans the product of its names' domain values.  Row
-    i is the i-th combination in ``itertools.product`` order, the first name
-    most significant, so the lowest set bit of a row bitset is the
-    lexicographically least row: the witness sat_witness returns.
+
+class _Space:
+    """The rows of one query: the product of each name's row values.
+
+    A row value of an integer name stands for the interval up to the next
+    one (the last one up to the domain's maximum), on which every
+    expression the query evaluates keeps its value; of any other name, for
+    itself.  Row i is the i-th combination in ``itertools.product`` order,
+    the first name most significant, so the lowest set bit of a row bitset
+    is the lexicographically least row, and the least input value of its
+    intervals is the least input full enumeration would find.
     """
 
-    def __init__(self, dom: Domain, budget: int):
+    __slots__ = ("names", "values", "size")
+
+    def __init__(self, names: tuple[str, ...], values: tuple[tuple[Value, ...], ...]):
+        self.names = names
+        self.values = values
+        self.size = math.prod(map(len, values))
+
+
+class _Rows:
+    """The query spaces of one simulates call.
+
+    A query over parts (``Part``) spans their names; each integer name's
+    row values are the common refinement of the parts' cut points and of
+    both systems' declared range ends, so the candidate's extra range, or
+    the part of the domain it does not declare, is an interval of its own.
+    """
+
+    def __init__(self, dom: Domain, budget: int, cand: Ts, ref: Ts):
         self.dom = dom
         self.budget = budget
+        self.cand = cand
+        self.ref = ref
         self._values: dict[str, tuple[Value, ...]] = {}
-        self._pos: dict[str, dict[Value, int]] = {}
-        self._spaces: dict[tuple, tuple[str, ...]] = {}
+        self._parts: dict[Part, Part] = {}
+        self._spaces: dict[tuple[int, ...], _Space] = {}
+        self._interned: dict[tuple, _Space] = {}
         self._base = {n: dom.first(n) for n in dom.sorted_names()}
 
     def values(self, name: str) -> tuple[Value, ...]:
@@ -123,78 +166,106 @@ class _Rows:
             self._values[name] = self.dom.values(name)
         return self._values[name]
 
-    def space(self, *name_sets: Iterable[str]) -> tuple[str, ...]:
-        """The names a query over these name sets enumerates.
+    def part(self, items: Iterable[tuple[str, tuple[Value, ...] | None]]) -> Part:
+        """The one Part object with these items, which ``space`` keys by
+        identity."""
+        items = tuple(items)
+        return self._parts.setdefault(items, items)
 
-        Refused with the error sat_witness raises for the same formula.
+    def part_of(self, e: Expr) -> Part:
+        """The names e reads, with the cut points of its comparisons."""
+        uses = input_uses([e], (InputRef, VarRef))
+        return self.part(
+            (n, None if cuts is None else tuple(sorted(cuts)))
+            for n, cuts in sorted(uses.items())
+        )
+
+    def space(self, pair: tuple[int, int], *parts: Part) -> _Space:
+        """The rows of a query over these parts, asked at the state pair.
+
+        Raises DomainError for names outside the domain and DomainTooLarge,
+        naming both systems and the state pair, when the rows exceed the
+        budget.
         """
-        key = tuple(name_sets)
-        if key not in self._spaces:
-            names = set().union(*name_sets)
-            self._spaces[key] = tuple(query_names(names, self.dom, self.budget))
-        return self._spaces[key]
+        key = tuple(map(id, parts))
+        hit = self._spaces.get(key)
+        if hit is not None:
+            return hit
+        cuts: dict[str, set[Value] | None] = {}
+        for n, c in itertools.chain.from_iterable(parts):
+            seen = cuts.get(n, set())
+            cuts[n] = None if c is None or seen is None else seen | set(c)
+        names = tuple(declared_names(cuts, self.dom))
+        starts = []
+        for n in names:
+            c = cuts[n]
+            if c is not None:
+                for ts in (self.cand, self.ref):
+                    dt = ts.inputs.get(n)
+                    if isinstance(dt, IntType):
+                        c |= {dt.lo, dt.hi + 1}
+            starts.append(interval_starts(self.dom.dtypes[n], c))
+        size = math.prod(
+            domain_size(self.dom.dtypes[n]) if s is None else len(s)
+            for n, s in zip(names, starts)
+        )
+        if size > self.budget:
+            ai, bi = pair
+            raise DomainTooLarge(
+                f"simulating {self.ref.name} by {self.cand.name} needs {size} "
+                f"input rows in candidate state {self.cand.label(ai)}, reference "
+                f"state {self.ref.label(bi)} (budget {self.budget})"
+            )
+        values = tuple(self.values(n) if s is None else s for n, s in zip(names, starts))
+        hit = self._interned.setdefault((names, values), _Space(names, values))
+        self._spaces[key] = hit
+        return hit
 
-    def product(self, names: Sequence[str]) -> Iterable[tuple[Value, ...]]:
-        return itertools.product(*(self.values(n) for n in names))
-
-    def row(self, names: Sequence[str], i: int) -> dict[str, Value]:
-        """Row i over names as a total assignment, other names at their
+    def row(self, space: _Space, i: int) -> dict[str, Value]:
+        """Row i of space as a total assignment, other names at their
         first value."""
         row = dict(self._base)
-        for n in reversed(names):
-            vals = self.values(n)
+        for n, vals in zip(reversed(space.names), reversed(space.values)):
             i, r = divmod(i, len(vals))
             row[n] = vals[r]
         return row
-
-    def index(self, names: Sequence[str], row: Mapping[str, Value]) -> int | None:
-        """Position of the row's values over names, None when one lies
-        outside the domain."""
-        i = 0
-        for n in names:
-            if n not in self._pos:
-                self._pos[n] = {v: k for k, v in enumerate(self.values(n))}
-            k = self._pos[n].get(row[n])
-            if k is None:
-                return None
-            i = i * len(self.values(n)) + k
-        return i
 
 
 class _Side:
     """One transition system seen through the rows of the simulation domain.
 
-    Each transition has the names its guard mentions and, per query space
-    (a superset of them), a row bitset over that space: the unfolding's
-    bitsets serve the space of the state's own names, on any other space
-    stored rows are placed by their values, and a hand-built guard is
-    compiled and evaluated once per row.  A state whose rows all take one
-    transition has the guard TRUE, with no names, which holds on every row
-    of the domain, also outside the system's declared input range.  Each
-    state's outputs are compiled once per query space.
+    Each transition has a part: the names its guard mentions, with their
+    cut points.  A stored state's transitions share the state's names and
+    row values.  Per query space a transition has a row bitset: the
+    unfolding's bitsets serve the space with the state's own rows, on any
+    other space each row is placed in the stored row holding its values,
+    and a hand-built guard is compiled and evaluated once per row.  A state
+    whose rows all take one transition has the guard TRUE, with no names,
+    which holds on every row of the domain, also outside the system's
+    declared input range.  Each state's outputs are compiled once per
+    query space.
     """
 
     def __init__(self, ts: Ts, rows: _Rows):
         self.ts = ts
         self.rows = rows
-        self.declared = _Rows(ts.input_domain(), rows.budget)
-        self._names: dict[int, list[tuple[str, ...]]] = {}
-        self._bits: dict[tuple[int, tuple[str, ...]], list[int | None]] = {}
-        self._out_names: dict[tuple[int, str], frozenset[str]] = {}
+        self._parts: dict[int, list[Part]] = {}
+        self._bits: dict[tuple[int, _Space], list[int | None]] = {}
+        self._out_parts: dict[tuple[int, str], Part] = {}
         self._out_fns: dict[tuple[int, str, tuple[str, ...]], Callable] = {}
 
-    def output_names(self, s: int, port: str) -> frozenset[str]:
-        """The names state s's output on port mentions."""
+    def output_part(self, s: int, port: str) -> Part:
+        """The part of state s's output on port."""
         key = (s, port)
-        if key not in self._out_names:
-            self._out_names[key] = free_names(self.ts.outputs[s][port])
-        return self._out_names[key]
+        if key not in self._out_parts:
+            self._out_parts[key] = self.rows.part_of(self.ts.outputs[s][port])
+        return self._out_parts[key]
 
-    def output_fn(self, s: int, port: str, space: tuple[str, ...]) -> Callable:
-        """State s's output on port as a function of a row over space."""
-        key = (s, port, space)
+    def output_fn(self, s: int, port: str, names: tuple[str, ...]) -> Callable:
+        """State s's output on port as a function of a row over names."""
+        key = (s, port, names)
         if key not in self._out_fns:
-            self._out_fns[key] = compile_expr(self.ts.outputs[s][port], space)
+            self._out_fns[key] = compile_expr(self.ts.outputs[s][port], names)
         return self._out_fns[key]
 
     def targets(self, s: int) -> list[int]:
@@ -202,22 +273,27 @@ class _Side:
             return self.ts.rows[s].targets
         return [t for _, t in self.ts.transitions[s]]
 
-    def names(self, s: int) -> list[tuple[str, ...]]:
-        """Per transition, the names its guard mentions."""
-        if s not in self._names:
+    def parts(self, s: int) -> list[Part]:
+        """Per transition, the part of its guard."""
+        if s not in self._parts:
             if self.ts.rows:
-                count = len(self.ts.rows[s].targets)
-                names = self.ts.rows[s].names if count > 1 else ()
-                self._names[s] = [names] * count
+                stored = self.ts.rows[s]
+                count = len(stored.targets)
+                # the row values of an input enumerated by intervals are
+                # its cut points; an input with a row per value reads values
+                part = self.rows.part(
+                    (n, None if len(vals) == domain_size(self.ts.inputs[n]) else vals)
+                    for n, vals in zip(stored.names, stored.values)
+                ) if count > 1 else ()
+                self._parts[s] = [part] * count
             else:
-                edges = self.ts.transitions[s]
-                self._names[s] = [tuple(sorted(free_names(g))) for g, _ in edges]
-        return self._names[s]
+                self._parts[s] = [self.rows.part_of(g) for g, _ in self.ts.transitions[s]]
+        return self._parts[s]
 
-    def bits(self, s: int, j: int, space: tuple[str, ...]) -> int:
+    def bits(self, s: int, j: int, space: _Space) -> int:
         """Row bitset over space of transition j of state s.
 
-        Called only once a query over space has passed the budget.
+        The space spans the names of the transition's part.
         """
         key = (s, space)
         if key not in self._bits:
@@ -227,31 +303,65 @@ class _Side:
             )
         cached = self._bits[key]
         if cached[j] is None:
-            guard = compile_expr(self.ts.transitions[s][j][0], space)
+            guard = compile_expr(self.ts.transitions[s][j][0], space.names)
             fires = (
-                (i, 0) for i, combo in enumerate(self.rows.product(space))
+                (i, 0) for i, combo in enumerate(itertools.product(*space.values))
                 if guard(combo)
             )
-            cached[j] = row_bitsets(fires, 1, self.rows.dom.space(space))[0]
+            cached[j] = row_bitsets(fires, 1, space.size)[0]
         return cached[j]
 
-    def _stored_bits(self, s: int, space: tuple[str, ...]) -> list[int | None]:
+    def _stored_bits(self, s: int, space: _Space) -> list[int | None]:
         stored = self.ts.rows[s]
-        size = self.rows.dom.space(space)
         count = len(stored.targets)
         if count == 1:
-            return [(1 << size) - 1]
-        dtypes = self.rows.dom.dtypes
-        if stored.names == space and all(dtypes[n] == self.ts.inputs[n] for n in space):
+            return [(1 << space.size) - 1]
+        if stored.names == space.names and stored.values == space.values:
             return stored.bits
-        # place each row of the space by its values on the state's names; a
-        # row outside their declared ranges takes no transition
-        slots = (
-            self.declared.index(stored.names, dict(zip(space, combo)))
-            for combo in self.rows.product(space)
-        )
+        # place each row of the space in the stored row holding its values;
+        # a row outside the declared ranges takes no transition.  Both name
+        # tuples are sorted, so the state's names come in the same order.
+        slots: list[int | None] = [0]
+        own = dict(zip(stored.names, stored.values))
+        for n, vals in zip(space.names, space.values):
+            if n not in own:
+                slots = [k for k in slots for _ in vals]
+                continue
+            width = len(own[n])
+            pos = [_position(self.ts.inputs[n], own[n], v) for v in vals]
+            slots = [
+                None if k is None or p is None else k * width + p
+                for k in slots for p in pos
+            ]
         placed = ((i, stored.edges[k]) for i, k in enumerate(slots) if k is not None)
-        return row_bitsets(placed, count, size)
+        return row_bitsets(placed, count, space.size)
+
+    def edge(self, s: int, row: Mapping[str, Value]) -> int | None:
+        """The first transition of state s whose guard holds on a total
+        row, None when none does."""
+        if self.ts.rows:
+            stored = self.ts.rows[s]
+            if len(stored.targets) == 1:
+                return 0
+            k = 0
+            for n, vals in zip(stored.names, stored.values):
+                p = _position(self.ts.inputs[n], vals, row[n])
+                if p is None:
+                    return None
+                k = k * len(vals) + p
+            return stored.edges[k]
+        for j, (g, _) in enumerate(self.ts.transitions[s]):
+            if eval_expr(g, row):
+                return j
+        return None
+
+
+def _position(dt: DataType, vals: Sequence[Value], v: Value) -> int | None:
+    """Position of the row value in vals standing for v, None when v lies
+    outside dt."""
+    if isinstance(dt, IntType):
+        return bisect.bisect_right(vals, v) - 1 if dt.lo <= v <= dt.hi else None
+    return vals.index(v) if v in vals else None
 
 
 def simulates(
@@ -264,14 +374,16 @@ def simulates(
     reference moves are no longer answerable by moves into live pairs are
     removed until the relation stabilizes.
 
-    Guards are row bitsets over the simulation domain, so a joint move is a
-    nonzero ``ga & gb`` and the least uncovered row is the lowest set bit of
-    ``gb & ~live``; outputs compare row by row up to the first difference.
-    Each query is refused past the budget exactly as sat_witness
-    would refuse the formula it stands for.  ``queries`` counts the joint,
-    residual and output checks answered.
+    Guards are row bitsets over a query space (``_Space``), so a joint move
+    is a nonzero ``ga & gb`` and the least uncovered row is the lowest set
+    bit of ``gb & ~live``; outputs compare row by row up to the first
+    difference.  A row stands for an interval of each integer name on which
+    every expression the query reads is constant, and its values are the
+    least ones, so every witness is the one enumerating each value would
+    find.  A query whose rows exceed the budget raises DomainTooLarge.
+    ``queries`` counts the joint, residual and output checks answered.
     """
-    rows = _Rows(dom, budget)
+    rows = _Rows(dom, budget, cand, ref)
     a, b = _Side(cand, rows), _Side(ref, rows)
     queries = 0
 
@@ -279,11 +391,12 @@ def simulates(
         # rows in order, the candidate's output evaluated first: the least
         # differing row, and an overflow only where enumeration reaches it
         # first, as sat_witness over the two outputs' inequality
-        names = rows.space(a.output_names(ai, port), b.output_names(bi, port))
-        fa, fb = a.output_fn(ai, port, names), b.output_fn(bi, port, names)
-        for i, combo in enumerate(rows.product(names)):
+        space = rows.space((ai, bi), a.output_part(ai, port), b.output_part(bi, port))
+        fa = a.output_fn(ai, port, space.names)
+        fb = b.output_fn(bi, port, space.names)
+        for i, combo in enumerate(itertools.product(*space.values)):
             if fa(combo) != fb(combo):
-                return rows.row(names, i)
+                return rows.row(space, i)
         return None
 
     # breadth-first product exploration; index = discovery order
@@ -308,13 +421,13 @@ def simulates(
                 alive[i] = False
                 break
         if alive[i]:
-            names_a, names_b = a.names(ai), b.names(bi)
+            parts_a, parts_b = a.parts(ai), b.parts(bi)
             targets_a = a.targets(ai)
             for jb, bj in enumerate(b.targets(bi)):
                 hits = []
                 for ja, aj in enumerate(targets_a):
                     queries += 1
-                    space = rows.space(names_a[ja], names_b[jb])
+                    space = rows.space(order[i], parts_a[ja], parts_b[jb])
                     if a.bits(ai, ja, space) & b.bits(bi, jb, space):
                         pair = (aj, bj)
                         if pair not in index:
@@ -331,14 +444,14 @@ def simulates(
 
     def residual(i: int) -> tuple[dict[str, Value], int] | None:
         """The least reference row no live candidate move answers, with the
-        successor pair its first firing candidate move leads to."""
+        successor pair the candidate move it takes leads to."""
         nonlocal queries
         ai, bi = order[i]
-        names_a, names_b = a.names(ai), b.names(bi)
+        parts_a, parts_b = a.parts(ai), b.parts(bi)
         for jb, hits in enumerate(moves[i]):
             live = [ja for ja, q in hits if alive[q]]
             queries += 1
-            space = rows.space(names_b[jb], *(names_a[ja] for ja in live))
+            space = rows.space(order[i], parts_b[jb], *(parts_a[ja] for ja in live))
             cover = 0
             for ja in live:
                 cover |= a.bits(ai, ja, space)
@@ -346,12 +459,10 @@ def simulates(
             if not rest:
                 continue
             row = rows.row(space, (rest & -rest).bit_length() - 1)
-            bj = b.targets(bi)[jb]
-            for ja, aj in enumerate(a.targets(ai)):
-                own = names_a[ja]
-                if a.bits(ai, ja, own) >> rows.index(own, row) & 1:
-                    return row, index[(aj, bj)]
-            return row, -1
+            ja = a.edge(ai, row)
+            if ja is None:
+                return row, -1
+            return row, index[(a.targets(ai)[ja], b.targets(bi)[jb])]
         return None
 
     # Worklist fixpoint with the visit order of a loop that rescans all

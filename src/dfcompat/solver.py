@@ -92,7 +92,8 @@ class Domain:
         return Domain(joined)
 
 
-def _declared(names: Iterable[str], dom: Domain) -> list[str]:
+def declared_names(names: Iterable[str], dom: Domain) -> list[str]:
+    """The names in sorted order; DomainError when one is not declared."""
     names = sorted(names)
     missing = [n for n in names if n not in dom]
     if missing:
@@ -101,7 +102,7 @@ def _declared(names: Iterable[str], dom: Domain) -> list[str]:
 
 
 def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
-    return _declared(free_names(expr), dom)
+    return declared_names(free_names(expr), dom)
 
 
 def query_names(
@@ -112,7 +113,7 @@ def query_names(
     Raises DomainError for undeclared names and DomainTooLarge when their
     product space exceeds the budget.
     """
-    free = _declared(names, dom)
+    free = declared_names(names, dom)
     space = dom.space(free)
     if space > budget:
         raise DomainTooLarge(
@@ -137,15 +138,6 @@ def sat_witness(
 
 def is_sat(expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET) -> bool:
     return sat_witness(expr, dom, budget) is not None
-
-
-def implies(p: Expr, q: Expr, dom: Domain, budget: int = DEFAULT_BUDGET) -> bool:
-    """Validity of p -> q over the domain."""
-    return sat_witness(Binary("and", p, Unary("not", q)), dom, budget) is None
-
-
-def equivalent(p: Expr, q: Expr, dom: Domain, budget: int = DEFAULT_BUDGET) -> bool:
-    return sat_witness(Binary("xor", p, q), dom, budget) is None
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,10 @@ class GenSpec:
     """Block-diagram skeleton the generator renders to model text."""
 
     def __init__(self, inputs, out_kind):
-        self.inputs = inputs          # [(name, "bool" | ("int", hi))]
+        # [(name, "bool" | ("int", hi) | ("wide", hi) | ("summed", hi))]: a
+        # "wide" input is only compared with a constant, a "summed" one is
+        # an addend of a Sum
+        self.inputs = inputs
         self.out_kind = out_kind      # "bool" | ("int", hi)
         self.blocks: list[dict] = []  # {name, kind, params: list, wires: dict}
         self.out_src = ""
@@ -338,11 +341,15 @@ def _gen_spec(rng: random.Random, inputs=None, out_kind=None) -> GenSpec:
                 inputs.append((f"i{i}", "bool"))
             else:
                 inputs.append((f"i{i}", ("int", rng.randint(1, 4))))
+        if rng.random() < 0.3:
+            inputs.append(("w", ("wide", rng.randint(100, 300))))
+        if rng.random() < 0.2:
+            inputs.append(("s", ("summed", rng.randint(8, 30))))
     if out_kind is None:
         out_kind = "bool" if rng.random() < 0.5 else ("int", rng.randint(1, 3))
     spec = GenSpec(list(inputs), out_kind)
     bools = [n for n, k in inputs if k == "bool"]
-    ints = [n for n, k in inputs if k != "bool"]
+    ints = [n for n, k in inputs if k != "bool" and k[0] == "int"]
 
     def add(name, kind, params, wires, pool):
         spec.blocks.append(
@@ -354,6 +361,23 @@ def _gen_spec(rng: random.Random, inputs=None, out_kind=None) -> GenSpec:
     add("K0", "Constant", [rng.randint(0, 3)], {}, ints)
     if rng.random() < 0.6:
         add("K1", "Constant", [rng.randint(0, 3)], {}, ints)
+
+    for n, k in inputs:
+        if k == "bool" or k[0] == "int":
+            continue
+        if k[0] == "summed":
+            add(f"sum_{n}", "Sum", [rng.choice(["++", "+-"])],
+                {"in1": n, "in2": rng.choice(ints)}, ints)
+        elif rng.random() < 0.7:
+            add(f"k_{n}", "Constant", [rng.randint(0, k[1])], {}, None)
+            op = rng.choice(["<", "<=", "==", "!="])
+            wires = {"in1": n, "in2": f"k_{n}"}
+            if rng.random() < 0.5:
+                wires = {"in1": f"k_{n}", "in2": n}
+            add(f"cmp_{n}", "Relational", [op], wires, bools)
+        else:  # an integer control tests != 0
+            add(f"sw_{n}", "Switch", [],
+                {"ctrl": n, "in1": rng.choice(ints), "in3": rng.choice(ints)}, ints)
 
     delays = []
     for i in range(rng.randint(0, 3)):
@@ -475,6 +499,13 @@ def random_model_pair(seed: int) -> tuple[Model, Model]:
         _mutate(spec_b, rng)
     else:
         spec_b = _gen_spec(rng, inputs=spec_a.inputs, out_kind=spec_a.out_kind)
+    if any(k[0] == "wide" for _, k in spec_a.inputs if k != "bool") and rng.random() < 0.5:
+        # the candidate accepts a wider range, as a new release may
+        spec_a = copy.copy(spec_a)
+        spec_a.inputs = [
+            (n, ("wide", k[1] + rng.randint(1, 60)) if k != "bool" and k[0] == "wide" else k)
+            for n, k in spec_a.inputs
+        ]
     return (
         parse_model(render_spec(spec_a, "GenA")),
         parse_model(render_spec(spec_b, "GenB")),

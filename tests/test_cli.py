@@ -114,6 +114,20 @@ def test_check_state_budget_inconclusive():
     assert out == ""
 
 
+def test_check_wide_arithmetic_input_inconclusive(tmp_path):
+    """charge_pump adds u to its level, so u is enumerated value by value,
+    and ten million values are past the budget."""
+    text = model_path("charge_pump").read_text()
+    wide = write(tmp_path, "wide.dfm", text.replace("in u : int[0,249]", "in u : int[0,10000000]"))
+    code, out, err = run_cli("check", wide, wide)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "inconclusive: unfolding ChargePump needs 10000001 input rows in state "
+        "Level=2 (budget 10000000)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # check: invalid inputs
 

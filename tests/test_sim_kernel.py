@@ -6,8 +6,10 @@ once per row.  Both must give the same result, and the stored rows must
 agree with the guards row by row.
 """
 
+import bisect
 import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -59,16 +61,27 @@ def without_rows(ts):
     return dataclasses.replace(ts, rows=[])
 
 
+def stored_row(stored, combo):
+    """The stored row standing for declared values: per name, the last row
+    value not above an integer, or the value itself."""
+    i = 0
+    for vals, v in zip(stored.values, combo):
+        k = bisect.bisect_right(vals, v) - 1 if isinstance(v, int) else vals.index(v)
+        i = i * len(vals) + k
+    return i
+
+
 def assert_rows_match_guards(ts):
+    """On every declared input combination exactly one guard holds: that
+    of the transition the stored row standing for it takes."""
     assert len(ts.rows) == len(ts.states)
     for s, stored in enumerate(ts.rows):
+        assert len(stored.edges) == math.prod(map(len, stored.values))
         declared = [domain_values(ts.inputs[n]) for n in stored.names]
-        combos = list(itertools.product(*declared))
-        assert len(combos) == len(stored.edges)
-        for combo, edge in zip(combos, stored.edges):
+        for combo in itertools.product(*declared):
             env = dict(zip(stored.names, combo))
             fired = [j for j, (g, _) in enumerate(ts.transitions[s]) if eval_expr(g, env)]
-            assert fired == [edge]
+            assert fired == [stored.edges[stored_row(stored, combo)]]
 
 
 def _check_pair(model_a, model_b):

@@ -19,10 +19,10 @@ from dfcompat import (
     summarize,
     unfold_to_ts,
 )
-from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
+from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr, to_str
 from dfcompat.model import BoolType, IntType
 from dfcompat.symbolic import SymbolicStep
-from dfcompat.unfold import run_ts, ts_to_dot
+from dfcompat.unfold import input_uses, run_ts, ts_to_dot
 from helpers import MODELS_DIR, all_rows, load_model, ts_outputs, ts_step
 from test_efa import model_step, pump_step
 
@@ -151,25 +151,101 @@ def test_state_budget_enforced():
         unfold_to_ts(pump_step(), state_budget=3)
 
 
-def test_huge_input_refused_without_building_its_domain():
-    step = SymbolicStep(
+def _huge_step(cmp_operand):
+    """m := (operand < 5 ? 0 : 1) over u : int[0, 10**12]."""
+    return SymbolicStep(
         name="Huge",
         inputs={"u": IntType(0, 10**12)},
         vars={"m": (IntType(0, 1), 0)},
         outputs={"y": VarRef("m")},
-        updates={"m": Ite(Binary("lt", InputRef("u"), Const(5)), Const(0), Const(1))},
+        updates={"m": Ite(Binary("lt", cmp_operand, Const(5)), Const(0), Const(1))},
     )
+
+
+def _peak_bytes(run):
     tracemalloc.start()
     try:
-        with pytest.raises(DomainTooLarge, match=re.escape(
-            "unfolding Huge needs 1000000000001 input evaluations per state "
-            "(budget 10000000)"
-        )):
-            unfold_to_ts(step)
+        result = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_huge_input_refused_without_building_its_domain():
+    u = InputRef("u")
+    step = _huge_step(Binary("mul", u, u))
+
+    def refused():
+        with pytest.raises(DomainTooLarge, match=re.escape(
+            "unfolding Huge needs 1000000000001 input rows in state m=0 "
+            "(budget 10000000)"
+        )):
+            unfold_to_ts(step)
+
+    _, peak = _peak_bytes(refused)
     assert peak < 10 * 1024 * 1024
+
+
+def test_huge_comparison_only_input_unfolds_by_intervals():
+    ts, peak = _peak_bytes(lambda: unfold_to_ts(_huge_step(InputRef("u"))))
+    assert peak < 10 * 1024 * 1024
+    assert ts.states == [(0,), (1,)]
+    for stored in ts.rows:
+        assert stored.names == ("u",)
+        assert stored.values == ((0, 5),)
+        assert stored.edges == [0, 1]
+    assert ts.witnesses[(0, 0)] == {"u": 0}
+    assert ts.witnesses[(0, 1)] == {"u": 5}
+    # the guards stay exact on every declared value
+    assert [to_str(g) for g, _ in ts.transitions[0]] == [
+        "(0 <= u) && (u <= 4)", "(5 <= u) && (u <= 1000000000000)",
+    ]
+    assert run_ts(ts, [{"u": 4}, {"u": 10**12}, {"u": 5}]) == [
+        {"y": 0}, {"y": 0}, {"y": 1},
+    ]
+    with pytest.raises(DomainError, match="no transition"):
+        run_ts(ts, [{"u": 10**12 + 1}])
+
+
+@pytest.mark.parametrize("e,names", [
+    # comparisons with a constant, either side, give the values where
+    # their truth may change
+    (Binary("lt", InputRef("u"), Const(5)), {"u": {5}}),
+    (Binary("le", InputRef("u"), Const(5)), {"u": {6}}),
+    (Binary("gt", Const(5), InputRef("u")), {"u": {5}}),
+    (Binary("ge", Const(5), InputRef("u")), {"u": {6}}),
+    (Binary("eq", InputRef("u"), Const(5)), {"u": {5, 6}}),
+    (Binary("ne", Const(5), InputRef("u")), {"u": {5, 6}}),
+    (Ite(Binary("gt", InputRef("u"), Const(2)), InputRef("v"), Const(0)),
+     {"u": {3}, "v": None}),
+    # any other use reads the value
+    (Binary("lt", InputRef("u"), InputRef("v")), {"u": None, "v": None}),
+    (Binary("lt", Binary("add", InputRef("u"), Const(1)), Const(5)), {"u": None}),
+    (Binary("and", Binary("lt", InputRef("u"), Const(5)),
+            Binary("eq", Binary("max", InputRef("u"), Const(0)), Const(3))),
+     {"u": None}),
+    # a variable is not an input
+    (Binary("lt", VarRef("m"), Const(5)), {}),
+])
+def test_input_uses(e, names):
+    assert input_uses([e]) == names
+
+
+def test_input_read_by_an_output_is_enumerated_by_value():
+    """u only meets a constant in the update; the output, specialised to
+    each state, shows it in state m=1 only."""
+    u = InputRef("u")
+    step = SymbolicStep(
+        name="Shown",
+        inputs={"u": IntType(0, 9)},
+        vars={"m": (BoolType(), False)},
+        outputs={"y": Ite(VarRef("m"), u, Const(0))},
+        updates={"m": Binary("lt", u, Const(5))},
+    )
+    ts = unfold_to_ts(step)
+    assert ts.states == [(False,), (True,)]
+    assert [stored.values for stored in ts.rows] == [((0, 5),), (tuple(range(10)),)]
 
 
 def test_unfold_detects_domain_escape():
