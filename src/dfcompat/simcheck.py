@@ -65,6 +65,7 @@ from .symbolic import (
 )
 from .unfold import (
     DEFAULT_STATE_BUDGET,
+    StateRows,
     Ts,
     input_uses,
     interval_starts,
@@ -157,6 +158,7 @@ class _Rows:
         self.ref = ref
         self._values: dict[str, tuple[Value, ...]] = {}
         self._parts: dict[Part, Part] = {}
+        self._stored: dict[int, tuple[tuple, Part]] = {}
         self._spaces: dict[tuple[int, ...], _Space] = {}
         self._interned: dict[tuple, _Space] = {}
         self._base = {n: dom.first(n) for n in dom.sorted_names()}
@@ -175,10 +177,30 @@ class _Rows:
     def part_of(self, e: Expr) -> Part:
         """The names e reads, with the cut points of its comparisons."""
         uses = input_uses([e], (InputRef, VarRef))
+        if not uses:
+            return ()
         return self.part(
             (n, None if cuts is None else tuple(sorted(cuts)))
             for n, cuts in sorted(uses.items())
         )
+
+    def stored_part(self, stored: StateRows, inputs: Mapping[str, DataType]) -> Part:
+        """The part of a stored state's guards.
+
+        The row values of an input split into intervals are its cut
+        points; an input with a row per value reads values.  The unfolding
+        shares one row-values tuple among the states with the same rows,
+        so this is worked out once per tuple.
+        """
+        hit = self._stored.get(id(stored.values))
+        if hit is None:
+            part = self.part(
+                (n, None if len(vals) == domain_size(inputs[n]) else vals)
+                for n, vals in zip(stored.names, stored.values)
+            )
+            # holding the tuple keeps its id from being reused
+            hit = self._stored[id(stored.values)] = (stored.values, part)
+        return hit[1]
 
     def space(self, pair: tuple[int, int], *parts: Part) -> _Space:
         """The rows of a query over these parts, asked at the state pair.
@@ -279,12 +301,7 @@ class _Side:
             if self.ts.rows:
                 stored = self.ts.rows[s]
                 count = len(stored.targets)
-                # the row values of an input enumerated by intervals are
-                # its cut points; an input with a row per value reads values
-                part = self.rows.part(
-                    (n, None if len(vals) == domain_size(self.ts.inputs[n]) else vals)
-                    for n, vals in zip(stored.names, stored.values)
-                ) if count > 1 else ()
+                part = self.rows.stored_part(stored, self.ts.inputs) if count > 1 else ()
                 self._parts[s] = [part] * count
             else:
                 self._parts[s] = [self.rows.part_of(g) for g, _ in self.ts.transitions[s]]

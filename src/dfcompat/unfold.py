@@ -122,9 +122,10 @@ def interval_starts(dt: DataType, cuts: Collection[int] | None) -> tuple[int, ..
 
 class _Image:
     """A step's successors, one state and one input row at a time: the one
-    loop that evaluates a step's updates per input row.  ``values`` keeps
-    the value tuple of each input enumerated value by value, for every
-    state of one call."""
+    loop that evaluates a step's updates per input row.  For every state of
+    one call it keeps each input's declared values, and one row-values
+    tuple per distinct set of rows, which the states enumerating those
+    rows share."""
 
     def __init__(self, step: SymbolicStep, budget: int):
         self.step = step
@@ -132,7 +133,8 @@ class _Image:
         self.var_names = tuple(sorted(step.vars))
         self.dom = Domain(dict(step.inputs))
         self.base = {n: self.dom.first(n) for n in self.dom.sorted_names()}
-        self.values: dict[str, tuple[Value, ...]] = {}
+        self._declared: dict[str, tuple[Value, ...]] = {}
+        self._row_values: dict[tuple, tuple[tuple[Value, ...], ...]] = {}
         self.ints = any(isinstance(dt, IntType) for dt in step.inputs.values())
 
     def rows(
@@ -173,13 +175,18 @@ class _Image:
                 f"unfolding {self.step.name} needs {space} input rows in state "
                 f"{state} (budget {self.budget})"
             )
-        values = tuple(self._values(n) if s is None else s for n, s in zip(names, starts))
+        key = (names, tuple(starts))
+        values = self._row_values.get(key)
+        if values is None:
+            values = self._row_values[key] = tuple(
+                self._values(n) if s is None else s for n, s in zip(names, starts)
+            )
         return names, values, self._walk(binding, names, values, spec, guard)
 
     def _values(self, name: str) -> tuple[Value, ...]:
-        if name not in self.values:
-            self.values[name] = self.dom.values(name)
-        return self.values[name]
+        if name not in self._declared:
+            self._declared[name] = self.dom.values(name)
+        return self._declared[name]
 
     def _walk(
         self, binding: dict[str, Value], names: tuple[str, ...],
