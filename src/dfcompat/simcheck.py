@@ -119,7 +119,19 @@ class SimResult:
 # A query part: the names some expression reads, each with the cut points
 # its comparisons with constants put into the name's range, or None when
 # the expression reads the name's value (rows then take every value).
+# Query spaces are cached by their parts.
 Part = tuple[tuple[str, "tuple[Value, ...] | None"], ...]
+
+
+def _part(e: Expr) -> Part:
+    """The names e reads, with the cut points of its comparisons."""
+    uses = input_uses([e], (InputRef, VarRef))
+    if not uses:
+        return ()
+    return tuple(
+        (n, None if cuts is None else tuple(sorted(cuts)))
+        for n, cuts in sorted(uses.items())
+    )
 
 
 class _Space:
@@ -157,9 +169,8 @@ class _Rows:
         self.cand = cand
         self.ref = ref
         self._values: dict[str, tuple[Value, ...]] = {}
-        self._parts: dict[Part, Part] = {}
         self._stored: dict[int, tuple[tuple, Part]] = {}
-        self._spaces: dict[tuple[int, ...], _Space] = {}
+        self._spaces: dict[tuple[Part, ...], _Space] = {}
         self._interned: dict[tuple, _Space] = {}
         self._base = {n: dom.first(n) for n in dom.sorted_names()}
 
@@ -167,22 +178,6 @@ class _Rows:
         if name not in self._values:
             self._values[name] = self.dom.values(name)
         return self._values[name]
-
-    def part(self, items: Iterable[tuple[str, tuple[Value, ...] | None]]) -> Part:
-        """The one Part object with these items, which ``space`` keys by
-        identity."""
-        items = tuple(items)
-        return self._parts.setdefault(items, items)
-
-    def part_of(self, e: Expr) -> Part:
-        """The names e reads, with the cut points of its comparisons."""
-        uses = input_uses([e], (InputRef, VarRef))
-        if not uses:
-            return ()
-        return self.part(
-            (n, None if cuts is None else tuple(sorted(cuts)))
-            for n, cuts in sorted(uses.items())
-        )
 
     def stored_part(self, stored: StateRows, inputs: Mapping[str, DataType]) -> Part:
         """The part of a stored state's guards.
@@ -194,7 +189,7 @@ class _Rows:
         """
         hit = self._stored.get(id(stored.values))
         if hit is None:
-            part = self.part(
+            part = tuple(
                 (n, None if len(vals) == domain_size(inputs[n]) else vals)
                 for n, vals in zip(stored.names, stored.values)
             )
@@ -209,8 +204,7 @@ class _Rows:
         naming both systems and the state pair, when the rows exceed the
         budget.
         """
-        key = tuple(map(id, parts))
-        hit = self._spaces.get(key)
+        hit = self._spaces.get(parts)
         if hit is not None:
             return hit
         cuts: dict[str, set[Value] | None] = {}
@@ -240,7 +234,7 @@ class _Rows:
             )
         values = tuple(self.values(n) if s is None else s for n, s in zip(names, starts))
         hit = self._interned.setdefault((names, values), _Space(names, values))
-        self._spaces[key] = hit
+        self._spaces[parts] = hit
         return hit
 
     def row(self, space: _Space, i: int) -> dict[str, Value]:
@@ -280,7 +274,7 @@ class _Side:
         """The part of state s's output on port."""
         key = (s, port)
         if key not in self._out_parts:
-            self._out_parts[key] = self.rows.part_of(self.ts.outputs[s][port])
+            self._out_parts[key] = _part(self.ts.outputs[s][port])
         return self._out_parts[key]
 
     def output_fn(self, s: int, port: str, names: tuple[str, ...]) -> Callable:
@@ -304,7 +298,7 @@ class _Side:
                 part = self.rows.stored_part(stored, self.ts.inputs) if count > 1 else ()
                 self._parts[s] = [part] * count
             else:
-                self._parts[s] = [self.rows.part_of(g) for g, _ in self.ts.transitions[s]]
+                self._parts[s] = [_part(g) for g, _ in self.ts.transitions[s]]
         return self._parts[s]
 
     def bits(self, s: int, j: int, space: _Space) -> int:
