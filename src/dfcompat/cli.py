@@ -249,23 +249,26 @@ def _smt_queries(prep, config: CheckConfig) -> list[tuple[str, str, str]]:
     enums = {**prep.step_a.enums, **prep.step_b.enums}
     queries: list[tuple[str, str, str]] = []
 
+    stage = f"SMT queries of {prep.flat_a.name} and {prep.flat_b.name}"
     ports = _mapped_output_ports(prep)
     agreements = _initial_agreement(prep, ports)
     for port, agree in zip(ports, agreements):
         diff = Binary("ne", agree.left, agree.right)
-        verdict = "sat" if is_sat(diff, dom, config.solver_budget) else "unsat"
+        verdict = "sat" if is_sat(diff, dom, config.solver_budget, stage) else "unsat"
         queries.append(
             (f"init_output_diff_{port}", emit_check_sat(diff, dom, enums), verdict)
         )
     if agreements:
         joint = conjoin(agreements)
         neg = Unary("not", joint)
-        verdict = "sat" if is_sat(neg, dom, config.solver_budget) else "unsat"
+        verdict = "sat" if is_sat(neg, dom, config.solver_budget, stage) else "unsat"
         queries.append(
             ("init_outputs_agree_neg", emit_check_sat(neg, dom, enums), verdict)
         )
         if extras:
-            found = exists_forall_constants(joint, extras, dom, config.solver_budget)
+            found = exists_forall_constants(
+                joint, extras, dom, config.solver_budget, stage=stage
+            )
             queries.append(
                 (
                     "fix_constants_exist",

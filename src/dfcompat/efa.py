@@ -79,6 +79,7 @@ def build_efa(
     ] + [split_expr(step.updates[v], cap) for v in var_names]
 
     dom = full_domain(step)
+    stage = f"checking the guarded transitions of {step.name}"
     transitions: list[EfaTransition] = []
 
     def product(i: int, conds: tuple[Expr, ...], vals: list[Expr]) -> None:
@@ -95,7 +96,7 @@ def build_efa(
                     break
             if merged is None:
                 continue
-            if merged != conds and not is_sat(conjoin(list(merged)), dom, budget):
+            if merged != conds and not is_sat(conjoin(list(merged)), dom, budget, stage):
                 continue
             product(i + 1, merged, vals + [gd.value])
 
@@ -103,7 +104,7 @@ def build_efa(
 
     if verify:
         union = disjoin([t.guard for t in transitions])
-        hole = sat_witness(Unary("not", union), dom, budget)
+        hole = sat_witness(Unary("not", union), dom, budget, stage)
         if hole is not None:
             raise AssertionError(f"transition guards miss assignment {hole}")
         for i in range(len(transitions)):
@@ -112,6 +113,7 @@ def build_efa(
                     Binary("and", transitions[i].guard, transitions[j].guard),
                     dom,
                     budget,
+                    stage,
                 )
                 if overlap is not None:
                     raise AssertionError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArithmeticOverflow
 
@@ -23,8 +23,6 @@ INT64_MAX = (1 << 63) - 1
 
 Value = Union[bool, int, str]
 
-BOOL_BIN_OPS = ("and", "or", "xor")
-INT_BIN_OPS = ("add", "sub", "mul", "min", "max")
 CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 COMMUTATIVE_OPS = frozenset({"and", "or", "xor", "add", "mul", "min", "max", "eq", "ne"})
 
@@ -237,6 +235,186 @@ def free_signals(e: Expr) -> frozenset[str]:
     return frozenset(n.name for n in walk(e) if isinstance(n, SignalRef))
 
 
+# ``u op c`` can change truth only between c + k - 1 and c + k, for these k
+_CUT_AT = {"lt": (0,), "ge": (0,), "le": (1,), "gt": (1,), "eq": (0, 1), "ne": (0, 1)}
+# ``c op u`` is ``u op' c``
+_MIRROR = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le", "eq": "eq", "ne": "ne"}
+
+
+def input_uses(
+    exprs: Iterable[Expr], kinds: tuple[type, ...] = (InputRef,)
+) -> tuple[dict[str, set[int]], set[str]]:
+    """The names the expressions reference through a node of kinds, each
+    with the cut points of its comparisons with constants, and the names
+    some occurrence of which reads the value in any other way.
+
+    A cut point c says that some comparison may be true at c - 1 and false
+    at c, or the other way round.  An occurrence is a comparison only as a
+    direct operand of a comparison whose other operand is a ``Const``.
+    """
+    cuts: dict[str, set[int]] = {}
+    reads: set[str] = set()
+    stack = list(exprs)
+    while stack:
+        n = stack.pop()
+        kind = type(n)
+        if kind is Binary:
+            hit = _compared(n, kinds) if n.op in CMP_OPS else None
+            if hit is not None:
+                name, c, op = hit
+                found = cuts.get(name)
+                if found is None or found is _NO_CUTS:
+                    found = cuts[name] = set()
+                # a comparison with a non-integer has one truth value
+                if isinstance(c, int):
+                    found.update(int(c) + k for k in _CUT_AT[op])
+                continue
+            stack.append(n.right)
+            stack.append(n.left)
+        elif kind in kinds:
+            cuts.setdefault(n.name, _NO_CUTS)
+            reads.add(n.name)
+        elif kind is Unary:
+            stack.append(n.arg)
+        elif kind is Ite:
+            stack += (n.other, n.then, n.cond)
+    return cuts, reads
+
+
+# the cut points of a name read only by value, shared and never changed
+_NO_CUTS: frozenset[int] = frozenset()
+
+
+def _compared(n: Binary, kinds: tuple[type, ...]) -> tuple[str, Value, str] | None:
+    """For a comparison of a reference of kinds with a constant: the name,
+    the constant and the operator with the name on the left."""
+    if type(n.left) in kinds and type(n.right) is Const:
+        return n.left.name, n.right.value, n.op
+    if type(n.right) in kinds and type(n.left) is Const:
+        return n.right.name, n.left.value, _MIRROR[n.op]
+    return None
+
+
+# a node whose value is not the same on every row of a box
+_VARIES = object()
+# a comparison whose truth is the same on every row of a box, unknown which
+_FIXED = object()
+
+
+def box_reads(
+    exprs: Iterable[Expr], box: Mapping[str, tuple[int, int] | None]
+) -> dict[str, bool]:
+    """The names of box whose values the expressions read while each lies
+    in its range ``(lo, hi)``, each with whether it is read affinely.
+
+    A comparison of a boxed name with a constant whose truth is the same
+    over the whole range is decided, and an ``ite`` with a decided
+    condition evaluates one arm only, the way compiled code does; every
+    other node is evaluated, as ``compile_expr`` evaluates both operands of
+    a binary operator.  So on a box where a name is not read, evaluating
+    the expressions gives the same values, or raises the same error, for
+    every value of it in its range.  A name boxed with None lies in some
+    range on which each of its comparisons with a constant keeps its
+    truth, unknown which: those comparisons read nothing, and decide no
+    ``ite``.  A read is affine when every node that reads the name is the
+    name itself, ``add``, ``sub``, ``neg``, ``mul`` with one operand not
+    reading it, or an ``ite`` whose condition does not read it: each such
+    node is then affine in the name, and monotone, for any fixed values of
+    the other names.
+    """
+    out: dict[str, bool] = {}
+    for e in exprs:
+        out = _merged(out, _box_reads(e, box)[1])
+    return out
+
+
+def _box_reads(
+    n: Expr, box: Mapping[str, tuple[int, int] | None]
+) -> tuple[object, dict[str, bool]]:
+    """n's value when the same on the whole box (else ``_VARIES``), and
+    the boxed names it reads, each with whether affinely."""
+    kind = type(n)
+    if kind is Const:
+        return n.value, {}
+    if kind is InputRef:
+        return _VARIES, ({n.name: True} if n.name in box else {})
+    if kind is Binary:
+        op = n.op
+        if op in CMP_OPS:
+            val = _decided(n, box)
+            if val is _FIXED:
+                return _VARIES, {}
+            if val is not _VARIES:
+                return val, {}
+        lv, lr = _box_reads(n.left, box)
+        rv, rr = _box_reads(n.right, box)
+        if op == "add" or op == "sub":
+            reads = _merged(lr, rr)
+        elif op == "mul":
+            reads = _not_affine(_merged(lr, rr), lr.keys() & rr.keys())
+        else:
+            reads = _not_affine(_merged(lr, rr))
+        if lv is not _VARIES and rv is not _VARIES:
+            try:
+                return _BINARY[op](lv, rv), reads
+            except ArithmeticOverflow:
+                return _VARIES, reads
+        if (op == "and" and False in (lv, rv)) or (op == "or" and True in (lv, rv)):
+            return op == "or", reads
+        return _VARIES, reads
+    if kind is Ite:
+        cv, cr = _box_reads(n.cond, box)
+        cr = _not_affine(cr)
+        if cv is not _VARIES:
+            val, reads = _box_reads(n.then if cv else n.other, box)
+            return val, _merged(cr, reads)
+        arms = _merged(_box_reads(n.then, box)[1], _box_reads(n.other, box)[1])
+        return _VARIES, _merged(cr, arms)
+    if kind is Unary:
+        v, reads = _box_reads(n.arg, box)
+        if n.op == "neg":
+            return _VARIES, reads
+        return (_VARIES if v is _VARIES else not v), _not_affine(reads)
+    return _VARIES, {}
+
+
+def _decided(n: Binary, box: Mapping[str, tuple[int, int] | None]) -> object:
+    """For a comparison n of a boxed name with an integer constant: its
+    truth when the same over the name's whole range, ``_FIXED`` when the
+    range is not given; else ``_VARIES``."""
+    hit = _compared(n, (InputRef,))
+    if hit is None or hit[0] not in box or type(hit[1]) is not int:
+        return _VARIES
+    name, c, op = hit
+    if box[name] is None:
+        return _FIXED
+    lo, hi = box[name]
+    if any(lo < c + k <= hi for k in _CUT_AT[op]):
+        return _VARIES
+    return _BINARY[op](lo, c)
+
+
+def _merged(a: dict[str, bool], b: dict[str, bool]) -> dict[str, bool]:
+    """The reads of two subtrees: a name is read affinely when it is read
+    affinely wherever it is read."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for name, affine in b.items():
+        out[name] = out.get(name, True) and affine
+    return out
+
+
+def _not_affine(reads: dict[str, bool], names: Iterable[str] | None = None) -> dict[str, bool]:
+    """reads with the given names (default all) no longer read affinely."""
+    names = reads.keys() if names is None else names
+    if not any(reads[n] for n in names):
+        return reads
+    return {n: a and n not in names for n, a in reads.items()}
+
+
 def substitute(
     e: Expr,
     signals: Mapping[str, Expr] | None = None,
@@ -341,9 +519,6 @@ def _fold_binary(op: str, a: Expr, b: Expr) -> Expr:
 def fold(e: Expr) -> Expr:
     """Bottom-up constant folding.  Total: overflowing folds are skipped."""
     return partial_eval(e, {})
-
-
-_KIND_RANK = {Const: 0, InputRef: 1, VarRef: 2, SignalRef: 3, Unary: 4, Binary: 5, Ite: 6}
 
 
 def structural_key(e: Expr) -> tuple:

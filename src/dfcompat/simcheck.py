@@ -29,9 +29,11 @@ from .exprs import (
     InputRef,
     Value,
     VarRef,
+    box_reads,
     compile_expr,
     conjoin,
     eval_expr,
+    input_uses,
     partial_eval,
 )
 from .model import (
@@ -52,6 +54,8 @@ from .solver import (
     Domain,
     exists_forall_constants,
     declared_names,
+    interval_starts,
+    row_count,
     sat_witness,  # noqa: F401 - dfbench/tracing.py wraps this module's sat_witness
 )
 from .symbolic import (
@@ -63,13 +67,13 @@ from .symbolic import (
     restrict_to_outputs,
     summarize,
 )
+from . import unfold
 from .unfold import (
     DEFAULT_STATE_BUDGET,
     StateRows,
     Ts,
-    input_uses,
-    interval_starts,
     row_bitsets,
+    spans,
     unfold_to_ts,
 )
 
@@ -116,21 +120,22 @@ class SimResult:
         return self._visited()
 
 
-# A query part: the names some expression reads, each with the cut points
-# its comparisons with constants put into the name's range, or None when
-# the expression reads the name's value (rows then take every value).
-# Query spaces are cached by their parts.
+# A query part: the names some expressions read, each with the cut points
+# their comparisons with constants put into the name's range, or None when
+# they read the name's value otherwise (rows then take every value, but for
+# an integer an output comparison reads affinely).  Query spaces are cached
+# by their parts.
 Part = tuple[tuple[str, "tuple[Value, ...] | None"], ...]
 
 
-def _part(e: Expr) -> Part:
-    """The names e reads, with the cut points of its comparisons."""
-    uses = input_uses([e], (InputRef, VarRef))
-    if not uses:
+def _part(exprs: Iterable[Expr]) -> Part:
+    """The names the expressions read, with the cut points of their
+    comparisons."""
+    cuts, reads = input_uses(exprs, (InputRef, VarRef))
+    if not cuts:
         return ()
     return tuple(
-        (n, None if cuts is None else tuple(sorted(cuts)))
-        for n, cuts in sorted(uses.items())
+        (n, None if n in reads else tuple(sorted(cuts[n]))) for n in sorted(cuts)
     )
 
 
@@ -139,11 +144,13 @@ class _Space:
 
     A row value of an integer name stands for the interval up to the next
     one (the last one up to the domain's maximum), on which every
-    expression the query evaluates keeps its value; of any other name, for
-    itself.  Row i is the i-th combination in ``itertools.product`` order,
-    the first name most significant, so the lowest set bit of a row bitset
-    is the lexicographically least row, and the least input value of its
-    intervals is the least input full enumeration would find.
+    expression the query evaluates keeps its value, or, for the rows of an
+    affine output comparison (``_Rows.affine_space``), differs from the
+    row value's at most where it does at the next one; of any other name,
+    for itself.  Row i is the i-th combination in ``itertools.product``
+    order, the first name most significant, so the lowest set bit of a row
+    bitset is the lexicographically least row, and the least input value
+    of its intervals is the least input full enumeration would find.
     """
 
     __slots__ = ("names", "values", "size")
@@ -157,10 +164,11 @@ class _Space:
 class _Rows:
     """The query spaces of one simulates call.
 
-    A query over parts (``Part``) spans their names; each integer name's
-    row values are the common refinement of the parts' cut points and of
-    both systems' declared range ends, so the candidate's extra range, or
-    the part of the domain it does not declare, is an interval of its own.
+    A query over parts (``Part``) spans their names; each integer name
+    they only compare takes as row values the common refinement of the
+    parts' cut points and of both systems' declared range ends, so the
+    candidate's extra range, or the part of the domain it does not
+    declare, is an interval of its own.
     """
 
     def __init__(self, dom: Domain, budget: int, cand: Ts, ref: Ts):
@@ -171,6 +179,7 @@ class _Rows:
         self._values: dict[str, tuple[Value, ...]] = {}
         self._stored: dict[int, tuple[tuple, Part]] = {}
         self._spaces: dict[tuple[Part, ...], _Space] = {}
+        self._affine_names: dict[tuple[Part, ...], str | None] = {}
         self._interned: dict[tuple, _Space] = {}
         self._base = {n: dom.first(n) for n in dom.sorted_names()}
 
@@ -197,6 +206,36 @@ class _Rows:
             hit = self._stored[id(stored.values)] = (stored.values, part)
         return hit[1]
 
+    def _layout(self, parts: Iterable[Part]) -> tuple[tuple[str, ...], list]:
+        """The names of the parts, in sorted order, and per name its
+        interval starts, refined with both systems' declared range ends,
+        or None when it takes every value.  Raises DomainError for names
+        outside the domain."""
+        cuts: dict[str, set[Value] | None] = {}
+        for n, c in itertools.chain.from_iterable(parts):
+            seen = cuts.get(n, set())
+            cuts[n] = None if c is None or seen is None else seen | set(c)
+        names = tuple(declared_names(cuts, self.dom))
+        return names, [self._starts(n, cuts[n]) for n in names]
+
+    def _starts(self, name: str, cuts: set[Value] | None) -> tuple[int, ...] | None:
+        if cuts is None or not unfold.INTERVAL_ROWS:
+            return None
+        for ts in (self.cand, self.ref):
+            dt = ts.inputs.get(name)
+            if isinstance(dt, IntType):
+                cuts = cuts | {dt.lo, dt.hi + 1}
+        return interval_starts(self.dom.dtypes[name], cuts)
+
+    def _refuse(self, pair: tuple[int, int], size: int) -> None:
+        if size > self.budget:
+            ai, bi = pair
+            raise DomainTooLarge(
+                f"simulating {self.ref.name} by {self.cand.name} needs {size} "
+                f"input rows in candidate state {self.cand.label(ai)}, reference "
+                f"state {self.ref.label(bi)} (budget {self.budget})"
+            )
+
     def space(self, pair: tuple[int, int], *parts: Part) -> _Space:
         """The rows of a query over these parts, asked at the state pair.
 
@@ -207,35 +246,73 @@ class _Rows:
         hit = self._spaces.get(parts)
         if hit is not None:
             return hit
-        cuts: dict[str, set[Value] | None] = {}
-        for n, c in itertools.chain.from_iterable(parts):
-            seen = cuts.get(n, set())
-            cuts[n] = None if c is None or seen is None else seen | set(c)
-        names = tuple(declared_names(cuts, self.dom))
-        starts = []
-        for n in names:
-            c = cuts[n]
-            if c is not None:
-                for ts in (self.cand, self.ref):
-                    dt = ts.inputs.get(n)
-                    if isinstance(dt, IntType):
-                        c |= {dt.lo, dt.hi + 1}
-            starts.append(interval_starts(self.dom.dtypes[n], c))
-        size = math.prod(
-            domain_size(self.dom.dtypes[n]) if s is None else len(s)
-            for n, s in zip(names, starts)
-        )
-        if size > self.budget:
-            ai, bi = pair
-            raise DomainTooLarge(
-                f"simulating {self.ref.name} by {self.cand.name} needs {size} "
-                f"input rows in candidate state {self.cand.label(ai)}, reference "
-                f"state {self.ref.label(bi)} (budget {self.budget})"
-            )
+        names, starts = self._layout(parts)
+        self._refuse(pair, row_count(self.dom, zip(names, starts)))
         values = tuple(self.values(n) if s is None else s for n, s in zip(names, starts))
         hit = self._interned.setdefault((names, values), _Space(names, values))
         self._spaces[parts] = hit
         return hit
+
+    def output_rows(self, pair: tuple[int, int], parts: tuple[Part, ...]) -> _Space | str:
+        """The rows of an output comparison over parts, asked at the state
+        pair: the space already built for the parts, if any; else the one
+        integer name they read by value, when there is one, it has more
+        than ``unfold.SPLIT_MIN_VALUES`` values and interval rows are on,
+        for ``affine_space``; else ``space``."""
+        hit = self._spaces.get(parts)
+        if hit is not None:
+            return hit
+        if parts not in self._affine_names:
+            names = {n for n, c in itertools.chain.from_iterable(parts) if c is None}
+            ints = [n for n in names if isinstance(self.dom.dtypes.get(n), IntType)]
+            self._affine_names[parts] = (
+                ints[0] if unfold.INTERVAL_ROWS and len(ints) == 1
+                and domain_size(self.dom.dtypes[ints[0]]) > unfold.SPLIT_MIN_VALUES else None
+            )
+        return self._affine_names[parts] or self.space(pair, *parts)
+
+    def affine_space(
+        self, pair: tuple[int, int], name: str, cuts: Iterable[int], parts: tuple[Part, ...],
+        compiled: Callable[[tuple[str, ...]], Sequence[Callable]],
+    ) -> _Space:
+        """The rows of comparing outputs over parts that read the integer
+        name affinely (``box_reads``) and compare it at cuts, asked at the
+        state pair.
+
+        Its range is split at the cut points and both systems' range ends,
+        and each interval takes its two least values: on it, the difference
+        of two affine functions that is zero at both is zero throughout.
+        Evaluating the outputs at the interval's greatest value, for every
+        row of the other names, must not raise: affine nodes are monotone,
+        so none raises anywhere in the interval.  An interval where one
+        does takes every value, and the error comes where full enumeration
+        meets it.  ``compiled`` gives the outputs as functions of a row
+        over some names.  Other names take the rows of ``space``.
+        """
+        names, starts = self._layout(parts)
+        at = names.index(name)
+        starts[at] = ()
+        # only the one name read by value takes every value of a wide range
+        values = [self.values(n) if s is None else s for n, s in zip(names, starts)]
+        others = math.prod(map(len, values[:at] + values[at + 1:]))
+        ranges = spans(self.dom.dtypes[name], self._starts(name, set(cuts)))
+        # per interval, the least and the greatest value that is a row
+        segments = [(lo, min(lo + 1, hi)) for lo, hi in ranges]
+        self._refuse(pair, others * sum(hi - lo + 1 for lo, hi in segments))
+        fns = compiled(names)
+        for i, (lo, hi) in enumerate(ranges):
+            values[at] = (hi,)
+            try:
+                for combo in itertools.product(*values):
+                    for f in fns:
+                        f(combo)
+            except Exception:
+                segments[i] = (lo, hi)
+        self._refuse(pair, others * sum(hi - lo + 1 for lo, hi in segments))
+        values[at] = tuple(
+            itertools.chain.from_iterable(range(lo, hi + 1) for lo, hi in segments)
+        )
+        return self._interned.setdefault((names, tuple(values)), _Space(names, tuple(values)))
 
     def row(self, space: _Space, i: int) -> dict[str, Value]:
         """Row i of space as a total assignment, other names at their
@@ -250,32 +327,44 @@ class _Rows:
 class _Side:
     """One transition system seen through the rows of the simulation domain.
 
-    Each transition has a part: the names its guard mentions, with their
-    cut points.  A stored state's transitions share the state's names and
-    row values.  Per query space a transition has a row bitset: the
+    A state's transitions share one part: the names its guards mention,
+    with their cut points; a stored state's are its names and row values.
+    Per query space a state has a row bitset per transition: the
     unfolding's bitsets serve the space with the state's own rows, on any
     other space each row is placed in the stored row holding its values,
-    and a hand-built guard is compiled and evaluated once per row.  A state
-    whose rows all take one transition has the guard TRUE, with no names,
-    which holds on every row of the domain, also outside the system's
-    declared input range.  Each state's outputs are compiled once per
-    query space.
+    and a hand-built state's guards are compiled and evaluated once per
+    row.  A stored state whose rows all take one transition has the guard
+    TRUE, with no names, which holds on every row of the domain, also
+    outside the system's declared input range.  Each state's outputs are
+    compiled once per query space.
     """
 
     def __init__(self, ts: Ts, rows: _Rows):
         self.ts = ts
         self.rows = rows
         self._parts: dict[int, list[Part]] = {}
-        self._bits: dict[tuple[int, _Space], list[int | None]] = {}
+        self._bits: dict[tuple[int, _Space], list[int]] = {}
         self._out_parts: dict[tuple[int, str], Part] = {}
         self._out_fns: dict[tuple[int, str, tuple[str, ...]], Callable] = {}
+        self._affine: dict[tuple[int, str, str], tuple[int, ...] | None] = {}
 
     def output_part(self, s: int, port: str) -> Part:
         """The part of state s's output on port."""
         key = (s, port)
         if key not in self._out_parts:
-            self._out_parts[key] = _part(self.ts.outputs[s][port])
+            self._out_parts[key] = _part([self.ts.outputs[s][port]])
         return self._out_parts[key]
+
+    def affine_cuts(self, s: int, port: str, name: str) -> tuple[int, ...] | None:
+        """The cut points of name in state s's output on port when, within
+        each interval of them, the output reads name affinely or not at
+        all; else None."""
+        key = (s, port, name)
+        if key not in self._affine:
+            out = self.ts.outputs[s][port]
+            affine = box_reads([out], {name: None}).get(name, True)
+            self._affine[key] = tuple(input_uses([out])[0].get(name, ())) if affine else None
+        return self._affine[key]
 
     def output_fn(self, s: int, port: str, names: tuple[str, ...]) -> Callable:
         """State s's output on port as a function of a row over names."""
@@ -290,39 +379,39 @@ class _Side:
         return [t for _, t in self.ts.transitions[s]]
 
     def parts(self, s: int) -> list[Part]:
-        """Per transition, the part of its guard."""
+        """Per transition, the part of its state's guards."""
         if s not in self._parts:
             if self.ts.rows:
                 stored = self.ts.rows[s]
                 count = len(stored.targets)
                 part = self.rows.stored_part(stored, self.ts.inputs) if count > 1 else ()
-                self._parts[s] = [part] * count
             else:
-                self._parts[s] = [_part(g) for g, _ in self.ts.transitions[s]]
+                guards = [g for g, _ in self.ts.transitions[s]]
+                count, part = len(guards), _part(guards)
+            self._parts[s] = [part] * count
         return self._parts[s]
 
     def bits(self, s: int, j: int, space: _Space) -> int:
         """Row bitset over space of transition j of state s.
 
-        The space spans the names of the transition's part.
+        The space spans the names of the state's part.
         """
         key = (s, space)
         if key not in self._bits:
             self._bits[key] = (
-                self._stored_bits(s, space) if self.ts.rows
-                else [None] * len(self.ts.transitions[s])
+                self._stored_bits(s, space) if self.ts.rows else self._guard_bits(s, space)
             )
-        cached = self._bits[key]
-        if cached[j] is None:
-            guard = compile_expr(self.ts.transitions[s][j][0], space.names)
-            fires = (
-                (i, 0) for i, combo in enumerate(itertools.product(*space.values))
-                if guard(combo)
-            )
-            cached[j] = row_bitsets(fires, 1, space.size)[0]
-        return cached[j]
+        return self._bits[key][j]
 
-    def _stored_bits(self, s: int, space: _Space) -> list[int | None]:
+    def _guard_bits(self, s: int, space: _Space) -> list[int]:
+        guards = [compile_expr(g, space.names) for g, _ in self.ts.transitions[s]]
+        fires = (
+            (i, j) for i, combo in enumerate(itertools.product(*space.values))
+            for j, guard in enumerate(guards) if guard(combo)
+        )
+        return row_bitsets(fires, len(guards), space.size)
+
+    def _stored_bits(self, s: int, space: _Space) -> list[int]:
         stored = self.ts.rows[s]
         count = len(stored.targets)
         if count == 1:
@@ -402,7 +491,18 @@ def simulates(
         # rows in order, the candidate's output evaluated first: the least
         # differing row, and an overflow only where enumeration reaches it
         # first, as sat_witness over the two outputs' inequality
-        space = rows.space((ai, bi), a.output_part(ai, port), b.output_part(bi, port))
+        parts = (a.output_part(ai, port), b.output_part(bi, port))
+        space = rows.output_rows((ai, bi), parts)
+        if type(space) is str:
+            name = space
+            cuts = a.affine_cuts(ai, port, name), b.affine_cuts(bi, port, name)
+            if None in cuts:
+                space = rows.space((ai, bi), *parts)
+            else:
+                space = rows.affine_space(
+                    (ai, bi), name, cuts[0] + cuts[1], parts,
+                    lambda names: (a.output_fn(ai, port, names), b.output_fn(bi, port, names)),
+                )
         fa = a.output_fn(ai, port, space.names)
         fb = b.output_fn(bi, port, space.names)
         for i, combo in enumerate(itertools.product(*space.values)):
@@ -863,7 +963,8 @@ def fix_free_ports(
     exclude: list[dict[str, Value]] = []
     for _ in range(config.fix_iterations):
         cand = exists_forall_constants(
-            necessary, extras, dom_free, config.solver_budget, exclude
+            necessary, extras, dom_free, config.solver_budget, exclude,
+            stage=f"fix search for {prep.flat_a.name}",
         )
         if cand is None:
             return None

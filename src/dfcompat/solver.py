@@ -15,12 +15,13 @@ external solver.
 from __future__ import annotations
 
 import itertools
+import math
 import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import DomainError, DomainTooLarge, SolverFailure
 from .exprs import (
@@ -33,10 +34,10 @@ from .exprs import (
     Unary,
     Value,
     VarRef,
-    conjoin,
     disjoin,
     eval_expr,
     free_names,
+    input_uses,
     substitute,
 )
 from .model import (
@@ -105,39 +106,68 @@ def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
     return declared_names(free_names(expr), dom)
 
 
-def query_names(
-    names: Iterable[str], dom: Domain, budget: int = DEFAULT_BUDGET
-) -> list[str]:
-    """Sorted names a satisfiability query enumerates.
+def interval_starts(dt: DataType, cuts: Collection[int]) -> tuple[int, ...] | None:
+    """The least values of the intervals the cut points split an integer
+    range into, in ascending order; None for any other type."""
+    if not isinstance(dt, IntType):
+        return None
+    return (dt.lo, *sorted(c for c in set(cuts) if dt.lo < c <= dt.hi))
 
-    Raises DomainError for undeclared names and DomainTooLarge when their
-    product space exceeds the budget.
+
+def row_starts(
+    exprs: Iterable[Expr], dom: Domain
+) -> tuple[list[str], list[tuple[int, ...] | None]]:
+    """The sorted names the expressions mention, and per name the interval
+    starts of an integer only compared with constants, or None for a name
+    enumerated value by value.
+
+    On each interval such a name leaves every expression's value, and what
+    evaluating it raises, the same, so its least value stands for the
+    interval.  Raises DomainError for undeclared names.
     """
-    free = declared_names(names, dom)
-    space = dom.space(free)
-    if space > budget:
-        raise DomainTooLarge(
-            f"satisfiability over {len(free)} names needs {space} evaluations "
-            f"(budget {budget})"
-        )
-    return free
+    cuts, reads = input_uses(exprs, (InputRef, VarRef))
+    names = declared_names(cuts, dom)
+    return names, [
+        None if n in reads else interval_starts(dom.dtypes[n], cuts[n]) for n in names
+    ]
+
+
+def row_count(dom: Domain, named_starts: Iterable[tuple[str, tuple | None]]) -> int:
+    """The rows of names with these interval starts (None: every value)."""
+    return math.prod(
+        domain_size(dom.dtypes[n]) if s is None else len(s) for n, s in named_starts
+    )
 
 
 def sat_witness(
-    expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET
+    expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET, stage: str = "satisfiability"
 ) -> dict[str, Value] | None:
-    """Least satisfying total assignment, or None when unsatisfiable."""
-    free = query_names(free_names(expr), dom, budget)
+    """Least satisfying total assignment, or None when unsatisfiable.
+
+    An integer the formula only compares with constants is enumerated one
+    row per interval (``row_starts``).  Raises DomainError for undeclared
+    names and DomainTooLarge, naming the stage, when the rows exceed the
+    budget; no value list is built then.
+    """
+    names, starts = row_starts([expr], dom)
+    space = row_count(dom, zip(names, starts))
+    if space > budget:
+        raise DomainTooLarge(
+            f"{stage} needs {space} input rows over {len(names)} names (budget {budget})"
+        )
     base = {n: dom.first(n) for n in dom.sorted_names()}
-    for combo in itertools.product(*(dom.values(n) for n in free)):
-        env = base | dict(zip(free, combo))
+    values = [dom.values(n) if s is None else s for n, s in zip(names, starts)]
+    for combo in itertools.product(*values):
+        env = base | dict(zip(names, combo))
         if eval_expr(expr, env):
             return env
     return None
 
 
-def is_sat(expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET) -> bool:
-    return sat_witness(expr, dom, budget) is not None
+def is_sat(
+    expr: Expr, dom: Domain, budget: int = DEFAULT_BUDGET, stage: str = "satisfiability"
+) -> bool:
+    return sat_witness(expr, dom, budget, stage) is not None
 
 
 @dataclass(frozen=True)
@@ -152,6 +182,7 @@ def minimal_cover(
     candidates: Sequence[Expr],
     dom: Domain,
     budget: int = DEFAULT_BUDGET,
+    stage: str = "satisfiability",
 ) -> CoverResult:
     """Which candidate guards are needed to cover the target guard.
 
@@ -163,10 +194,10 @@ def minimal_cover(
     chosen = tuple(
         i
         for i, cand in enumerate(candidates)
-        if sat_witness(Binary("and", target, cand), dom, budget) is not None
+        if sat_witness(Binary("and", target, cand), dom, budget, stage) is not None
     )
     union = disjoin([candidates[i] for i in chosen])
-    residual = sat_witness(Binary("and", target, Unary("not", union)), dom, budget)
+    residual = sat_witness(Binary("and", target, Unary("not", union)), dom, budget, stage)
     return CoverResult(residual is None, chosen, residual)
 
 
@@ -176,23 +207,26 @@ def exists_forall_constants(
     dom: Domain,
     budget: int = DEFAULT_BUDGET,
     exclude: Sequence[Mapping[str, Value]] = (),
+    stage: str = "constant search",
 ) -> dict[str, Value] | None:
     """Constants for const_names making the formula valid over the rest.
 
     Candidate constant vectors are tried in lexicographic order, skipping
     excluded ones; the first vector whose substituted formula has no
-    counterexample wins.
+    counterexample wins.  The budget counts the constant vectors times the
+    rows of the other names (``row_starts``).
     """
     consts = sorted(const_names)
     for c in consts:
         if c not in dom:
             raise DomainError(f"constant {c} has no declared domain")
-    forall_names = [n for n in _free_in_domain(formula, dom) if n not in consts]
-    space = dom.space(consts) * dom.space(forall_names)
+    names, starts = row_starts([formula], dom)
+    forall = [(n, s) for n, s in zip(names, starts) if n not in consts]
+    space = dom.space(consts) * row_count(dom, forall)
     if space > budget:
         raise DomainTooLarge(
-            f"exists-forall over {len(consts)}+{len(forall_names)} names needs "
-            f"{space} evaluations (budget {budget})"
+            f"{stage} needs {space} input rows over {len(consts)}+{len(forall)} names "
+            f"(budget {budget})"
         )
     skip = {tuple(sorted(e.items())) for e in exclude}
     inner_dom = dom.restrict(n for n in dom.sorted_names() if n not in consts)
@@ -205,7 +239,7 @@ def exists_forall_constants(
             inputs={c: Const(v) for c, v in cand.items()},
             variables={c: Const(v) for c, v in cand.items()},
         )
-        if sat_witness(Unary("not", bound), inner_dom, budget) is None:
+        if sat_witness(Unary("not", bound), inner_dom, budget, stage) is None:
             return cand
     return None
 

@@ -9,14 +9,14 @@ state keeps the transition each of its enumerated input rows takes, and per
 transition the bitset of those rows, which the simulation check reads
 instead of the guards.
 
-An integer input that a state's specialised updates, guard and outputs only
-compare with constants is enumerated one row per interval of its declared
-range on which every such comparison keeps its truth; the row's value is
-the interval's least value.  Every other input is enumerated value by
-value.  ``_Image.rows`` enumerates one state's rows and the successor each
-reaches, evaluating the state's updates as closures compiled once per
-state; ``unfold_to_ts``, ``compute_image`` and ``efa.image_map`` keep only
-their own bookkeeping around it.
+An integer input that a state's specialised updates and guard compare with
+constants is split where those comparisons can change truth.  On an
+interval where they do not read its value otherwise, the interval is one
+row, at its least value; where they do, each value is a row.  Every other
+input is enumerated value by value.  ``_Image.rows`` enumerates one state's
+rows and the successor each reaches, evaluating the state's updates as
+closures compiled once per state; ``unfold_to_ts``, ``compute_image`` and
+``efa.image_map`` keep only their own bookkeeping around it.
 """
 
 from __future__ import annotations
@@ -24,29 +24,28 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import NamedTuple
 
 from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
 from .exprs import (
-    CMP_OPS,
     Binary,
     Const,
     Expr,
     InputRef,
-    Ite,
     TRUE,
-    Unary,
     Value,
+    box_reads,
     compile_expr,
     conjoin,
     disjoin,
     eval_expr,
+    input_uses,
     partial_eval,
     to_str,
 )
 from .model import DataType, EnumType, IntType, domain_size, in_domain
-from .solver import DEFAULT_BUDGET, Domain
+from .solver import DEFAULT_BUDGET, Domain, interval_starts
 from .symbolic import SymbolicStep
 
 DEFAULT_STATE_BUDGET = 100_000
@@ -54,70 +53,24 @@ DEFAULT_STATE_BUDGET = 100_000
 # longer ones are filled in bytearrays, where setting bits one by one on an
 # ever longer int would copy it at every step (quadratic in the rows).
 WORD_ROWS = 64
-# Enumerate comparison-only integer inputs one row per interval; when off,
-# every integer input is enumerated value by value, as a reference.
+# Enumerate integer inputs compared with constants by intervals, in the
+# unfolding and in the simulation's queries; when off, every integer input
+# is enumerated value by value, as a reference.
 INTERVAL_ROWS = True
+# An integer input read by value with at most this many values takes every
+# value, in the unfolding and in the simulation's output comparisons:
+# splitting its range costs more than the rows it saves.
+SPLIT_MIN_VALUES = 64
 
 StateVec = tuple[Value, ...]
 
 
 Row = tuple[tuple[Value, ...], StateVec]
 
-# ``u op c`` can change truth only between c + k - 1 and c + k, for these k
-_CUT_AT = {"lt": (0,), "ge": (0,), "le": (1,), "gt": (1,), "eq": (0, 1), "ne": (0, 1)}
-# ``c op u`` is ``u op' c``
-_MIRROR = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le", "eq": "eq", "ne": "ne"}
 
-
-def input_uses(
-    exprs: Iterable[Expr], kinds: tuple[type, ...] = (InputRef,)
-) -> dict[str, set[int] | None]:
-    """Per name the expressions reference through a node of kinds: the
-    cut points of its comparisons with constants, or None when some
-    occurrence uses its value in any other way.
-
-    A cut point c says that some comparison may be true at c - 1 and false
-    at c, or the other way round.  An occurrence is a comparison only as a
-    direct operand of a comparison whose other operand is a ``Const``.
-    """
-    uses: dict[str, set[int] | None] = {}
-    stack = list(exprs)
-    while stack:
-        n = stack.pop()
-        kind = type(n)
-        if kind is Binary:
-            left, right, op = n.left, n.right, n.op
-            if op in CMP_OPS:
-                if type(left) in kinds and type(right) is Const:
-                    ref, c = left, right.value
-                elif type(right) in kinds and type(left) is Const:
-                    ref, c, op = right, left.value, _MIRROR[op]
-                else:
-                    ref = None
-                if ref is not None:
-                    cuts = uses.setdefault(ref.name, set())
-                    # a comparison with a non-integer has one truth value
-                    if cuts is not None and isinstance(c, int):
-                        cuts.update(int(c) + k for k in _CUT_AT[op])
-                    continue
-            stack.append(right)
-            stack.append(left)
-        elif kind in kinds:
-            uses[n.name] = None
-        elif kind is Unary:
-            stack.append(n.arg)
-        elif kind is Ite:
-            stack += (n.other, n.then, n.cond)
-    return uses
-
-
-def interval_starts(dt: DataType, cuts: Collection[int] | None) -> tuple[int, ...] | None:
-    """The least values of the intervals the cut points split an integer
-    range into, in ascending order; None when the input is enumerated value
-    by value (not an integer, no cuts given, or ``INTERVAL_ROWS`` off)."""
-    if cuts is None or not INTERVAL_ROWS or not isinstance(dt, IntType):
-        return None
-    return (dt.lo, *sorted(c for c in set(cuts) if dt.lo < c <= dt.hi))
+def spans(dt: IntType, starts: Sequence[int]) -> list[tuple[int, int]]:
+    """The (least, greatest) values of the intervals with these starts."""
+    return list(zip(starts, [s - 1 for s in starts[1:]] + [dt.hi]))
 
 
 class _Image:
@@ -139,7 +92,7 @@ class _Image:
 
     def rows(
         self, binding: dict[str, Value], updates: Mapping[str, Expr],
-        guard: Expr | None = None, outputs: Iterable[Expr] = (),
+        guard: Expr | None = None,
     ) -> tuple[tuple[str, ...], tuple[tuple[Value, ...], ...], Iterator[Row]]:
         """The inputs a state's rows range over, each one's row values, and
         the rows themselves.
@@ -147,41 +100,80 @@ class _Image:
         The updates and the guard are specialised to the state and compiled
         once, and only the inputs they still mention are enumerated, in
         ``itertools.product`` order of their row values; every other input
-        sits at its first value.  An integer input that they and the
-        (specialised) outputs only compare with constants takes one row per
-        interval, at its least value (``input_uses``, ``interval_starts``).
-        The budget counts these rows.  Each row the guard admits (every row
-        without one) yields its values over the inputs and the successor
-        vector; ``assignment`` makes a row a total assignment.
+        sits at its first value.  An integer input they compare with
+        constants is split into intervals where those comparisons can
+        change truth (``input_uses``, ``interval_starts``).  One only
+        compared takes one row per interval, at its least value.  One also
+        read otherwise, with more than ``SPLIT_MIN_VALUES`` values, takes a
+        row per value on the intervals where some box of the split inputs'
+        intervals reads it (``box_reads``), and one row elsewhere.  The
+        budget counts these rows.  Each row the guard
+        admits (every row without one) yields its values over the inputs
+        and the successor vector; ``assignment`` makes a row a total
+        assignment.
         """
         spec = [partial_eval(updates[v], binding) for v in self.var_names]
         if guard is not None:
             guard = partial_eval(guard, binding)
-        uses = input_uses(spec if guard is None else spec + [guard])
-        # a step without integer inputs has nothing to split
-        if self.ints and any(cuts is not None for cuts in uses.values()):
-            for n, cuts in input_uses(outputs).items():
-                if cuts is None and n in uses:
-                    uses[n] = None
-        names = tuple(sorted(uses))
-        starts = [interval_starts(self.dom.dtypes[n], uses[n]) for n in names]
-        space = math.prod(
-            domain_size(self.dom.dtypes[n]) if s is None else len(s)
-            for n, s in zip(names, starts)
-        )
+        exprs = spec if guard is None else spec + [guard]
+        cuts, reads = input_uses(exprs)
+        names = tuple(sorted(cuts))
+        dtypes = self.dom.dtypes
+        # per name: the (least, greatest) values of the segments each value
+        # of which is a row, or None for every declared value
+        plan: list[tuple[tuple[int, int], ...] | None] = [None] * len(names)
+        split = {}
+        if INTERVAL_ROWS and self.ints and any(cuts.values()):
+            for k, n in enumerate(names):
+                s = interval_starts(dtypes[n], cuts[n])
+                if s is not None and (
+                    n not in reads or len(s) > 1 and domain_size(dtypes[n]) > SPLIT_MIN_VALUES
+                ):
+                    plan[k] = tuple((lo, lo) for lo in s)
+                    if n in reads:
+                        split[k] = spans(dtypes[n], s)
+        # one row per interval of a split name bounds the rows from below
+        if split and self._count(names, plan) <= self.budget:
+            for k, segments in self._split(exprs, names, split).items():
+                plan[k] = segments
+        space = self._count(names, plan)
         if space > self.budget:
             state = _label(self.var_names, [binding[v] for v in self.var_names])
             raise DomainTooLarge(
                 f"unfolding {self.step.name} needs {space} input rows in state "
                 f"{state} (budget {self.budget})"
             )
-        key = (names, tuple(starts))
+        key = (names, tuple(plan))
         values = self._row_values.get(key)
         if values is None:
             values = self._row_values[key] = tuple(
-                self._values(n) if s is None else s for n, s in zip(names, starts)
+                self._values(n) if g is None
+                else tuple(itertools.chain.from_iterable(range(lo, hi + 1) for lo, hi in g))
+                for n, g in zip(names, plan)
             )
         return names, values, self._walk(binding, names, values, spec, guard)
+
+    def _count(self, names: tuple[str, ...], plan: list) -> int:
+        return math.prod(
+            domain_size(self.dom.dtypes[n]) if g is None else sum(hi - lo + 1 for lo, hi in g)
+            for n, g in zip(names, plan)
+        )
+
+    def _split(
+        self, exprs: list[Expr], names: tuple[str, ...], split: dict[int, list[tuple[int, int]]]
+    ) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Per split name (by position), its segments: each interval that
+        some box of the split names' intervals reads it on, and the least
+        value of every other."""
+        read = {k: [False] * len(r) for k, r in split.items()}
+        for box in itertools.product(*(enumerate(r) for r in split.values())):
+            found = box_reads(exprs, {names[k]: span for k, (_, span) in zip(split, box)})
+            for k, (i, _) in zip(split, box):
+                read[k][i] |= names[k] in found
+        return {
+            k: tuple((lo, hi if r else lo) for (lo, hi), r in zip(split[k], read[k]))
+            for k in split
+        }
 
     def _values(self, name: str) -> tuple[Value, ...]:
         if name not in self._declared:
@@ -238,12 +230,12 @@ def compute_image(
 class StateRows(NamedTuple):
     """The input rows one state's unfolding enumerated.
 
-    ``values[k]`` are the row values of ``names[k]``: every declared value,
-    or for an integer input enumerated by intervals, each interval's least
-    value, the interval reaching up to the next one (the last one to the
-    declared maximum).  Row i is the i-th combination of the names' row
-    values in ``itertools.product`` order and stands for every declared
-    input its intervals contain; ``edges[i]`` is the position, in the
+    ``values[k]`` are the row values of ``names[k]``, ascending: every
+    declared value, or for an integer input split into intervals, some of
+    them, each standing for the values up to the next one (the last one
+    up to the declared maximum).  Row i is the i-th combination of the
+    names' row values in ``itertools.product`` order and stands for every
+    declared input its intervals contain; ``edges[i]`` is the position, in the
     state's transition list, of the transition row i takes, ``targets[j]``
     is the successor state of transition j, and bit i of ``bits[j]`` is set
     when row i takes transition j.
@@ -396,9 +388,7 @@ def unfold_to_ts(
         outputs.append(
             {p: partial_eval(e, binding) for p, e in sorted(step.outputs.items())}
         )
-        names, values, rows = image.rows(
-            binding, step.updates, outputs=outputs[-1].values()
-        )
+        names, values, rows = image.rows(binding, step.updates)
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []

@@ -286,9 +286,10 @@ class GenSpec:
     """Block-diagram skeleton the generator renders to model text."""
 
     def __init__(self, inputs, out_kind):
-        # [(name, "bool" | ("int", hi) | ("wide", hi) | ("summed", hi))]: a
-        # "wide" input is only compared with a constant, a "summed" one is
-        # an addend of a Sum
+        # [(name, "bool" | ("int", hi) | ("wide", hi) | ("summed", hi) |
+        # ("split", hi))]: a "wide" input is only compared with a constant,
+        # a "summed" one is an addend of a Sum, a "split" one is compared
+        # with a constant and read by value on one side of it
         self.inputs = inputs
         self.out_kind = out_kind      # "bool" | ("int", hi)
         self.blocks: list[dict] = []  # {name, kind, params: list, wires: dict}
@@ -345,8 +346,17 @@ def _gen_spec(rng: random.Random, inputs=None, out_kind=None) -> GenSpec:
             inputs.append(("w", ("wide", rng.randint(100, 300))))
         if rng.random() < 0.2:
             inputs.append(("s", ("summed", rng.randint(8, 30))))
+        # not next to a wide input: the brute-force oracle walks every
+        # combination of their values
+        if rng.random() < 0.3 and all(n != "w" for n, _ in inputs):
+            inputs.append(("x", ("split", rng.randint(8, 20))))
+    split_hi = next((k[1] for _, k in inputs if k != "bool" and k[0] == "split"), None)
     if out_kind is None:
-        out_kind = "bool" if rng.random() < 0.5 else ("int", rng.randint(1, 3))
+        if split_hi is not None:
+            # the output shows the split input's scaled value
+            out_kind = ("int", 5 * split_hi + 10)
+        else:
+            out_kind = "bool" if rng.random() < 0.5 else ("int", rng.randint(1, 3))
     spec = GenSpec(list(inputs), out_kind)
     bools = [n for n, k in inputs if k == "bool"]
     ints = [n for n, k in inputs if k != "bool" and k[0] == "int"]
@@ -362,10 +372,30 @@ def _gen_spec(rng: random.Random, inputs=None, out_kind=None) -> GenSpec:
     if rng.random() < 0.6:
         add("K1", "Constant", [rng.randint(0, 3)], {}, ints)
 
+    split_out = None
     for n, k in inputs:
         if k == "bool" or k[0] == "int":
             continue
-        if k[0] == "summed":
+        if k[0] == "split":
+            # a Switch control compares it with a constant; on one side it
+            # flows by value through a Gain or a Sum, into the output and
+            # into a delay
+            add(f"k_{n}", "Constant", [rng.randint(1, k[1] // 2)], {}, None)
+            wires = {"in1": n, "in2": f"k_{n}"}
+            if rng.random() < 0.5:
+                wires = {"in1": f"k_{n}", "in2": n}
+            add(f"cmp_{n}", "Relational", [rng.choice(["<", "<="])], wires, bools)
+            if rng.random() < 0.5:
+                add(f"f_{n}", "Gain", [rng.choice([2, 3])], {"in": n}, None)
+            else:
+                add(f"f_{n}", "Sum", ["++"], {"in1": n, "in2": "K0"}, None)
+            add(f"sel_{n}", "Switch", [],
+                {"ctrl": f"cmp_{n}", "in1": f"f_{n}", "in3": "K0"}, None)
+            hi = rng.randint(2, 5)
+            add(f"sat_{n}", "Saturation", [0, hi], {"in": f"sel_{n}"}, None)
+            add(f"d_{n}", "UnitDelay", [0, hi], {"in": f"sat_{n}"}, ints)
+            split_out = f"sel_{n}"
+        elif k[0] == "summed":
             add(f"sum_{n}", "Sum", [rng.choice(["++", "+-"])],
                 {"in1": n, "in2": rng.choice(ints)}, ints)
         elif rng.random() < 0.7:
@@ -448,6 +478,12 @@ def _gen_spec(rng: random.Random, inputs=None, out_kind=None) -> GenSpec:
             add("Cmp", "Relational", ["<"],
                 {"in1": rng.choice(ints), "in2": rng.choice(ints)}, bools)
         spec.out_src = rng.choice(bools)
+    elif split_out is not None:
+        spec.out_src = split_out
+        if rng.random() < 0.5:
+            add("OutClamp", "Saturation", [0, 3], {"in": rng.choice(ints)}, None)
+            add("OutSum", "Sum", ["++"], {"in1": split_out, "in2": "OutClamp"}, None)
+            spec.out_src = "OutSum"
     else:
         hi = spec.out_kind[1]
         add("OutClamp", "Saturation", [0, hi], {"in": rng.choice(ints)}, None)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, text output, artifacts."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -114,18 +115,63 @@ def test_check_state_budget_inconclusive():
     assert out == ""
 
 
-def test_check_wide_arithmetic_input_inconclusive(tmp_path):
-    """charge_pump adds u to its level, so u is enumerated value by value,
-    and ten million values are past the budget."""
+def wide_charge_pump(tmp_path, coast="Gain(3)"):
+    """models/charge_pump.dfm over u : int[0,10000000], its coasting output
+    3u made by the given block."""
     text = model_path("charge_pump").read_text()
-    wide = write(tmp_path, "wide.dfm", text.replace("in u : int[0,249]", "in u : int[0,10000000]"))
+    text = text.replace("in u : int[0,249]", "in u : int[0,10000000]")
+    if coast != "Gain(3)":
+        text = text.replace("block G3 : Gain(3)", f"block G3 : {coast}")
+        text = text.replace("wire u -> G3\n", "wire u -> G3.in1\nwire u -> G3.in2\n")
+    return write(tmp_path, "wide.dfm", text)
+
+
+def test_check_wide_charge_pump_decided(tmp_path):
+    """charge_pump adds u to its level below the level, and shows 5u + level
+    or 3u: the update reads u on two values, and each output comparison is
+    affine on each interval, so ten million values are decided."""
+    wide = wide_charge_pump(tmp_path)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("check", wide, wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("verdict: full")
+
+
+def test_check_wide_arithmetic_input_inconclusive(tmp_path):
+    """Shown as u * u while coasting, u is compared by value on every
+    coasting row, and ten million values are past the budget."""
+    wide = wide_charge_pump(tmp_path, coast="Product")
     code, out, err = run_cli("check", wide, wide)
     assert code == 4
     assert out == ""
     assert err == (
-        "inconclusive: unfolding ChargePump needs 10000001 input rows in state "
-        "Level=2 (budget 10000000)\n"
+        "inconclusive: simulating ChargePump by ChargePump needs 10000001 input "
+        "rows in candidate state Level=2, reference state Level=2 (budget 10000000)\n"
     )
+
+
+def test_check_wide_compared_input_emits_transitions(tmp_path):
+    """The guarded transitions' satisfiability checks split a wide input
+    only compared with constants, as the check does."""
+    bands = {
+        name: model_path(name).read_text().replace(
+            "in u : int[0,69]", f"in u : int[0,{hi}]"
+        ).replace("in u : int[0,49]", f"in u : int[0,{hi}]")
+        for name, hi in (("bands_v1", 10_000_000), ("bands_v0", 8_000_000))
+    }
+    new = write(tmp_path, "new.dfm", bands["bands_v1"])
+    old = write(tmp_path, "old.dfm", bands["bands_v0"])
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli("check", new, old, "--artifacts", str(out_dir), "--emit-efa")
+    assert (code, err) == (1, "")
+    assert out.rstrip().endswith("verdict: backward-only")
+    assert (out_dir / "efa.A.txt").read_text().startswith("machine ")
+    assert (out_dir / "efa.B.txt").read_text().startswith("machine ")
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ def test_image_respects_budget():
         image_map(build_efa(pump_step()), budget=10)
 
 
+def test_guard_checks_refuse_naming_the_model():
+    with pytest.raises(DomainTooLarge, match=r"^checking the guarded transitions of "
+                       r"PumpCore needs 24750 input rows over 2 names \(budget 10\)$"):
+        build_efa(pump_step(), budget=10)
+
+
 def test_image_detects_domain_escape():
     step = SymbolicStep(
         name="Run",

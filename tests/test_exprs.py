@@ -17,6 +17,7 @@ from dfcompat.exprs import (
     SignalRef,
     Unary,
     VarRef,
+    box_reads,
     compile_expr,
     conjoin,
     disjoin,
@@ -318,3 +319,46 @@ def test_int_exprs_stay_within_64_bits(e, env):
 @given(bool_exprs(), envs())
 def test_bool_exprs_evaluate_to_bool(e, env):
     assert eval_expr(e, env) in (True, False)
+
+
+def _evaluated(e, env):
+    try:
+        return ("value", eval_expr(e, env))
+    except ArithmeticOverflow as exc:
+        return ("raises", str(exc))
+
+
+@given(any_exprs(), envs(), st.integers(0, 3), st.integers(0, 3))
+def test_box_reads_matches_evaluation(e, env, a, b):
+    """Off its reads a name changes nothing; read affinely, it moves the
+    value along a line."""
+    lo, hi = min(a, b), max(a, b)
+    reads = box_reads([e], {"u": (lo, hi)})
+    got = [_evaluated(e, env | {"u": x}) for x in range(lo, hi + 1)]
+    if "u" not in reads:
+        assert all(g == got[0] for g in got)
+    elif reads["u"] and all(kind == "value" for kind, _ in got) and hi > lo:
+        step = got[1][1] - got[0][1]
+        assert [v for _, v in got] == [got[0][1] + k * step for k in range(len(got))]
+
+
+def test_box_reads_decides_comparisons_and_follows_evaluation():
+    u, v = InputRef("u"), InputRef("v")
+    pick = Ite(Binary("lt", u, Const(2)), Binary("mul", u, u), Binary("add", u, v))
+    assert box_reads([pick], {"u": (0, 1)}) == {"u": False}
+    assert box_reads([pick], {"u": (2, 9)}) == {"u": True}
+    assert box_reads([pick], {"u": (2, 9), "v": (0, 5)}) == {"u": True, "v": True}
+    # an undecided comparison reads the value
+    assert box_reads([pick], {"u": (1, 9)}) == {"u": False}
+    # a decided conjunction still evaluates both operands
+    eager = Binary("and", Binary("ge", u, Const(2)), Binary("eq", Binary("mul", u, v), Const(0)))
+    assert box_reads([eager], {"u": (0, 1)}) == {"u": False}
+    # a product of two reads is not affine in either shared name
+    assert box_reads([Binary("mul", Binary("add", u, v), u)], {"u": (0, 9), "v": (0, 9)}) == {
+        "u": False, "v": True,
+    }
+    # equality is decided off its constant only
+    assert box_reads([Ite(Binary("eq", u, Const(5)), u, Const(0))], {"u": (0, 4)}) == {}
+    assert box_reads([Ite(Binary("eq", u, Const(5)), u, Const(0))], {"u": (5, 9)}) == {
+        "u": False,
+    }

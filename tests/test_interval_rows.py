@@ -20,9 +20,12 @@ from dfcompat import (
     check_compatibility,
     flatten_and_validate,
     parse_model,
+    simcheck,
     unfold,
     unfold_to_ts,
 )
+from dfcompat.errors import ArithmeticOverflow
+from dfcompat.exprs import box_reads
 from dfcompat.model import domain_size
 from helpers import model_path, random_model_pair
 
@@ -75,15 +78,30 @@ def compressed_rows(model):
 
 
 def test_random_pairs_same_as_full_enumeration(monkeypatch):
-    compressed = 0
+    affine = []
+
+    def counted(exprs, box):
+        reads = box_reads(exprs, box)
+        affine.append(any(reads.values()))
+        return reads
+
+    monkeypatch.setattr(simcheck, "box_reads", counted)
+    # the generator's split inputs are narrow: split them all the same
+    monkeypatch.setattr(unfold, "SPLIT_MIN_VALUES", 0)
+    compressed = split = 0
     for seed in RANDOM_SEEDS:
         model_a, model_b = random_model_pair(seed)
         same_without_intervals(
             monkeypatch, model_a, model_b, {"default": CONFIGS["default"]}
         )
         compressed += compressed_rows(model_a)
-    # the slice must reach interval rows to mean anything
+        # x is compared with a constant and read by value
+        split += any(p.name == "x" for p in model_a.inputs) and compressed_rows(model_a)
+    # the slice must reach interval rows, split rows and affine output rows
+    # to mean anything
     assert compressed >= 10
+    assert split >= 10
+    assert sum(affine) >= 100
     monkeypatch.setattr(unfold, "INTERVAL_ROWS", False)
     assert not any(compressed_rows(random_model_pair(s)[0]) for s in RANDOM_SEEDS)
 
@@ -115,20 +133,23 @@ SHOWN = """\
 model {name}
 in u : int[0,200]
 in p : bool
-out y : int[0,200]
+out y : int[0,40000]
 block D : UnitDelay(false)
 block Zero : Constant(0)
+block Square : Product
 block Pick : Switch
 wire p -> D.in
 wire D -> Pick.ctrl
-wire u -> Pick.in1
+wire u -> Square.in1
+wire u -> Square.in2
+wire Square -> Pick.in1
 wire Zero -> Pick.in3
 wire Pick -> y
 """
 
 
 def test_simulation_refusal_names_models_and_states():
-    """y shows u once D is set, so comparing outputs there takes every
+    """y shows u * u once D is set, so comparing outputs there takes every
     value of u, past a budget the unfolding (over p alone) stays within."""
     cand, ref = (parse_model(SHOWN.format(name=n)) for n in ("ShownA", "ShownB"))
     with pytest.raises(DomainTooLarge, match=re.escape(
@@ -136,3 +157,66 @@ def test_simulation_refusal_names_models_and_states():
         "D=1, reference state D=1 (budget 100)"
     )):
         check_compatibility(cand, ref, config=CheckConfig(solver_budget=100))
+
+
+SCALED = """\
+model {name}
+in u : int[0,{hi}]
+out y : int[-9223372036854775808,9223372036854775807]
+block G : Gain({k})
+wire u -> G
+wire G -> y
+"""
+
+
+def scaled(name, k, hi):
+    """y = k * u over u : int[0, hi]."""
+    return parse_model(SCALED.format(name=name, k=k, hi=hi))
+
+
+def test_affine_outputs_give_the_least_differing_row():
+    """2u and u agree at u = 0 only: two rows per interval find u = 1, the
+    row enumerating ten million values would find."""
+    twice, once = scaled("Twice", 2, 10_000_000), scaled("Once", 1, 10_000_000)
+    tracemalloc.start()
+    try:
+        report = check_compatibility(twice, once)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024
+    assert report.verdict == "incompatible"
+    for side in (report.backward, report.upward):
+        cx = side.counterexample
+        assert (cx.kind, cx.rows_a) == ("output-mismatch", [{"u": 1}])
+    assert report.backward.counterexample.expected == {"y": 1}
+    assert report.backward.counterexample.actual == {"y": 2}
+
+
+def test_affine_outputs_same_as_full_enumeration(monkeypatch):
+    for k_a, k_b in ((2, 1), (3, 3), (-1, 1), (0, 1)):
+        same_without_intervals(
+            monkeypatch, scaled("A", k_a, 300), scaled("B", k_b, 300),
+            {"default": CONFIGS["default"]},
+        )
+
+
+def test_overflowing_affine_output_enumerated_by_value(monkeypatch):
+    """u * 2**60 leaves 64 bits from u = 8: the interval's greatest value
+    raises, so it is enumerated value by value and the overflow comes
+    where full enumeration meets it, or, over ten million values, past
+    the budget."""
+    monkeypatch.setattr(unfold, "SPLIT_MIN_VALUES", 0)
+    big = 2**60
+    a, b = scaled("A", big, 20), scaled("B", big, 20)
+    with pytest.raises(ArithmeticOverflow, match="9223372036854775808"):
+        check_compatibility(a, b)
+    same_without_intervals(monkeypatch, a, b, {"default": CONFIGS["default"]})
+    # a difference before the overflow is found first
+    same_without_intervals(monkeypatch, a, scaled("C", 0, 20), {"default": CONFIGS["default"]})
+    wide = scaled("Wide", 2**40, 10_000_000)
+    with pytest.raises(DomainTooLarge, match=re.escape(
+        "simulating Wide by Wide needs 10000001 input rows in candidate state "
+        "s0, reference state s0 (budget 10000000)"
+    )):
+        check_compatibility(wide, wide)

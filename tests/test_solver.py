@@ -98,6 +98,57 @@ def test_budget_enforced():
         sat_witness(Binary("lt", InputRef("u"), InputRef("w")), dom, budget=100)
 
 
+def test_compared_integer_enumerated_by_intervals():
+    """u is only compared with constants: one row per interval, at its
+    least value, finds the least witness in ten million values."""
+    dom = Domain.of(p=BoolType(), u=IntType(0, 10_000_000))
+    band = Binary("and", ge("u", 7_000_000), Binary("le", InputRef("u"), Const(7_000_004)))
+    e = Binary("and", band, Binary("ne", InputRef("u"), Const(7_000_000)))
+    assert sat_witness(Binary("and", e, InputRef("p")), dom, budget=10) == {
+        "p": True, "u": 7_000_001,
+    }
+    assert sat_witness(Binary("and", e, ge("u", 7_000_005)), dom, budget=10) is None
+
+
+def test_refusal_names_the_stage():
+    dom = Domain.of(u=IntType(0, 999), w=IntType(0, 999))
+    with pytest.raises(DomainTooLarge, match=r"^checking M needs 1000000 input rows over 2 "
+                       r"names \(budget 100\)$"):
+        sat_witness(Binary("lt", InputRef("u"), InputRef("w")), dom, 100, "checking M")
+    with pytest.raises(DomainTooLarge, match=r"^fix search for M needs 4000 input rows over "
+                       r"1\+2 names \(budget 100\)$"):
+        exists_forall_constants(
+            Binary("lt", InputRef("u"), InputRef("w")), ["k"],
+            Domain.of(k=BoolType(), u=IntType(0, 999), w=IntType(0, 1)), 100,
+            stage="fix search for M",
+        )
+
+
+_CMP = st.builds(
+    Binary, st.sampled_from(["lt", "le", "eq", "ne", "gt", "ge"]),
+    st.just(InputRef("u")), st.builds(Const, st.integers(-2, 45)),
+)
+_FORMULAS = st.recursive(
+    st.one_of(_CMP, st.just(InputRef("p"))),
+    lambda sub: st.one_of(
+        st.builds(Unary, st.just("not"), sub),
+        st.builds(Binary, st.sampled_from(["and", "or", "xor"]), sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+@given(_FORMULAS)
+def test_interval_witness_is_the_least_witness(e):
+    dom = Domain.of(p=BoolType(), u=IntType(0, 40))
+    expected = next(
+        (env for env in ({"p": p, "u": u} for p in (False, True) for u in range(41))
+         if eval_expr(e, env)),
+        None,
+    )
+    assert sat_witness(e, dom) == expected
+
+
 @given(any_exprs())
 def test_witness_agrees_with_brute_force(e):
     if not isinstance(eval_expr(e, {"p": False, "q": False, "u": 0, "w": -2}), bool):

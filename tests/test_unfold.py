@@ -1,5 +1,6 @@
 """Reachable unfolding into explicit transition systems."""
 
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import pytest
 
 from dfcompat import (
+    ArithmeticOverflow,
     DomainError,
     DomainTooLarge,
     Interpreter,
@@ -22,7 +24,9 @@ from dfcompat import (
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr, to_str
 from dfcompat.model import BoolType, IntType
 from dfcompat.symbolic import SymbolicStep
-from dfcompat.unfold import input_uses, run_ts, ts_to_dot
+from dfcompat.exprs import input_uses
+from dfcompat import unfold
+from dfcompat.unfold import run_ts, ts_to_dot
 from helpers import MODELS_DIR, all_rows, load_model, ts_outputs, ts_step
 from test_efa import model_step, pump_step
 
@@ -209,32 +213,33 @@ def test_huge_comparison_only_input_unfolds_by_intervals():
 
 
 @pytest.mark.parametrize("e,names", [
-    # comparisons with a constant, either side, give the values where
-    # their truth may change
-    (Binary("lt", InputRef("u"), Const(5)), {"u": {5}}),
-    (Binary("le", InputRef("u"), Const(5)), {"u": {6}}),
-    (Binary("gt", Const(5), InputRef("u")), {"u": {5}}),
-    (Binary("ge", Const(5), InputRef("u")), {"u": {6}}),
-    (Binary("eq", InputRef("u"), Const(5)), {"u": {5, 6}}),
-    (Binary("ne", Const(5), InputRef("u")), {"u": {5, 6}}),
+    # per name, the cut points of its comparisons with a constant, either
+    # side, which give the values where their truth may change ...
+    (Binary("lt", InputRef("u"), Const(5)), ({"u": {5}}, set())),
+    (Binary("le", InputRef("u"), Const(5)), ({"u": {6}}, set())),
+    (Binary("gt", Const(5), InputRef("u")), ({"u": {5}}, set())),
+    (Binary("ge", Const(5), InputRef("u")), ({"u": {6}}, set())),
+    (Binary("eq", InputRef("u"), Const(5)), ({"u": {5, 6}}, set())),
+    (Binary("ne", Const(5), InputRef("u")), ({"u": {5, 6}}, set())),
     (Ite(Binary("gt", InputRef("u"), Const(2)), InputRef("v"), Const(0)),
-     {"u": {3}, "v": None}),
-    # any other use reads the value
-    (Binary("lt", InputRef("u"), InputRef("v")), {"u": None, "v": None}),
-    (Binary("lt", Binary("add", InputRef("u"), Const(1)), Const(5)), {"u": None}),
+     ({"u": {3}, "v": set()}, {"v"})),
+    # ... and the names any other use reads the value of
+    (Binary("lt", InputRef("u"), InputRef("v")), ({"u": set(), "v": set()}, {"u", "v"})),
+    (Binary("lt", Binary("add", InputRef("u"), Const(1)), Const(5)), ({"u": set()}, {"u"})),
     (Binary("and", Binary("lt", InputRef("u"), Const(5)),
             Binary("eq", Binary("max", InputRef("u"), Const(0)), Const(3))),
-     {"u": None}),
+     ({"u": {5}}, {"u"})),
     # a variable is not an input
-    (Binary("lt", VarRef("m"), Const(5)), {}),
+    (Binary("lt", VarRef("m"), Const(5)), ({}, set())),
 ])
 def test_input_uses(e, names):
     assert input_uses([e]) == names
 
 
-def test_input_read_by_an_output_is_enumerated_by_value():
+def test_outputs_take_no_part_in_stored_rows():
     """u only meets a constant in the update; the output, specialised to
-    each state, shows it in state m=1 only."""
+    each state, shows it in state m=1 only, and output comparisons build
+    their own rows, so both states' rows split u at 5."""
     u = InputRef("u")
     step = SymbolicStep(
         name="Shown",
@@ -245,7 +250,104 @@ def test_input_read_by_an_output_is_enumerated_by_value():
     )
     ts = unfold_to_ts(step)
     assert ts.states == [(False,), (True,)]
-    assert [stored.values for stored in ts.rows] == [((0, 5),), (tuple(range(10)),)]
+    assert [stored.values for stored in ts.rows] == [((0, 5),), ((0, 5),)]
+
+
+def _pump_like_step(hi, step_expr):
+    """m := (u < 2 ? step_expr : m) over u : int[0, hi]: u is compared
+    with 2 and, below it, read by value."""
+    u, m = InputRef("u"), VarRef("m")
+    return SymbolicStep(
+        name="Split",
+        inputs={"u": IntType(0, hi)},
+        vars={"m": (IntType(0, 100), 3)},
+        outputs={"y": m},
+        updates={"m": Ite(Binary("lt", u, Const(2)), step_expr, m)},
+    )
+
+
+def test_input_compared_and_read_is_split():
+    """Below 2 each value of u is its own row; from 2 up, where the update
+    does not read it, one row stands for ten million values."""
+    step = _pump_like_step(10**7, Binary("add", InputRef("u"), Const(10)))
+    ts, peak = _peak_bytes(lambda: unfold_to_ts(step))
+    assert peak < 10 * 1024 * 1024
+    assert ts.rows[0].values == ((0, 1, 2),)
+    assert [ts.witnesses[(0, t)] for t in ts.rows[0].targets] == [
+        {"u": 0}, {"u": 1}, {"u": 2},
+    ]
+    assert [to_str(g) for g, _ in ts.transitions[0]] == [
+        "u == 0", "u == 1", "(2 <= u) && (u <= 10000000)",
+    ]
+
+
+def test_split_keeps_the_domain_error_row():
+    """The update leaves m's domain only at u = 1: the split enumerates
+    that row, as full enumeration does."""
+    step = _pump_like_step(10**7, Binary("mul", InputRef("u"), Const(200)))
+    with pytest.raises(DomainError, match=re.escape("m=200 leaves") + ".*'u': 1"):
+        unfold_to_ts(step)
+
+
+def test_split_reads_eager_operands_of_decided_operators(monkeypatch):
+    """From 2 up the conjunction is false whatever u * 2**61 is, but
+    compiled code still evaluates that product, which overflows from
+    u = 4: the interval keeps a row per value, and unfolding raises where
+    full enumeration does."""
+    monkeypatch.setattr(unfold, "SPLIT_MIN_VALUES", 0)
+    u = InputRef("u")
+    big = Binary("eq", Binary("mul", u, Const(2**61)), Const(0))
+    step = SymbolicStep(
+        name="Eager",
+        inputs={"u": IntType(0, 9)},
+        vars={"m": (BoolType(), False)},
+        outputs={"y": VarRef("m")},
+        updates={"m": Binary("and", Binary("lt", u, Const(2)), big)},
+    )
+
+    def error(interval_rows):
+        unfold.INTERVAL_ROWS = interval_rows
+        try:
+            unfold_to_ts(step)
+        except ArithmeticOverflow as exc:
+            return str(exc)
+        finally:
+            unfold.INTERVAL_ROWS = True
+
+    assert error(True) == error(False) == "value 9223372036854775808 exceeds 64-bit signed range"
+    # in an arm an ite does not take, the product is not evaluated
+    lazy = Ite(Binary("lt", u, Const(2)), big, Const(False))
+    assert unfold_to_ts(dataclasses.replace(step, updates={"m": lazy})).rows[0].values == (
+        (0, 1, 2),
+    )
+
+
+def test_narrow_input_read_by_value_is_not_split():
+    """Splitting ten values costs more than enumerating them."""
+    step = _pump_like_step(9, Binary("add", InputRef("u"), Const(10)))
+    assert unfold_to_ts(step).rows[0].values == (tuple(range(10)),)
+
+
+def test_two_split_inputs_stay_a_product():
+    """u is read below 2 only while v is below 3, and v below 3 only while
+    u is below 2: each name takes a row per value on those intervals, in
+    every box, and one row elsewhere."""
+    u, v = InputRef("u"), InputRef("v")
+    both = Binary("and", Binary("lt", u, Const(2)), Binary("lt", v, Const(3)))
+    step = SymbolicStep(
+        name="Two",
+        inputs={"u": IntType(0, 1000), "v": IntType(0, 1000)},
+        vars={"m": (IntType(0, 100), 0)},
+        outputs={"y": VarRef("m")},
+        updates={"m": Ite(both, Binary("add", u, v), Const(50))},
+    )
+    ts = unfold_to_ts(step)
+    assert ts.rows[0].names == ("u", "v")
+    assert ts.rows[0].values == ((0, 1, 2), (0, 1, 2, 3))
+    full = unfold_to_ts(dataclasses.replace(
+        step, inputs={"u": IntType(0, 4), "v": IntType(0, 5)}
+    ))
+    assert sorted(ts.states) == sorted(full.states)
 
 
 def test_unfold_detects_domain_escape():
