@@ -67,7 +67,7 @@ from .symbolic import (
     restrict_to_outputs,
     summarize,
 )
-from . import unfold
+from . import solver, unfold
 from .unfold import (
     DEFAULT_STATE_BUDGET,
     StateRows,
@@ -145,7 +145,7 @@ class _Space:
     A row value of an integer name stands for the interval up to the next
     one (the last one up to the domain's maximum), on which every
     expression the query evaluates keeps its value, or, for the rows of an
-    affine output comparison (``_Rows.affine_space``), differs from the
+    affine output comparison (``_Rows.output_space``), differs from the
     row value's at most where it does at the next one; of any other name,
     for itself.  Row i is the i-th combination in ``itertools.product``
     order, the first name most significant, so the lowest set bit of a row
@@ -179,7 +179,6 @@ class _Rows:
         self._values: dict[str, tuple[Value, ...]] = {}
         self._stored: dict[int, tuple[tuple, Part]] = {}
         self._spaces: dict[tuple[Part, ...], _Space] = {}
-        self._affine_names: dict[tuple[Part, ...], str | None] = {}
         self._interned: dict[tuple, _Space] = {}
         self._base = {n: dom.first(n) for n in dom.sorted_names()}
 
@@ -219,7 +218,7 @@ class _Rows:
         return names, [self._starts(n, cuts[n]) for n in names]
 
     def _starts(self, name: str, cuts: set[Value] | None) -> tuple[int, ...] | None:
-        if cuts is None or not unfold.INTERVAL_ROWS:
+        if cuts is None:
             return None
         for ts in (self.cand, self.ref):
             dt = ts.inputs.get(name)
@@ -253,53 +252,52 @@ class _Rows:
         self._spaces[parts] = hit
         return hit
 
-    def output_rows(self, pair: tuple[int, int], parts: tuple[Part, ...]) -> _Space | str:
-        """The rows of an output comparison over parts, asked at the state
-        pair: the space already built for the parts, if any; else the one
-        integer name they read by value, when there is one, it has more
-        than ``unfold.SPLIT_MIN_VALUES`` values and interval rows are on,
-        for ``affine_space``; else ``space``."""
-        hit = self._spaces.get(parts)
-        if hit is not None:
-            return hit
-        if parts not in self._affine_names:
-            names = {n for n, c in itertools.chain.from_iterable(parts) if c is None}
-            ints = [n for n in names if isinstance(self.dom.dtypes.get(n), IntType)]
-            self._affine_names[parts] = (
-                ints[0] if unfold.INTERVAL_ROWS and len(ints) == 1
-                and domain_size(self.dom.dtypes[ints[0]]) > unfold.SPLIT_MIN_VALUES else None
-            )
-        return self._affine_names[parts] or self.space(pair, *parts)
+    def output_space(self, pair: tuple[int, int], port: str, a: "_Side", b: "_Side") -> _Space:
+        """The rows of comparing the outputs on port of the candidate's and
+        the reference's states of the pair.
 
-    def affine_space(
-        self, pair: tuple[int, int], name: str, cuts: Iterable[int], parts: tuple[Part, ...],
-        compiled: Callable[[tuple[str, ...]], Sequence[Callable]],
-    ) -> _Space:
-        """The rows of comparing outputs over parts that read the integer
-        name affinely (``box_reads``) and compare it at cuts, asked at the
-        state pair.
-
-        Its range is split at the cut points and both systems' range ends,
-        and each interval takes its two least values: on it, the difference
-        of two affine functions that is zero at both is zero throughout.
+        When the outputs read one integer name by value, with more than
+        ``unfold.SPLIT_MIN_VALUES`` values, and both read it affinely
+        (``box_reads``) within each interval of their cut points, its range
+        is split at those cut points and both systems' range ends, and each
+        interval takes its two least values: on it, the difference of two
+        affine functions that is zero at both is zero throughout.
         Evaluating the outputs at the interval's greatest value, for every
         row of the other names, must not raise: affine nodes are monotone,
         so none raises anywhere in the interval.  An interval where one
         does takes every value, and the error comes where full enumeration
-        meets it.  ``compiled`` gives the outputs as functions of a row
-        over some names.  Other names take the rows of ``space``.
+        meets it.  Other names, and every name of any other comparison,
+        take the rows of ``space``.
         """
+        ai, bi = pair
+        parts = (a.output_part(ai, port), b.output_part(bi, port))
+        hit = self._spaces.get(parts)
+        if hit is not None:
+            return hit
+        read = {
+            n for n, c in itertools.chain.from_iterable(parts)
+            if c is None and isinstance(self.dom.dtypes.get(n), IntType)
+        }
+        if not solver.INTERVAL_ROWS or len(read) != 1:
+            return self.space(pair, *parts)
+        (name,) = read
+        dt = self.dom.dtypes[name]
+        if domain_size(dt) <= unfold.SPLIT_MIN_VALUES:
+            return self.space(pair, *parts)
+        cuts = a.affine_cuts(ai, port, name), b.affine_cuts(bi, port, name)
+        if None in cuts:
+            return self.space(pair, *parts)
         names, starts = self._layout(parts)
         at = names.index(name)
         starts[at] = ()
         # only the one name read by value takes every value of a wide range
         values = [self.values(n) if s is None else s for n, s in zip(names, starts)]
         others = math.prod(map(len, values[:at] + values[at + 1:]))
-        ranges = spans(self.dom.dtypes[name], self._starts(name, set(cuts)))
+        ranges = spans(dt, self._starts(name, set(cuts[0] + cuts[1])))
         # per interval, the least and the greatest value that is a row
         segments = [(lo, min(lo + 1, hi)) for lo, hi in ranges]
         self._refuse(pair, others * sum(hi - lo + 1 for lo, hi in segments))
-        fns = compiled(names)
+        fns = (a.output_fn(ai, port, names), b.output_fn(bi, port, names))
         for i, (lo, hi) in enumerate(ranges):
             values[at] = (hi,)
             try:
@@ -491,18 +489,7 @@ def simulates(
         # rows in order, the candidate's output evaluated first: the least
         # differing row, and an overflow only where enumeration reaches it
         # first, as sat_witness over the two outputs' inequality
-        parts = (a.output_part(ai, port), b.output_part(bi, port))
-        space = rows.output_rows((ai, bi), parts)
-        if type(space) is str:
-            name = space
-            cuts = a.affine_cuts(ai, port, name), b.affine_cuts(bi, port, name)
-            if None in cuts:
-                space = rows.space((ai, bi), *parts)
-            else:
-                space = rows.affine_space(
-                    (ai, bi), name, cuts[0] + cuts[1], parts,
-                    lambda names: (a.output_fn(ai, port, names), b.output_fn(bi, port, names)),
-                )
+        space = rows.output_space((ai, bi), port, a, b)
         fa = a.output_fn(ai, port, space.names)
         fb = b.output_fn(bi, port, space.names)
         for i, combo in enumerate(itertools.product(*space.values)):

@@ -51,6 +51,10 @@ from .model import (
 )
 
 DEFAULT_BUDGET = 10_000_000
+# Enumerate integer inputs compared with constants by intervals, in the
+# unfolding, the simulation's queries and the satisfiability checks; when
+# off, every integer input is enumerated value by value, as a reference.
+INTERVAL_ROWS = True
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,9 @@ def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
 
 def interval_starts(dt: DataType, cuts: Collection[int]) -> tuple[int, ...] | None:
     """The least values of the intervals the cut points split an integer
-    range into, in ascending order; None for any other type."""
-    if not isinstance(dt, IntType):
+    range into, in ascending order; None for any other type, and for every
+    type when ``INTERVAL_ROWS`` is off."""
+    if not INTERVAL_ROWS or not isinstance(dt, IntType):
         return None
     return (dt.lo, *sorted(c for c in set(cuts) if dt.lo < c <= dt.hi))
 
@@ -182,7 +187,6 @@ def minimal_cover(
     candidates: Sequence[Expr],
     dom: Domain,
     budget: int = DEFAULT_BUDGET,
-    stage: str = "satisfiability",
 ) -> CoverResult:
     """Which candidate guards are needed to cover the target guard.
 
@@ -194,10 +198,10 @@ def minimal_cover(
     chosen = tuple(
         i
         for i, cand in enumerate(candidates)
-        if sat_witness(Binary("and", target, cand), dom, budget, stage) is not None
+        if sat_witness(Binary("and", target, cand), dom, budget) is not None
     )
     union = disjoin([candidates[i] for i in chosen])
-    residual = sat_witness(Binary("and", target, Unary("not", union)), dom, budget, stage)
+    residual = sat_witness(Binary("and", target, Unary("not", union)), dom, budget)
     return CoverResult(residual is None, chosen, residual)
 
 

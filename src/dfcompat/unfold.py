@@ -53,10 +53,6 @@ DEFAULT_STATE_BUDGET = 100_000
 # longer ones are filled in bytearrays, where setting bits one by one on an
 # ever longer int would copy it at every step (quadratic in the rows).
 WORD_ROWS = 64
-# Enumerate integer inputs compared with constants by intervals, in the
-# unfolding and in the simulation's queries; when off, every integer input
-# is enumerated value by value, as a reference.
-INTERVAL_ROWS = True
 # An integer input read by value with at most this many values takes every
 # value, in the unfolding and in the simulation's output comparisons:
 # splitting its range costs more than the rows it saves.
@@ -123,7 +119,7 @@ class _Image:
         # of which is a row, or None for every declared value
         plan: list[tuple[tuple[int, int], ...] | None] = [None] * len(names)
         split = {}
-        if INTERVAL_ROWS and self.ints and any(cuts.values()):
+        if self.ints and any(cuts.values()):
             for k, n in enumerate(names):
                 s = interval_starts(dtypes[n], cuts[n])
                 if s is not None and (

@@ -1,8 +1,11 @@
-"""Interval rows for integer inputs only compared with constants.
+"""Interval rows for integer inputs compared with constants, split rows
+for those also read by value, and two rows per interval for affine output
+comparisons.
 
-With ``unfold.INTERVAL_ROWS`` off every integer input is enumerated value
-by value, the reference the interval rows must reproduce: the same
-verdicts, counterexample rows, pair and query counts.
+With ``solver.INTERVAL_ROWS`` off every integer input is enumerated value
+by value, in the unfolding, the simulation and the satisfiability checks
+of fix search: the reference the interval rows must reproduce, with the
+same verdicts, counterexample rows, pair and query counts.
 """
 
 import re
@@ -21,6 +24,7 @@ from dfcompat import (
     flatten_and_validate,
     parse_model,
     simcheck,
+    solver,
     unfold,
     unfold_to_ts,
 )
@@ -57,9 +61,9 @@ def outcomes(model_a, model_b, configs=CONFIGS):
 def same_without_intervals(monkeypatch, model_a, model_b, configs=CONFIGS):
     for a, b in ((model_a, model_b), (model_b, model_a)):
         with_intervals = outcomes(a, b, configs)
-        monkeypatch.setattr(unfold, "INTERVAL_ROWS", False)
+        monkeypatch.setattr(solver, "INTERVAL_ROWS", False)
         assert outcomes(a, b, configs) == with_intervals
-        monkeypatch.setattr(unfold, "INTERVAL_ROWS", True)
+        monkeypatch.setattr(solver, "INTERVAL_ROWS", True)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -102,7 +106,7 @@ def test_random_pairs_same_as_full_enumeration(monkeypatch):
     assert compressed >= 10
     assert split >= 10
     assert sum(affine) >= 100
-    monkeypatch.setattr(unfold, "INTERVAL_ROWS", False)
+    monkeypatch.setattr(solver, "INTERVAL_ROWS", False)
     assert not any(compressed_rows(random_model_pair(s)[0]) for s in RANDOM_SEEDS)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dfcompat import Domain, DomainError, DomainTooLarge, minimal_cover, sat_witness
+from dfcompat import Domain, DomainError, DomainTooLarge, minimal_cover, sat_witness, solver
 from dfcompat.errors import SolverFailure
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, Unary, VarRef, eval_expr
 from dfcompat.model import BoolType, EnumType, IntType
@@ -98,9 +98,10 @@ def test_budget_enforced():
         sat_witness(Binary("lt", InputRef("u"), InputRef("w")), dom, budget=100)
 
 
-def test_compared_integer_enumerated_by_intervals():
+def test_compared_integer_enumerated_by_intervals(monkeypatch):
     """u is only compared with constants: one row per interval, at its
-    least value, finds the least witness in ten million values."""
+    least value, finds the least witness in ten million values.  With
+    interval rows off, u takes every value."""
     dom = Domain.of(p=BoolType(), u=IntType(0, 10_000_000))
     band = Binary("and", ge("u", 7_000_000), Binary("le", InputRef("u"), Const(7_000_004)))
     e = Binary("and", band, Binary("ne", InputRef("u"), Const(7_000_000)))
@@ -108,6 +109,9 @@ def test_compared_integer_enumerated_by_intervals():
         "p": True, "u": 7_000_001,
     }
     assert sat_witness(Binary("and", e, ge("u", 7_000_005)), dom, budget=10) is None
+    monkeypatch.setattr(solver, "INTERVAL_ROWS", False)
+    with pytest.raises(DomainTooLarge, match=r"^satisfiability needs 20000002 input rows"):
+        sat_witness(Binary("and", e, InputRef("p")), dom, budget=10)
 
 
 def test_refusal_names_the_stage():

@@ -25,7 +25,7 @@ from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr, to_s
 from dfcompat.model import BoolType, IntType
 from dfcompat.symbolic import SymbolicStep
 from dfcompat.exprs import input_uses
-from dfcompat import unfold
+from dfcompat import solver, unfold
 from dfcompat.unfold import run_ts, ts_to_dot
 from helpers import MODELS_DIR, all_rows, load_model, ts_outputs, ts_step
 from test_efa import model_step, pump_step
@@ -306,13 +306,13 @@ def test_split_reads_eager_operands_of_decided_operators(monkeypatch):
     )
 
     def error(interval_rows):
-        unfold.INTERVAL_ROWS = interval_rows
+        solver.INTERVAL_ROWS = interval_rows
         try:
             unfold_to_ts(step)
         except ArithmeticOverflow as exc:
             return str(exc)
         finally:
-            unfold.INTERVAL_ROWS = True
+            solver.INTERVAL_ROWS = True
 
     assert error(True) == error(False) == "value 9223372036854775808 exceeds 64-bit signed range"
     # in an arm an ite does not take, the product is not evaluated
