@@ -9,7 +9,7 @@ Switch or a conditioned subsystem contributes a two-way guarded branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import DataStoreOrder
 from .exprs import (
@@ -25,7 +25,7 @@ from .exprs import (
     VarRef,
     conjoin,
     eval_expr,
-    to_str,
+    render,
 )
 from .model import FlatBlock, FlatModel, Src, hold_var, kind_of, schedule_units
 
@@ -45,9 +45,10 @@ def sorted_order(flat: FlatModel, datastore_order: str = "strict") -> Schedule:
 
     In strict mode a data store read scheduled before a same-step write of
     that store is rejected; "schedule" mode lets the read observe the value
-    as of its schedule position.
+    as of its schedule position.  The output phase is the order flattening
+    computed, when it kept one.
     """
-    output = tuple(schedule_units(flat))
+    output = flat.order if flat.order is not None else tuple(schedule_units(flat))
     update = tuple(sorted(
         p for p, b in flat.blocks.items() if b.kind in ("UnitDelay", "HoldOutput")
     ))
@@ -80,9 +81,9 @@ def src_expr(src: Src) -> Expr:
     return InputRef(name) if tag == "in" else SignalRef(name)
 
 
-def _bool_src(flat: FlatModel, src: Src) -> Expr:
+def _bool_src(flat: FlatModel, src: Src, source: Callable[[Src], Expr]) -> Expr:
     """Reference usable as a branch condition; numeric controls test != 0."""
-    ref = src_expr(src)
+    ref = source(src)
     if src[0] == "in":
         k = kind_of(flat.input_port(src[1]).dtype)
     else:
@@ -92,9 +93,10 @@ def _bool_src(flat: FlatModel, src: Src) -> Expr:
     return ref
 
 
-def block_expr(blk: FlatBlock) -> Expr:
-    """Right-hand side of an unconditional block's output assignment."""
-    refs = {p: src_expr(s) for p, s in blk.inputs.items()}
+def block_expr(blk: FlatBlock, source: Callable[[Src], Expr]) -> Expr:
+    """Right-hand side of an unconditional block's output assignment, with
+    source giving the reference to each input's source."""
+    refs = {p: source(s) for p, s in blk.inputs.items()}
     k = blk.kind
     if k == "Constant":
         return Const(blk.params["value"])
@@ -172,6 +174,15 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
         schedule = sorted_order(flat)
 
     nodes: dict[int, list[Assign]] = {}
+    # one reference object per source: a signal read by several blocks is
+    # one leaf, which every expression pass visits once
+    refs: dict[Src, Expr] = {}
+
+    def ref(src: Src) -> Expr:
+        hit = refs.get(src)
+        if hit is None:
+            hit = refs[src] = src_expr(src)
+        return hit
 
     def new_node(assigns: list[Assign] | None = None) -> int:
         nid = len(nodes)
@@ -195,32 +206,32 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
         # open scopes down to the block's group
         while len(stack) < len(blk.group):
             depth = len(stack)
-            guard = src_expr(blk.enables[depth])
+            guard = ref(blk.enables[depth])
             stack.append((blk.group[: depth + 1], BranchEl(guard)))
 
         if blk.kind == "Switch":
-            ctrl = _bool_src(flat, blk.inputs["ctrl"])
+            ctrl = _bool_src(flat, blk.inputs["ctrl"], ref)
             br = BranchEl(
                 ctrl,
-                [Straight(new_node([("sig", path, src_expr(blk.inputs["in1"]))]))],
-                [Straight(new_node([("sig", path, src_expr(blk.inputs["in3"]))]))],
+                [Straight(new_node([("sig", path, ref(blk.inputs["in1"]))]))],
+                [Straight(new_node([("sig", path, ref(blk.inputs["in3"]))]))],
             )
             container().append(br)
         elif blk.kind == "HoldOutput":
-            gate = conjoin([_bool_src(flat, s) for s in blk.params["gate"]])
+            gate = conjoin([_bool_src(flat, s, ref) for s in blk.params["gate"]])
             br = BranchEl(
                 gate,
-                [Straight(new_node([("sig", path, src_expr(blk.inputs["in"]))]))],
+                [Straight(new_node([("sig", path, ref(blk.inputs["in"]))]))],
                 [Straight(new_node([("sig", path, VarRef(hold_var(path)))]))],
             )
             container().append(br)
         elif blk.kind == "DataStoreWrite":
             store = blk.params["store"]
             container().append(
-                Straight(new_node([("var", store, src_expr(blk.inputs["in"]))]))
+                Straight(new_node([("var", store, ref(blk.inputs["in"]))]))
             )
         else:
-            container().append(Straight(new_node([("sig", path, block_expr(blk))])))
+            container().append(Straight(new_node([("sig", path, block_expr(blk, ref))])))
 
     while stack:
         chain, br = stack.pop()
@@ -231,11 +242,11 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
         blk = flat.blocks[path]
         rhs: Expr
         if blk.kind == "UnitDelay":
-            var, rhs = path, src_expr(blk.inputs["in"])
+            var, rhs = path, ref(blk.inputs["in"])
         else:  # HoldOutput: latch the emitted value
             var, rhs = hold_var(path), SignalRef(path)
         if blk.enables:  # only while every enclosing scope runs
-            gate = conjoin([_bool_src(flat, s) for s in blk.enables])
+            gate = conjoin([_bool_src(flat, s, ref) for s in blk.enables])
             rhs = Ite(gate, rhs, VarRef(var))
         update_assigns.append((var, rhs))
 
@@ -338,9 +349,11 @@ def run_cfg_step(
 def cfg_to_dot(cfg: Cfg, title: str = "cfg") -> str:
     """Graphviz rendering with assignments in nodes and guards on edges."""
     lines = [f"digraph \"{title}\" {{", "  node [shape=box, fontname=monospace];"]
+    text = render([e for assigns in cfg.nodes.values() for _, _, e in assigns]
+                  + [e.guard for e in cfg.edges])
     for nid, assigns in cfg.nodes.items():
         body = "\\n".join(
-            f"{t}' := {to_str(e)}" if space == "var" else f"{t} := {to_str(e)}"
+            f"{t}' := {text[id(e)]}" if space == "var" else f"{t} := {text[id(e)]}"
             for space, t, e in assigns
         ) or " "
         shape = ""
@@ -350,7 +363,7 @@ def cfg_to_dot(cfg: Cfg, title: str = "cfg") -> str:
             shape = ", style=filled, fillcolor=lightgray"
         lines.append(f"  n{nid} [label=\"{body}\"{shape}];")
     for e in cfg.edges:
-        label = "" if e.guard == TRUE else f" [label=\"{to_str(e.guard)}\"]"
+        label = "" if e.guard == TRUE else f" [label=\"{text[id(e.guard)]}\"]"
         lines.append(f"  n{e.src} -> n{e.dst}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -50,6 +50,7 @@ from .simcheck import (
     _initial_agreement,
     _mapped_output_ports,
     cfg_and_step,
+    checked_system,
     check_compatibility,  # noqa: F401 - dfbench/tracing.py wraps this module's check_compatibility
     check_prepared,
     prepare,
@@ -325,7 +326,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     efa = build_efa(step, config.split_cap, config.solver_budget)
                     (outdir / f"efa.{tag}.txt").write_text(efa_to_text(efa))
                 if args.emit_ts:
-                    ts = unfold_to_ts(step, config.state_budget, config.solver_budget)
+                    ts = checked_system(prep, tag) or unfold_to_ts(
+                        step, config.state_budget, config.solver_budget
+                    )
                     (outdir / f"ts.{tag}.dot").write_text(ts_to_dot(ts))
             if args.emit_smt:
                 smtdir = outdir / "smt"

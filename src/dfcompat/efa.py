@@ -25,10 +25,11 @@ from .exprs import (
     VarRef,
     conjoin,
     disjoin,
-    free_inputs,
-    to_str,
+    postorder,
+    render,
+    specialise,
 )
-from .solver import DEFAULT_BUDGET, Domain, is_sat, sat_witness
+from .solver import DEFAULT_BUDGET, Domain, is_sat, row_count, row_starts, sat_witness
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     GuardedDef,
@@ -74,9 +75,13 @@ def build_efa(
     targets: list[tuple[str, str]] = [("out", p) for p in out_ports] + [
         ("upd", v) for v in var_names
     ]
-    cases: list[list[GuardedDef]] = [
-        split_expr(step.outputs[p], cap) for p in out_ports
-    ] + [split_expr(step.updates[v], cap) for v in var_names]
+    # an output and an update that are one expression are split once
+    split: dict[int, list[GuardedDef]] = {}
+    roots = [step.outputs[p] for p in out_ports] + [step.updates[v] for v in var_names]
+    for e in roots:
+        if id(e) not in split:
+            split[id(e)] = split_expr(e, cap)
+    cases = [split[id(e)] for e in roots]
 
     dom = full_domain(step)
     stage = f"checking the guarded transitions of {step.name}"
@@ -129,7 +134,11 @@ def image_map(
 
     Keys are exactly the valuations whose guard is satisfiable for some
     input.  Transitions that leave every variable unchanged contribute an
-    empty map since they cannot reach new states.
+    empty map since they cannot reach new states.  Before a transition's
+    states are walked, its rows are counted as ``sat_witness`` counts them
+    (``row_starts``): every state times the input rows of the names it
+    mentions, an integer only compared with constants taking a row per
+    interval.
     """
     image = _Image(efa.step, budget)
     var_names = image.var_names
@@ -139,15 +148,21 @@ def image_map(
         if all(tr.updates[v] == VarRef(v) for v in var_names):
             maps.append({})
             continue
-        active = free_inputs(tr.guard).union(*map(free_inputs, tr.updates.values()))
-        space = var_dom.space(var_names) * image.dom.space(active)
+        roots = [tr.updates[v] for v in var_names] + [tr.guard]
+        names, starts = row_starts(roots, efa.domain())
+        inputs = [(n, s) for n, s in zip(names, starts) if n in image.dom]
+        space = var_dom.space(var_names) * row_count(image.dom, inputs)
         if space > budget:
             raise DomainTooLarge(
-                f"image of one transition needs {space} evaluations (budget {budget})"
+                f"image of a transition of {efa.step.name} needs {space} input rows "
+                f"over its states (budget {budget})"
             )
+        order = postorder(roots)
         entry: dict[tuple[Value, ...], frozenset[tuple[Value, ...]]] = {}
         for old in itertools.product(*(var_dom.values(v) for v in var_names)):
-            _, _, rows = image.rows(dict(zip(var_names, old)), tr.updates, tr.guard)
+            binding = dict(zip(var_names, old))
+            *spec, guard = specialise(roots, binding, order)
+            _, _, rows = image.rows(binding, spec, guard)
             succs = frozenset(succ for _, succ in rows)
             if succs:
                 entry[old] = succs
@@ -165,11 +180,14 @@ def efa_to_text(efa: Efa) -> str:
             or "(none)"
         )
     )
+    text = render(
+        e for t in efa.transitions for e in (t.guard, *t.outputs.values(), *t.updates.values())
+    )
     for i, t in enumerate(efa.transitions):
-        guard = "true" if t.guard == TRUE else to_str(t.guard)
+        guard = "true" if t.guard == TRUE else text[id(t.guard)]
         lines.append(f"  [{i}] when {guard}:")
         for p, e in sorted(t.outputs.items()):
-            lines.append(f"        {p} = {to_str(e)}")
+            lines.append(f"        {p} = {text[id(e)]}")
         for v, e in sorted(t.updates.items()):
-            lines.append(f"        {v}' = {to_str(e)}")
+            lines.append(f"        {v}' = {text[id(e)]}")
     return "\n".join(lines) + "\n"

@@ -242,6 +242,8 @@ class FlatModel:
     var_decls: dict[str, tuple[DataType, Value]]
     signal_kinds: dict[str, Kind]
     enums: dict[str, EnumType] = field(default_factory=dict)
+    # schedule_units of the blocks as flattening left them, or None
+    order: tuple[str, ...] | None = None
 
     @property
     def connections(self) -> list[Connection]:
@@ -496,7 +498,9 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
     _check_inits(flat)
     order = schedule_units(flat)
     _infer_kinds(flat, order)
-    if datastore == "global":
+    if datastore != "global":
+        flat.order = tuple(order)
+    else:  # the blocks change, and so may their order
         _globalize_stores(flat)
         # interface changed; re-check name clashes
         names = [p.name for p in flat.inputs] + [p.name for p in flat.outputs]

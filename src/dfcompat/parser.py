@@ -48,6 +48,9 @@ _REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 def _split_params(text: str) -> list[str]:
     """Split a parameter list on commas that are not inside brackets."""
+    if "[" not in text and "(" not in text:  # every comma splits
+        *parts, tail = text.split(",")
+        return [p.strip() for p in parts] + ([tail.strip()] if tail.strip() else [])
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "[(":
@@ -114,15 +117,16 @@ class _Parser:
                 if top:
                     self.error("unmatched '}'")
                 break
+            # wires are the most common lines, and no other form matches one
+            m = _RE_WIRE.match(line)
+            if m:
+                pending_wires.append((m.group(1), m.group(2), self.pos))
+                continue
             if self._try_type(line, top):
                 continue
             if self._try_port(line, diagram):
                 continue
             if self._try_block(line, diagram):
-                continue
-            m = _RE_WIRE.match(line)
-            if m:
-                pending_wires.append((m.group(1), m.group(2), self.pos))
                 continue
             self.error(f"cannot parse line {line!r}")
         for src, dst, ln in pending_wires:

@@ -13,7 +13,6 @@ restore compatibility.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import itertools
 import json
@@ -29,11 +28,8 @@ from .exprs import (
     InputRef,
     Value,
     VarRef,
-    box_reads,
-    compile_expr,
     conjoin,
     eval_expr,
-    input_uses,
     partial_eval,
 )
 from .model import (
@@ -58,6 +54,7 @@ from .solver import (
     row_count,
     sat_witness,  # noqa: F401 - dfbench/tracing.py wraps this module's sat_witness
 )
+from .rows import box_reads, compile_all, compile_expr, input_uses
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     SymbolicStep,
@@ -746,6 +743,8 @@ class _Prepared:
     cfg_b: Cfg | None = None
     step_a: SymbolicStep | None = None
     step_b: SymbolicStep | None = None  # ports renamed onto A's names
+    # per side ("A", "B"), the systems the last check unfolded, by port group
+    systems: dict[str, dict[tuple[str, ...], Ts]] = field(default_factory=dict)
 
 
 def _rename_outputs(step: SymbolicStep, name_map: Mapping[str, str]) -> SymbolicStep:
@@ -818,12 +817,36 @@ def _initial_agreement(prep: _Prepared, ports: Sequence[str]) -> list[Binary]:
 Unfolder = Callable[[tuple[str, ...]], Ts]
 
 
-def _unfolder(step: SymbolicStep, config: CheckConfig) -> Unfolder:
+def _unfolder(
+    step: SymbolicStep, config: CheckConfig,
+    systems: dict[tuple[str, ...], Ts] | None = None,
+) -> Unfolder:
     """Per port group, the step restricted to the group's outputs and
-    unfolded."""
-    return lambda group: unfold_to_ts(
-        restrict_to_outputs(step, group), config.state_budget, config.solver_budget
-    )
+    unfolded; built once and kept in systems when given."""
+    def build(group: tuple[str, ...]) -> Ts:
+        ts = None if systems is None else systems.get(group)
+        if ts is None:
+            ts = unfold_to_ts(
+                restrict_to_outputs(step, group), config.state_budget, config.solver_budget
+            )
+            if systems is not None:
+                systems[group] = ts
+        return ts
+
+    return build
+
+
+def checked_system(prep: _Prepared, tag: str) -> Ts | None:
+    """Side tag's ("A" or "B") system over all its outputs as the last
+    check unfolded it, when restricting the step to them kept every
+    variable and input; else None."""
+    step = prep.step_a if tag == "A" else prep.step_b
+    group = tuple(sorted(step.outputs))
+    ts = prep.systems.get(tag, {}).get(group)
+    if ts is None:
+        return None
+    whole = set(ts.var_names) == step.vars.keys() and ts.inputs.keys() == step.inputs.keys()
+    return ts if whole else None
 
 
 def _check_direction(
@@ -912,13 +935,21 @@ def _trace_output(
     bound: Mapping[str, Value],
     port: str,
 ) -> Value:
+    """The output on port after the rows, the output and the updates
+    compiled once per set of names the rows give values."""
     state = step.initial_state()
     val: Value | None = None
+    compiled: dict[tuple[str, ...], list[Callable]] = {}
     for i, row in enumerate(rows):
         env = dict(row) | dict(bound) | state
-        val = eval_expr(step.outputs[port], env)
+        names = tuple(env)
+        if names not in compiled:
+            compiled[names] = compile_all([step.outputs[port], *step.updates.values()], names)
+        out, *updates = compiled[names]
+        values = tuple(env.values())
+        val = out(values)
         if i + 1 < len(rows):
-            state = {v: eval_expr(e, env) for v, e in step.updates.items()}
+            state = {v: f(values) for v, f in zip(step.updates, updates)}
     return val
 
 
@@ -944,7 +975,7 @@ def fix_free_ports(
     necessary = conjoin(_initial_agreement(prep, ports))
 
     if ref is None:
-        ref = functools.cache(_unfolder(step_b, config))
+        ref = _unfolder(step_b, config, {})
     b_side, _ = _mapped_input_domains(prep)
     dom_check = Domain(b_side)
     exclude: list[dict[str, Value]] = []
@@ -963,7 +994,8 @@ def fix_free_ports(
             return cand, per_port, pairs, queries
         exclude.append(cand)
     raise IterationCapExceeded(
-        f"no verified constant fix within {config.fix_iterations} attempts"
+        f"fix search for {prep.flat_a.name}: no verified constant fix within "
+        f"{config.fix_iterations} attempts"
     )
 
 
@@ -1008,10 +1040,12 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
     dom_backward, dom_upward = _direction_domains(prep)
     shared_rows: dict[tuple, dict[str, Value]] = {}
     # each model's system per port group, built on first use and kept for
-    # this check: both directions and every fix attempt compare the same
-    # ones.  A fix candidate's step is bound anew per attempt and not kept.
-    unfold_a = functools.cache(_unfolder(step_a, config))
-    unfold_b = functools.cache(_unfolder(step_b, config))
+    # this check: both directions, every fix attempt and the emitted
+    # artifacts use the same ones.  A fix candidate's step is bound anew
+    # per attempt and not kept.
+    prep.systems = {"A": {}, "B": {}}
+    unfold_a = _unfolder(step_a, config, prep.systems["A"])
+    unfold_b = _unfolder(step_b, config, prep.systems["B"])
 
     t0 = time.perf_counter()
     holds, per_port, failure, pairs, queries = _check_direction(

@@ -35,9 +35,8 @@ from .exprs import (
     Value,
     VarRef,
     disjoin,
-    eval_expr,
     free_names,
-    input_uses,
+    postorder,
     substitute,
 )
 from .model import (
@@ -49,6 +48,7 @@ from .model import (
     domain_values,
     first_value,
 )
+from .rows import compile_expr, input_uses
 
 DEFAULT_BUDGET = 10_000_000
 # Enumerate integer inputs compared with constants by intervals, in the
@@ -162,10 +162,10 @@ def sat_witness(
         )
     base = {n: dom.first(n) for n in dom.sorted_names()}
     values = [dom.values(n) if s is None else s for n, s in zip(names, starts)]
+    holds = compile_expr(expr, names)
     for combo in itertools.product(*values):
-        env = base | dict(zip(names, combo))
-        if eval_expr(expr, env):
-            return env
+        if holds(combo):
+            return base | dict(zip(names, combo))
     return None
 
 
@@ -283,29 +283,35 @@ def _variant_owner(variant: str, enums: Mapping[str, EnumType]) -> str:
 
 
 def expr_to_smt(e: Expr, enums: Mapping[str, EnumType]) -> str:
-    if isinstance(e, Const):
-        if isinstance(e.value, bool):
-            return "true" if e.value else "false"
-        if isinstance(e.value, int):
-            return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-        return _smt_sym(f"{_variant_owner(e.value, enums)}.{e.value}")
-    if isinstance(e, (InputRef, VarRef, SignalRef)):
-        return _smt_sym(e.name)
-    if isinstance(e, Unary):
-        op = "not" if e.op == "not" else "-"
-        return f"({op} {expr_to_smt(e.arg, enums)})"
-    if isinstance(e, Binary):
-        a, b = expr_to_smt(e.left, enums), expr_to_smt(e.right, enums)
-        if e.op == "min":
-            return f"(ite (<= {a} {b}) {a} {b})"
-        if e.op == "max":
-            return f"(ite (>= {a} {b}) {a} {b})"
-        return f"({_SMT_BINOPS[e.op]} {a} {b})"
-    assert isinstance(e, Ite)
-    return (
-        f"(ite {expr_to_smt(e.cond, enums)} {expr_to_smt(e.then, enums)} "
-        f"{expr_to_smt(e.other, enums)})"
-    )
+    """e as an SMT-LIB term; the text of a shared node is built once and
+    repeated where it occurs."""
+    text: dict[int, str] = {}
+    for n in postorder([e]):
+        if isinstance(n, Const):
+            v = n.value
+            if isinstance(v, bool):
+                t = "true" if v else "false"
+            elif isinstance(v, int):
+                t = str(v) if v >= 0 else f"(- {-v})"
+            else:
+                t = _smt_sym(f"{_variant_owner(v, enums)}.{v}")
+        elif isinstance(n, (InputRef, VarRef, SignalRef)):
+            t = _smt_sym(n.name)
+        elif isinstance(n, Unary):
+            t = f"({'not' if n.op == 'not' else '-'} {text[id(n.arg)]})"
+        elif isinstance(n, Binary):
+            a, b = text[id(n.left)], text[id(n.right)]
+            if n.op == "min":
+                t = f"(ite (<= {a} {b}) {a} {b})"
+            elif n.op == "max":
+                t = f"(ite (>= {a} {b}) {a} {b})"
+            else:
+                t = f"({_SMT_BINOPS[n.op]} {a} {b})"
+        else:
+            assert isinstance(n, Ite)
+            t = f"(ite {text[id(n.cond)]} {text[id(n.then)]} {text[id(n.other)]})"
+        text[id(n)] = t
+    return text[id(e)]
 
 
 def _smt_sort(dtype: DataType, enums: Mapping[str, EnumType]) -> str:

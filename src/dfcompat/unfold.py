@@ -16,7 +16,9 @@ row, at its least value; where they do, each value is a row.  Every other
 input is enumerated value by value.  ``_Image.rows`` enumerates one state's
 rows and the successor each reaches, evaluating the state's updates as
 closures compiled once per state; ``unfold_to_ts``, ``compute_image`` and
-``efa.image_map`` keep only their own bookkeeping around it.
+``efa.image_map`` keep only their own bookkeeping around it.  Each of them
+lists its expressions' nodes once (``postorder``) and specialises them to
+every state in one flat loop over that list.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ from .exprs import (
     InputRef,
     TRUE,
     Value,
-    box_reads,
-    compile_expr,
     conjoin,
     disjoin,
-    eval_expr,
-    input_uses,
-    partial_eval,
-    to_str,
+    postorder,
+    render,
+    specialise,
 )
 from .model import DataType, EnumType, IntType, domain_size, in_domain
+from .rows import box_reads, compile_all, input_uses
 from .solver import DEFAULT_BUDGET, Domain, interval_starts
 from .symbolic import SymbolicStep
 
@@ -87,14 +87,14 @@ class _Image:
         self.ints = any(isinstance(dt, IntType) for dt in step.inputs.values())
 
     def rows(
-        self, binding: dict[str, Value], updates: Mapping[str, Expr],
-        guard: Expr | None = None,
+        self, binding: dict[str, Value], spec: list[Expr], guard: Expr | None = None,
     ) -> tuple[tuple[str, ...], tuple[tuple[Value, ...], ...], Iterator[Row]]:
         """The inputs a state's rows range over, each one's row values, and
         the rows themselves.
 
-        The updates and the guard are specialised to the state and compiled
-        once, and only the inputs they still mention are enumerated, in
+        spec are the updates of ``var_names``, and guard the guard, both
+        specialised to the state; they are compiled once, together, and
+        only the inputs they still mention are enumerated, in
         ``itertools.product`` order of their row values; every other input
         sits at its first value.  An integer input they compare with
         constants is split into intervals where those comparisons can
@@ -108,9 +108,6 @@ class _Image:
         and the successor vector; ``assignment`` makes a row a total
         assignment.
         """
-        spec = [partial_eval(updates[v], binding) for v in self.var_names]
-        if guard is not None:
-            guard = partial_eval(guard, binding)
         exprs = spec if guard is None else spec + [guard]
         cuts, reads = input_uses(exprs)
         names = tuple(sorted(cuts))
@@ -162,8 +159,9 @@ class _Image:
         some box of the split names' intervals reads it on, and the least
         value of every other."""
         read = {k: [False] * len(r) for k, r in split.items()}
+        order = postorder(exprs)
         for box in itertools.product(*(enumerate(r) for r in split.values())):
-            found = box_reads(exprs, {names[k]: span for k, (_, span) in zip(split, box)})
+            found = box_reads(exprs, {names[k]: span for k, (_, span) in zip(split, box)}, order)
             for k, (i, _) in zip(split, box):
                 read[k][i] |= names[k] in found
         return {
@@ -180,11 +178,11 @@ class _Image:
         self, binding: dict[str, Value], names: tuple[str, ...],
         values: tuple[tuple[Value, ...], ...], spec: list[Expr], guard: Expr | None,
     ) -> Iterator[Row]:
+        fns = compile_all(spec if guard is None else spec + [guard], names)
         checks = [
-            (v, self.step.vars[v][0], compile_expr(e, names))
-            for v, e in zip(self.var_names, spec)
+            (v, self.step.vars[v][0], f) for v, f in zip(self.var_names, fns)
         ]
-        admits = None if guard is None else compile_expr(guard, names)
+        admits = None if guard is None else fns[-1]
         for combo in itertools.product(*values):
             if admits is not None and not admits(combo):
                 continue
@@ -215,7 +213,8 @@ def compute_image(
     updates do not mention sit at their first domain value in the witness.
     """
     image = _Image(step, budget)
-    names, _, rows = image.rows(dict(state), step.updates)
+    spec = specialise([step.updates[v] for v in image.var_names], state)
+    names, _, rows = image.rows(dict(state), spec)
     least: dict[StateVec, dict[str, Value]] = {}
     for combo, succ in rows:
         if succ not in least:
@@ -375,16 +374,18 @@ def unfold_to_ts(
     outputs: list[dict[str, Expr]] = []
     witnesses: dict[tuple[int, int], dict[str, Value]] = {}
     state_rows: list[StateRows] = []
+    ports = sorted(step.outputs)
+    roots = [step.outputs[p] for p in ports] + [step.updates[v] for v in var_names]
+    nodes = postorder(roots)
 
     queue = 0
     while queue < len(states):
         sidx = queue
         queue += 1
         binding = dict(zip(var_names, states[sidx]))
-        outputs.append(
-            {p: partial_eval(e, binding) for p, e in sorted(step.outputs.items())}
-        )
-        names, values, rows = image.rows(binding, step.updates)
+        spec = specialise(roots, binding, nodes)
+        outputs.append(dict(zip(ports, spec)))
+        names, values, rows = image.rows(binding, spec[len(ports):])
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []
@@ -429,14 +430,22 @@ def run_ts(
     """Execute an input trace on the transition system.
 
     Raises DomainError when no transition guard matches a row, which only
-    happens for inputs outside the system's declared domain.
+    happens for inputs outside the system's declared domain.  A state's
+    outputs and guards are compiled once per set of names the rows give.
     """
     state = ts.init
     out: list[dict[str, Value]] = []
+    compiled: dict[tuple, list] = {}
     for row in rows:
-        env = dict(row)
-        out.append({p: eval_expr(e, env) for p, e in ts.outputs[state].items()})
-        matches = [t for g, t in ts.transitions[state] if eval_expr(g, env)]
+        key = (state, tuple(row))
+        if key not in compiled:
+            exprs = [*ts.outputs[state].values(), *(g for g, _ in ts.transitions[state])]
+            compiled[key] = compile_all(exprs, key[1])
+        values = tuple(row.values())
+        got = [f(values) for f in compiled[key]]
+        out.append(dict(zip(ts.outputs[state], got)))
+        held = got[len(ts.outputs[state]):]
+        matches = [t for (_, t), h in zip(ts.transitions[state], held) if h]
         if len(matches) > 1:
             raise AssertionError(
                 f"state {ts.label(state)}: {len(matches)} guards matched one row"
@@ -455,12 +464,14 @@ def ts_to_dot(ts: Ts, title: str | None = None) -> str:
         "  node [shape=ellipse, fontname=monospace];",
         f"  init [shape=point]; init -> s{ts.init};",
     ]
+    text = render([e for outs in ts.outputs for e in outs.values()]
+                  + [g for edges in ts.transitions for g, _ in edges])
     for i in range(len(ts.states)):
-        outs = "\\n".join(f"{p}: {to_str(e)}" for p, e in ts.outputs[i].items())
+        outs = "\\n".join(f"{p}: {text[id(e)]}" for p, e in ts.outputs[i].items())
         lines.append(f"  s{i} [label=\"{ts.label(i)}\\n{outs}\"];")
     for i, edges in enumerate(ts.transitions):
         for g, t in edges:
-            label = "" if g == TRUE else f" [label=\"{to_str(g)}\"]"
+            label = "" if g == TRUE else f" [label=\"{text[id(g)]}\"]"
             lines.append(f"  s{i} -> s{t}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -131,6 +131,53 @@ LATE_WRAP = counter_text("LateWrap", 12)
 MOD12 = counter_text("Mod12", 11)
 
 
+def fanout_text(n: int) -> str:
+    """The fan-out model: stage i computes s_i+1 = s_i XOR (s_i AND b) from
+    s_0 = a, so each stage reads the previous signal twice, and y = s_n XOR
+    D, where the delay D holds y.  As a tree its output has 2**n leaves."""
+    lines = ["model FanOut", "in a : bool", "in b : bool", "out y : bool",
+             "block D : UnitDelay(false)", "block Y : Logic(XOR)"]
+    s = "a"
+    for i in range(n):
+        lines += [f"block A{i} : Logic(AND)", f"block X{i} : Logic(XOR)",
+                  f"wire {s} -> A{i}.in1", f"wire b -> A{i}.in2",
+                  f"wire {s} -> X{i}.in1", f"wire A{i} -> X{i}.in2"]
+        s = f"X{i}"
+    lines += [f"wire {s} -> Y.in1", "wire D -> Y.in2", "wire Y -> D.in", "wire Y -> y"]
+    return "\n".join(lines) + "\n"
+
+
+def chain_text(n: int, restyled: bool) -> str:
+    """A chain of n two-input gates from input a, s_i+1 = op_i(s_i, x_i),
+    with ops cycling AND, OR, XOR and operands a, b and the delay D that
+    holds y = s_n.  Restyled, each gate is its De Morgan form, three or four
+    blocks that read s_i once; either way the output is n gates deep."""
+    lines = ["model " + ("ChainCand" if restyled else "ChainRef"), "in a : bool",
+             "in b : bool", "out y : bool", "block D : UnitDelay(false)"]
+    count = 0
+
+    def logic(op: str, *srcs: str) -> str:
+        nonlocal count
+        count += 1
+        name = f"G{count}"
+        lines.append(f"block {name} : Logic({op})")
+        lines.extend(f"wire {src} -> {name}.in{k + 1}" for k, src in enumerate(srcs))
+        return name
+
+    s = "a"
+    for i in range(n):
+        op, x = ("AND", "OR", "XOR")[i % 3], ("b", "a", "D", "b")[i % 4]
+        if not restyled:
+            s = logic(op, s, x)
+        elif op == "XOR":
+            s = logic("NOT", logic("XOR", logic("NOT", s), x))
+        else:
+            dual = "OR" if op == "AND" else "AND"
+            s = logic("NOT", logic(dual, logic("NOT", s), logic("NOT", x)))
+    lines += [f"wire {s} -> y", f"wire {s} -> D.in"]
+    return "\n".join(lines) + "\n"
+
+
 # (candidate, reference) pairs exercised by several suites
 FIXTURE_PAIRS = [
     ("flipflop", "flipflop"),
@@ -191,21 +238,32 @@ def trace_containment(cand: Ts, ref: Ts, dom: Domain, depth: int = 6) -> bool:
     Explores state pairs reachable under common input prefixes; a pair with
     an output difference on some row, or a row the candidate cannot step on,
     refutes containment.  For deterministic systems this decides the same
-    relation the simulation preorder does.
+    relation the simulation preorder does.  Each state's outputs on the
+    reference's ports and its successor are evaluated once per row, with
+    ``eval_expr``, and shared by every pair and depth.
     """
     rows = all_rows(dom)
+    # per (system, state, ports): the outputs on ports and the successor
+    # (None for none) of each row evaluated so far, in row order
+    known: dict[tuple, list] = {}
+
+    def at(ts: Ts, state: int, ports: tuple[str, ...], i: int) -> tuple:
+        done = known.setdefault((id(ts), state, ports), [])
+        while len(done) <= i:
+            row = rows[len(done)]
+            done.append(([eval_expr(ts.outputs[state][p], row) for p in ports],
+                         ts_step(ts, state, row)))
+        return done[i]
+
     level = {(cand.init, ref.init)}
     seen = set(level)
     for _ in range(depth):
         nxt: set[tuple[int, int]] = set()
         for a, b in level:
-            for row in rows:
-                for port, e in ref.outputs[b].items():
-                    if eval_expr(e, row) != eval_expr(cand.outputs[a][port], row):
-                        return False
-                a2 = ts_step(cand, a, row)
-                b2 = ts_step(ref, b, row)
-                if a2 is None or b2 is None:
+            ports = tuple(ref.outputs[b])
+            for i in range(len(rows)):
+                (want, b2), (got, a2) = at(ref, b, ports, i), at(cand, a, ports, i)
+                if want != got or a2 is None or b2 is None:
                     return False
                 if (a2, b2) not in seen:
                     seen.add((a2, b2))
@@ -488,6 +546,22 @@ def _gen_spec(rng: random.Random, inputs=None, out_kind=None) -> GenSpec:
         hi = spec.out_kind[1]
         add("OutClamp", "Saturation", [0, hi], {"in": rng.choice(ints)}, None)
         spec.out_src = "OutClamp"
+
+    # fan-out, as in the fan-out model: stages s' = s XOR (s op x), each
+    # reading its input signal twice, XORed into a boolean output, on
+    # narrow inputs only, which the brute-force oracle walks quickly.  Its
+    # draws come from the spec built so far, not from rng, so rng is drawn
+    # as often as without this shape.
+    fan = random.Random(repr(spec.blocks))
+    narrow = all(k == "bool" or k[0] == "int" for _, k in inputs)
+    if spec.out_kind == "bool" and narrow and fan.random() < 0.6:
+        s, x = fan.choice(bools), fan.choice(bools)
+        for i in range(fan.randint(3, 5)):
+            add(f"fa{i}", "Logic", [fan.choice(["AND", "OR"])], {"in1": s, "in2": x}, None)
+            add(f"fx{i}", "Logic", ["XOR"], {"in1": s, "in2": f"fa{i}"}, None)
+            s = f"fx{i}"
+        add("FanY", "Logic", ["XOR"], {"in1": spec.out_src, "in2": s}, None)
+        spec.out_src = "FanY"
     return spec
 
 

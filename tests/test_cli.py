@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from dfcompat import CompatReport, cli, simcheck
-from helpers import model_path, run_cli
+from helpers import DRIFTER, MIRROR, model_path, run_cli
 
 FLIPFLOP = str(model_path("flipflop"))
 RESET = str(model_path("flipflop_reset"))
@@ -38,6 +38,22 @@ def test_check_full():
     assert out.rstrip().endswith("verdict: full")
     assert err == ""
 
+
+
+def test_fix_search_cap_exits_4_naming_the_model_and_budget(tmp_path):
+    # every constant for F passes the initial-output filter, yet fails
+    # verification (the drifter's output flips from the second step on)
+    cand = write(tmp_path, "A.dfm", (
+        "model Drift\nin u : bool\nin F : int[0,20]\nout y : bool\n"
+        + DRIFTER.split("out y : bool\n", 1)[1]
+    ))
+    ref = write(tmp_path, "B.dfm", MIRROR)
+    code, out, err = run_cli("check", cand, ref, "--fix-iterations", "3")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "inconclusive: fix search for Drift: no verified constant fix within 3 attempts\n"
+    )
 
 def test_check_conditional():
     code, out, _ = run_cli("check", str(model_path("cruise_v4")),

@@ -1,14 +1,24 @@
 """Guarded-transition machines: product construction and image maps."""
 
+import tracemalloc
+
 import pytest
 
-from dfcompat import DomainTooLarge, build_efa, extract_cfg, flatten_and_validate, image_map
+from dfcompat import (
+    DomainTooLarge,
+    build_efa,
+    extract_cfg,
+    flatten_and_validate,
+    image_map,
+    parse_model,
+)
+from dfcompat.simcheck import build_step
 from dfcompat.efa import efa_to_text, full_domain
 from dfcompat.errors import DomainError
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType
 from dfcompat.symbolic import SymbolicStep
-from helpers import all_rows, load_model
+from helpers import all_rows, load_model, model_path
 
 
 def pump_step():
@@ -117,6 +127,30 @@ def test_bool_toggle_image():
 def test_image_respects_budget():
     with pytest.raises(DomainTooLarge, match="budget"):
         image_map(build_efa(pump_step()), budget=10)
+
+
+def test_image_refuses_counting_rows_and_naming_the_model():
+    # 99 values of level times 250 of u, which the guard compares with level
+    with pytest.raises(DomainTooLarge, match=r"^image of a transition of PumpCore needs "
+                       r"24750 input rows over its states \(budget 10\)$"):
+        image_map(build_efa(pump_step()), budget=10)
+
+
+def test_image_of_wide_interval_input_counts_interval_rows():
+    # u is only compared with constants: a row per interval, not per value
+    text = model_path("bands_v1").read_text().replace("int[0,69]", "int[0,10000000]")
+    efa = build_efa(build_step(flatten_and_validate(parse_model(text))))
+    tracemalloc.start()
+    try:
+        maps = image_map(efa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [m for m in maps if m] == [
+        {(0,): frozenset({(band,)}), (1,): frozenset({(band,)}), (2,): frozenset({(band,)})}
+        for band in (0, 1, 2)
+    ]
+    assert peak < 10 << 20
 
 
 def test_guard_checks_refuse_naming_the_model():

@@ -17,10 +17,9 @@ from dfcompat.exprs import (
     SignalRef,
     Unary,
     VarRef,
-    box_reads,
-    compile_expr,
     conjoin,
     disjoin,
+    equal,
     eval_expr,
     fold,
     free_inputs,
@@ -31,9 +30,10 @@ from dfcompat.exprs import (
     partial_eval,
     structural_key,
     substitute,
+    postorder,
     to_str,
-    walk,
 )
+from dfcompat.rows import box_reads, compile_all, compile_expr
 from helpers import any_exprs, bool_exprs, envs, int_exprs
 
 
@@ -219,6 +219,54 @@ def test_compiled_expr_matches_eval_expr(e, env, order, k):
     assert _outcome(lambda: compile_expr(e, names)(row)) == want
 
 
+# the same with operands that share subtrees, as step summaries do: a node
+# read twice, on both sides of an operator or in an arm and a condition
+_SHARED_EXPRS = st.recursive(
+    _COMPILE_LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["not", "neg", "inv"]), sub),
+        st.builds(
+            Binary,
+            st.sampled_from(["and", "or", "xor", "add", "sub", "mul", "min", "max",
+                             "eq", "ne", "lt", "le", "gt", "ge", "pow"]),
+            sub, sub,
+        ),
+        st.builds(Ite, sub, sub, sub),
+        st.builds(lambda op, a, b: Binary(op, a, Binary(op, b, a)),
+                  st.sampled_from(["xor", "add", "and", "lt"]), sub, sub),
+        st.builds(lambda c, a: Ite(c, a, Unary("not", a)), sub, sub),
+        st.builds(lambda a, b: Ite(a, b, a), sub, sub),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_SHARED_EXPRS, _SHARED_EXPRS, envs(), st.permutations(["p", "q", "u", "w"]),
+       st.integers(0, 4), st.booleans())
+def test_compiled_dag_matches_eval_expr(e, f, env, order, k, looped):
+    """Roots sharing nodes, compiled together, evaluate one after another on
+    one row as each alone would; looped, deep DAGs' evaluator is used."""
+    from dfcompat import rows
+
+    names = tuple(order[:k])
+    row = tuple(env[n] for n in names)
+    roots = [e, Binary("add", e, f), f, e]
+    want = [_outcome(lambda r=r: eval_expr(r, dict(zip(names, row)))) for r in roots]
+    nested = rows._NESTED_MAX
+    rows._NESTED_MAX = 0 if looped else nested
+    try:
+        fns = compile_all(roots, names)
+    finally:
+        rows._NESTED_MAX = nested
+    assert [_outcome(lambda fn=fn: fn(row)) for fn in fns] == want
+
+
+@given(_SHARED_EXPRS, _SHARED_EXPRS)
+def test_equal_is_structural_equality(e, f):
+    assert equal(e, f) == (e == f)
+    assert equal(e, e)
+
+
 @pytest.mark.parametrize("e", [
     # both operands of and/or are evaluated, so the overflow raises
     Binary("and", Const(False), Binary("mul", Const(1 << 62), Const(4))),
@@ -259,10 +307,15 @@ def test_free_name_queries():
     assert free_names(e) == {"p", "w"}
 
 
-def test_walk_preorder():
-    e = Binary("add", Const(1), Unary("neg", VarRef("w")))
-    kinds = [type(n).__name__ for n in walk(e)]
-    assert kinds == ["Binary", "Const", "Unary", "VarRef"]
+def test_postorder_lists_each_node_once_after_its_children():
+    w = Unary("neg", VarRef("w"))
+    e = Binary("add", Const(1), Binary("mul", w, w))
+    kinds = [type(n).__name__ for n in postorder([e, w])]
+    assert kinds == ["Const", "VarRef", "Unary", "Binary", "Binary"]
+    # w is read twice by the product and is a root as well
+    shared = set()
+    postorder([e, w], shared)
+    assert shared == {id(w)}
 
 
 def test_conjoin_disjoin():

@@ -29,7 +29,7 @@ from dfcompat import (
     unfold_to_ts,
 )
 from dfcompat.errors import ArithmeticOverflow
-from dfcompat.exprs import box_reads
+from dfcompat.rows import box_reads
 from dfcompat.model import domain_size
 from helpers import model_path, random_model_pair
 

@@ -24,7 +24,7 @@ from dfcompat import (
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr, to_str
 from dfcompat.model import BoolType, IntType
 from dfcompat.symbolic import SymbolicStep
-from dfcompat.exprs import input_uses
+from dfcompat.rows import input_uses
 from dfcompat import solver, unfold
 from dfcompat.unfold import run_ts, ts_to_dot
 from helpers import MODELS_DIR, all_rows, load_model, ts_outputs, ts_step
