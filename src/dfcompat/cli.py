@@ -408,7 +408,7 @@ def model_stats(cfg: Cfg, step: SymbolicStep, config: CheckConfig) -> dict:
         "cfg_paths": count_paths(cfg),
         "efa_transitions": len(efa.transitions),
         "ts_states": len(ts.states),
-        "ts_transitions": sum(len(t) for t in ts.transitions),
+        "ts_transitions": sum(len(r.targets) for r in ts.rows),
     }
 
 

@@ -78,9 +78,10 @@ def build_efa(
     # an output and an update that are one expression are split once
     split: dict[int, list[GuardedDef]] = {}
     roots = [step.outputs[p] for p in out_ports] + [step.updates[v] for v in var_names]
-    for e in roots:
+    for (kind, name), e in zip(targets, roots):
         if id(e) not in split:
-            split[id(e)] = split_expr(e, cap)
+            what = f"output {name}" if kind == "out" else f"update {name}'"
+            split[id(e)] = split_expr(e, cap, f"splitting the {what} of {step.name}")
     cases = [split[id(e)] for e in roots]
 
     dom = full_domain(step)

@@ -1,15 +1,18 @@
 """Expressions over rows of input values.
 
 A row gives each name a query enumerates one value; an integer compared
-with constants may take one row per interval of its range.  ``input_uses``
-and ``box_reads`` tell which names the rows must fix, and how finely, and
-``compile_all`` turns expressions into functions of a row, evaluated as
-``eval_expr`` evaluates them.
+with constants may take one row per interval of its range.  ``Grid`` lays
+the rows out, ``input_uses`` and ``box_reads`` tell which names the rows
+must fix, and how finely, and ``compile_all`` turns expressions into
+functions of a row, evaluated as ``eval_expr`` evaluates them.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import operator
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ArithmeticOverflow
@@ -30,8 +33,67 @@ from .exprs import (
     _children,
     postorder,
 )
+from .model import DataType, IntType
 
 Row = Sequence[Value]
+
+
+@dataclass(eq=False, slots=True)
+class Grid:
+    """The rows over some names: the product of each name's row values.
+
+    ``values[k]`` are the row values of ``names[k]``, ascending; names are
+    sorted.  An integer's row value stands for the interval up to its next
+    row value, the last one up to the declared maximum; any other row value
+    for itself.  Row i is the i-th combination of the row values in
+    ``itertools.product`` order, the first name most significant, so the
+    lowest set bit of a row bitset is the lexicographically least row, and
+    the least value of its intervals the least input full enumeration
+    would find.
+    """
+
+    names: tuple[str, ...]
+    values: tuple[tuple[Value, ...], ...]
+    size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.size = math.prod(map(len, self.values))
+
+    def row(self, i: int) -> dict[str, Value]:
+        """Row i: each name's row value."""
+        picked = []
+        for vals in reversed(self.values):
+            i, r = divmod(i, len(vals))
+            picked.append(vals[r])
+        return dict(zip(self.names, reversed(picked)))
+
+    def index(self, row: Mapping[str, Value], dtypes: Mapping[str, DataType]) -> int | None:
+        """The row standing for the values row gives the names, None when
+        one lies outside its type in dtypes."""
+        return self.place(Grid(self.names, tuple((row[n],) for n in self.names)), dtypes)[0]
+
+    def place(self, other: "Grid", dtypes: Mapping[str, DataType]) -> list[int | None]:
+        """Per row of other, the row standing for its values, None where
+        one lies outside its type in dtypes.  other has every name of this
+        grid; its other names do not matter."""
+        slots: list[int | None] = [0]
+        own = dict(zip(self.names, self.values))
+        for n, vals in zip(other.names, other.values):
+            mine = own.get(n)
+            if mine is None:
+                slots = [k for k in slots for _ in vals]
+                continue
+            dt, width = dtypes[n], len(mine)
+            if isinstance(dt, IntType):
+                pos = [bisect.bisect_right(mine, v) - 1 if dt.lo <= v <= dt.hi else None
+                       for v in vals]
+            else:
+                pos = [mine.index(v) if v in mine else None for v in vals]
+            slots = [
+                None if k is None or p is None else k * width + p
+                for k in slots for p in pos
+            ]
+        return slots
 
 
 def compile_expr(e: Expr, names: Sequence[str]) -> Callable[[Row], Value]:

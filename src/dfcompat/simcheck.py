@@ -12,7 +12,6 @@ restore compatibility.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import json
@@ -29,11 +28,9 @@ from .exprs import (
     Value,
     VarRef,
     conjoin,
-    eval_expr,
     partial_eval,
 )
 from .model import (
-    DataType,
     FlatModel,
     IntType,
     InterfaceReport,
@@ -54,7 +51,7 @@ from .solver import (
     row_count,
     sat_witness,  # noqa: F401 - dfbench/tracing.py wraps this module's sat_witness
 )
-from .rows import box_reads, compile_all, compile_expr, input_uses
+from .rows import Grid, box_reads, compile_all, compile_expr, input_uses
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     SymbolicStep,
@@ -67,7 +64,6 @@ from .symbolic import (
 from . import solver, unfold
 from .unfold import (
     DEFAULT_STATE_BUDGET,
-    StateRows,
     Ts,
     row_bitsets,
     spans,
@@ -136,36 +132,17 @@ def _part(exprs: Iterable[Expr]) -> Part:
     )
 
 
-class _Space:
-    """The rows of one query: the product of each name's row values.
-
-    A row value of an integer name stands for the interval up to the next
-    one (the last one up to the domain's maximum), on which every
-    expression the query evaluates keeps its value, or, for the rows of an
-    affine output comparison (``_Rows.output_space``), differs from the
-    row value's at most where it does at the next one; of any other name,
-    for itself.  Row i is the i-th combination in ``itertools.product``
-    order, the first name most significant, so the lowest set bit of a row
-    bitset is the lexicographically least row, and the least input value
-    of its intervals is the least input full enumeration would find.
-    """
-
-    __slots__ = ("names", "values", "size")
-
-    def __init__(self, names: tuple[str, ...], values: tuple[tuple[Value, ...], ...]):
-        self.names = names
-        self.values = values
-        self.size = math.prod(map(len, values))
-
-
 class _Rows:
-    """The query spaces of one simulates call.
+    """The query spaces of one simulates call, each a ``Grid``.
 
     A query over parts (``Part``) spans their names; each integer name
     they only compare takes as row values the common refinement of the
     parts' cut points and of both systems' declared range ends, so the
     candidate's extra range, or the part of the domain it does not
-    declare, is an interval of its own.
+    declare, is an interval of its own.  On each such interval every
+    expression the query evaluates keeps its value, except on the rows of
+    an affine output comparison (``output_space``).  ``first`` gives each
+    name of the domain its first value, for the names a row leaves out.
     """
 
     def __init__(self, dom: Domain, budget: int, cand: Ts, ref: Ts):
@@ -174,33 +151,14 @@ class _Rows:
         self.cand = cand
         self.ref = ref
         self._values: dict[str, tuple[Value, ...]] = {}
-        self._stored: dict[int, tuple[tuple, Part]] = {}
-        self._spaces: dict[tuple[Part, ...], _Space] = {}
-        self._interned: dict[tuple, _Space] = {}
-        self._base = {n: dom.first(n) for n in dom.sorted_names()}
+        self._spaces: dict[tuple[Part, ...], Grid] = {}
+        self._interned: dict[tuple, Grid] = {}
+        self.first = {n: dom.first(n) for n in dom.sorted_names()}
 
     def values(self, name: str) -> tuple[Value, ...]:
         if name not in self._values:
             self._values[name] = self.dom.values(name)
         return self._values[name]
-
-    def stored_part(self, stored: StateRows, inputs: Mapping[str, DataType]) -> Part:
-        """The part of a stored state's guards.
-
-        The row values of an input split into intervals are its cut
-        points; an input with a row per value reads values.  The unfolding
-        shares one row-values tuple among the states with the same rows,
-        so this is worked out once per tuple.
-        """
-        hit = self._stored.get(id(stored.values))
-        if hit is None:
-            part = tuple(
-                (n, None if len(vals) == domain_size(inputs[n]) else vals)
-                for n, vals in zip(stored.names, stored.values)
-            )
-            # holding the tuple keeps its id from being reused
-            hit = self._stored[id(stored.values)] = (stored.values, part)
-        return hit[1]
 
     def _layout(self, parts: Iterable[Part]) -> tuple[tuple[str, ...], list]:
         """The names of the parts, in sorted order, and per name its
@@ -232,7 +190,7 @@ class _Rows:
                 f"state {self.ref.label(bi)} (budget {self.budget})"
             )
 
-    def space(self, pair: tuple[int, int], *parts: Part) -> _Space:
+    def space(self, pair: tuple[int, int], *parts: Part) -> Grid:
         """The rows of a query over these parts, asked at the state pair.
 
         Raises DomainError for names outside the domain and DomainTooLarge,
@@ -245,11 +203,11 @@ class _Rows:
         names, starts = self._layout(parts)
         self._refuse(pair, row_count(self.dom, zip(names, starts)))
         values = tuple(self.values(n) if s is None else s for n, s in zip(names, starts))
-        hit = self._interned.setdefault((names, values), _Space(names, values))
+        hit = self._interned.setdefault((names, values), Grid(names, values))
         self._spaces[parts] = hit
         return hit
 
-    def output_space(self, pair: tuple[int, int], port: str, a: "_Side", b: "_Side") -> _Space:
+    def output_space(self, pair: tuple[int, int], port: str, a: "_Side", b: "_Side") -> Grid:
         """The rows of comparing the outputs on port of the candidate's and
         the reference's states of the pair.
 
@@ -258,7 +216,9 @@ class _Rows:
         (``box_reads``) within each interval of their cut points, its range
         is split at those cut points and both systems' range ends, and each
         interval takes its two least values: on it, the difference of two
-        affine functions that is zero at both is zero throughout.
+        affine functions that is zero at both is zero throughout, so a row
+        value's outputs differ from the row's at most where they do at the
+        next one.
         Evaluating the outputs at the interval's greatest value, for every
         row of the other names, must not raise: affine nodes are monotone,
         so none raises anywhere in the interval.  An interval where one
@@ -307,23 +267,16 @@ class _Rows:
         values[at] = tuple(
             itertools.chain.from_iterable(range(lo, hi + 1) for lo, hi in segments)
         )
-        return self._interned.setdefault((names, tuple(values)), _Space(names, tuple(values)))
-
-    def row(self, space: _Space, i: int) -> dict[str, Value]:
-        """Row i of space as a total assignment, other names at their
-        first value."""
-        row = dict(self._base)
-        for n, vals in zip(reversed(space.names), reversed(space.values)):
-            i, r = divmod(i, len(vals))
-            row[n] = vals[r]
-        return row
+        return self._interned.setdefault((names, tuple(values)), Grid(names, tuple(values)))
 
 
 class _Side:
     """One transition system seen through the rows of the simulation domain.
 
     A state's transitions share one part: the names its guards mention,
-    with their cut points; a stored state's are its names and row values.
+    with their cut points; a stored state's are its names and row values,
+    the interval starts of an input split into intervals and None for one
+    with a row per value.
     Per query space a state has a row bitset per transition: the
     unfolding's bitsets serve the space with the state's own rows, on any
     other space each row is placed in the stored row holding its values,
@@ -337,8 +290,8 @@ class _Side:
     def __init__(self, ts: Ts, rows: _Rows):
         self.ts = ts
         self.rows = rows
-        self._parts: dict[int, list[Part]] = {}
-        self._bits: dict[tuple[int, _Space], list[int]] = {}
+        self._parts: dict[int, Part] = {}
+        self._bits: dict[tuple[int, Grid], list[int]] = {}
         self._out_parts: dict[tuple[int, str], Part] = {}
         self._out_fns: dict[tuple[int, str, tuple[str, ...]], Callable] = {}
         self._affine: dict[tuple[int, str, str], tuple[int, ...] | None] = {}
@@ -373,32 +326,30 @@ class _Side:
             return self.ts.rows[s].targets
         return [t for _, t in self.ts.transitions[s]]
 
-    def parts(self, s: int) -> list[Part]:
-        """Per transition, the part of its state's guards."""
+    def part(self, s: int) -> Part:
+        """The part of state s's guards."""
         if s not in self._parts:
             if self.ts.rows:
                 stored = self.ts.rows[s]
-                count = len(stored.targets)
-                part = self.rows.stored_part(stored, self.ts.inputs) if count > 1 else ()
+                self._parts[s] = () if len(stored.targets) == 1 else tuple(
+                    (n, None if len(vals) == domain_size(self.ts.inputs[n]) else vals)
+                    for n, vals in zip(stored.names, stored.values)
+                )
             else:
-                guards = [g for g, _ in self.ts.transitions[s]]
-                count, part = len(guards), _part(guards)
-            self._parts[s] = [part] * count
+                self._parts[s] = _part(g for g, _ in self.ts.transitions[s])
         return self._parts[s]
 
-    def bits(self, s: int, j: int, space: _Space) -> int:
-        """Row bitset over space of transition j of state s.
-
-        The space spans the names of the state's part.
-        """
+    def bits(self, s: int, space: Grid) -> list[int]:
+        """Per transition of state s, its row bitset over space, which
+        spans the names of the state's part."""
         key = (s, space)
         if key not in self._bits:
             self._bits[key] = (
                 self._stored_bits(s, space) if self.ts.rows else self._guard_bits(s, space)
             )
-        return self._bits[key][j]
+        return self._bits[key]
 
-    def _guard_bits(self, s: int, space: _Space) -> list[int]:
+    def _guard_bits(self, s: int, space: Grid) -> list[int]:
         guards = [compile_expr(g, space.names) for g, _ in self.ts.transitions[s]]
         fires = (
             (i, j) for i, combo in enumerate(itertools.product(*space.values))
@@ -406,57 +357,18 @@ class _Side:
         )
         return row_bitsets(fires, len(guards), space.size)
 
-    def _stored_bits(self, s: int, space: _Space) -> list[int]:
+    def _stored_bits(self, s: int, space: Grid) -> list[int]:
         stored = self.ts.rows[s]
         count = len(stored.targets)
         if count == 1:
             return [(1 << space.size) - 1]
         if stored.names == space.names and stored.values == space.values:
             return stored.bits
-        # place each row of the space in the stored row holding its values;
-        # a row outside the declared ranges takes no transition.  Both name
-        # tuples are sorted, so the state's names come in the same order.
-        slots: list[int | None] = [0]
-        own = dict(zip(stored.names, stored.values))
-        for n, vals in zip(space.names, space.values):
-            if n not in own:
-                slots = [k for k in slots for _ in vals]
-                continue
-            width = len(own[n])
-            pos = [_position(self.ts.inputs[n], own[n], v) for v in vals]
-            slots = [
-                None if k is None or p is None else k * width + p
-                for k in slots for p in pos
-            ]
-        placed = ((i, stored.edges[k]) for i, k in enumerate(slots) if k is not None)
+        # a row outside the declared ranges takes no transition
+        edges = stored.edges
+        slots = stored.place(space, self.ts.inputs)
+        placed = ((i, edges[k]) for i, k in enumerate(slots) if k is not None)
         return row_bitsets(placed, count, space.size)
-
-    def edge(self, s: int, row: Mapping[str, Value]) -> int | None:
-        """The first transition of state s whose guard holds on a total
-        row, None when none does."""
-        if self.ts.rows:
-            stored = self.ts.rows[s]
-            if len(stored.targets) == 1:
-                return 0
-            k = 0
-            for n, vals in zip(stored.names, stored.values):
-                p = _position(self.ts.inputs[n], vals, row[n])
-                if p is None:
-                    return None
-                k = k * len(vals) + p
-            return stored.edges[k]
-        for j, (g, _) in enumerate(self.ts.transitions[s]):
-            if eval_expr(g, row):
-                return j
-        return None
-
-
-def _position(dt: DataType, vals: Sequence[Value], v: Value) -> int | None:
-    """Position of the row value in vals standing for v, None when v lies
-    outside dt."""
-    if isinstance(dt, IntType):
-        return bisect.bisect_right(vals, v) - 1 if dt.lo <= v <= dt.hi else None
-    return vals.index(v) if v in vals else None
 
 
 def simulates(
@@ -469,14 +381,16 @@ def simulates(
     reference moves are no longer answerable by moves into live pairs are
     removed until the relation stabilizes.
 
-    Guards are row bitsets over a query space (``_Space``), so a joint move
-    is a nonzero ``ga & gb`` and the least uncovered row is the lowest set
-    bit of ``gb & ~live``; outputs compare row by row up to the first
+    Guards are row bitsets over a query space (``rows.Grid``), so a joint
+    move is a nonzero ``ga & gb`` and the least uncovered row is the lowest
+    set bit of ``gb & ~live``; outputs compare row by row up to the first
     difference.  A row stands for an interval of each integer name on which
     every expression the query reads is constant, and its values are the
     least ones, so every witness is the one enumerating each value would
-    find.  A query whose rows exceed the budget raises DomainTooLarge.
-    ``queries`` counts the joint, residual and output checks answered.
+    find.  The joint moves and the residuals of a product pair share one
+    space, over both states' parts.  A query whose rows exceed the budget
+    raises DomainTooLarge.  ``queries`` counts the joint, residual and
+    output checks answered.
     """
     rows = _Rows(dom, budget, cand, ref)
     a, b = _Side(cand, rows), _Side(ref, rows)
@@ -491,8 +405,14 @@ def simulates(
         fb = b.output_fn(bi, port, space.names)
         for i, combo in enumerate(itertools.product(*space.values)):
             if fa(combo) != fb(combo):
-                return rows.row(space, i)
+                return rows.first | space.row(i)
         return None
+
+    def pair_bits(pair: tuple[int, int]) -> tuple[Grid, list[int], list[int]]:
+        """The pair's space and, per transition of each side, its bitset."""
+        ai, bi = pair
+        space = rows.space(pair, a.part(ai), b.part(bi))
+        return space, a.bits(ai, space), b.bits(bi, space)
 
     # breadth-first product exploration; index = discovery order
     start = (cand.init, ref.init)
@@ -516,14 +436,14 @@ def simulates(
                 alive[i] = False
                 break
         if alive[i]:
-            parts_a, parts_b = a.parts(ai), b.parts(bi)
-            targets_a = a.targets(ai)
-            for jb, bj in enumerate(b.targets(bi)):
+            targets_a, targets_b = a.targets(ai), b.targets(bi)
+            if targets_a and targets_b:
+                _, bits_a, bits_b = pair_bits(order[i])
+            for jb, bj in enumerate(targets_b):
                 hits = []
                 for ja, aj in enumerate(targets_a):
                     queries += 1
-                    space = rows.space(order[i], parts_a[ja], parts_b[jb])
-                    if a.bits(ai, ja, space) & b.bits(bi, jb, space):
+                    if bits_a[ja] & bits_b[jb]:
                         pair = (aj, bj)
                         if pair not in index:
                             index[pair] = len(order)
@@ -541,23 +461,25 @@ def simulates(
         """The least reference row no live candidate move answers, with the
         successor pair the candidate move it takes leads to."""
         nonlocal queries
-        ai, bi = order[i]
-        parts_a, parts_b = a.parts(ai), b.parts(bi)
+        if not moves[i]:
+            return None
+        space, bits_a, bits_b = pair_bits(order[i])
         for jb, hits in enumerate(moves[i]):
-            live = [ja for ja, q in hits if alive[q]]
             queries += 1
-            space = rows.space(order[i], parts_b[jb], *(parts_a[ja] for ja in live))
             cover = 0
-            for ja in live:
-                cover |= a.bits(ai, ja, space)
-            rest = b.bits(bi, jb, space) & ~cover
+            for ja, q in hits:
+                if alive[q]:
+                    cover |= bits_a[ja]
+            rest = bits_b[jb] & ~cover
             if not rest:
                 continue
-            row = rows.row(space, (rest & -rest).bit_length() - 1)
-            ja = a.edge(ai, row)
-            if ja is None:
-                return row, -1
-            return row, index[(a.targets(ai)[ja], b.targets(bi)[jb])]
+            low = (rest & -rest).bit_length() - 1
+            row = rows.first | space.row(low)
+            # the candidate move the row takes, into a dead pair
+            for ja, q in hits:
+                if bits_a[ja] >> low & 1:
+                    return row, q
+            return row, -1
         return None
 
     # Worklist fixpoint with the visit order of a loop that rescans all

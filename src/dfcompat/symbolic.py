@@ -166,12 +166,15 @@ def _joined(conds: tuple[Expr, ...] | None, lits: tuple[Expr, ...]) -> tuple[Exp
     return conds
 
 
-def split_expr(e: Expr, cap: int = DEFAULT_SPLIT_CAP) -> list[GuardedDef]:
+def split_expr(
+    e: Expr, cap: int = DEFAULT_SPLIT_CAP, stage: str = "splitting an expression"
+) -> list[GuardedDef]:
     """All branch-free alternatives of an expression.
 
     Splits on every Ite, including ones nested inside conditions and
     arithmetic operands.  Contradictory condition sets are dropped as they
-    form; more than `cap` live alternatives aborts with PathExplosion.
+    form; more than `cap` live alternatives aborts with PathExplosion,
+    naming the stage.
     Each distinct node is split once.  An arm is only needed where its
     condition can hold, so a node past the cap marks its parents as past
     it too, and only the marked root raises.
@@ -200,9 +203,7 @@ def split_expr(e: Expr, cap: int = DEFAULT_SPLIT_CAP) -> list[GuardedDef]:
         alts[id(n)] = None if out is None or len(out) > cap else out
     pairs = alts[id(root)]
     if pairs is None:
-        raise PathExplosion(
-            f"case split exceeded {cap} alternatives; raise the cap or simplify the model"
-        )
+        raise PathExplosion(f"{stage} needs more than {cap} alternatives (cap {cap})")
     if len(pairs) == 1 and pairs[0][1] is root:  # no ite: the folded e itself
         return [GuardedDef(*pairs[0])]
     values = rewrite([v for _, v in pairs], fold=True)

@@ -2,12 +2,13 @@
 
 A symbolic step summary is turned into an explicit transition system: state
 variables become enumerated states, each state keeps its output expressions
-specialized to that state (functions of inputs only), and transitions carry
-input guards partitioned by successor.  Every transition also remembers one
-concrete input row, so counterexample traces can be replayed later, and every
-state keeps the transition each of its enumerated input rows takes, and per
-transition the bitset of those rows, which the simulation check reads
-instead of the guards.
+specialized to that state (functions of inputs only), and keeps the input
+rows it enumerated (``StateRows``, a ``rows.Grid``), the transition each row
+takes, and per transition the bitset of those rows.  These rows are the
+one description of the transitions that the simulation check, ``run_ts``,
+the ``stats`` counts and each transition's witness row (``Ts.witness``)
+read; a transition's guard, the disjunction of its rows, is built only for
+the text of DOT output and ``--emit-ts``.
 
 An integer input that a state's specialised updates and guard compare with
 constants is split where those comparisons can change truth.  On an
@@ -27,7 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import NamedTuple
 
 from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
 from .exprs import (
@@ -44,7 +44,7 @@ from .exprs import (
     specialise,
 )
 from .model import DataType, EnumType, IntType, domain_size, in_domain
-from .rows import box_reads, compile_all, input_uses
+from .rows import Grid, box_reads, compile_all, input_uses
 from .solver import DEFAULT_BUDGET, Domain, interval_starts
 from .symbolic import SymbolicStep
 
@@ -105,8 +105,7 @@ class _Image:
         intervals reads it (``box_reads``), and one row elsewhere.  The
         budget counts these rows.  Each row the guard
         admits (every row without one) yields its values over the inputs
-        and the successor vector; ``assignment`` makes a row a total
-        assignment.
+        and the successor vector.
         """
         exprs = spec if guard is None else spec + [guard]
         cuts, reads = input_uses(exprs)
@@ -197,10 +196,6 @@ class _Image:
                 succ.append(val)
             yield combo, tuple(succ)
 
-    def assignment(self, names: tuple[str, ...], combo: tuple[Value, ...]) -> dict[str, Value]:
-        """A row as a total assignment, other inputs at their first value."""
-        return self.base | dict(zip(names, combo))
-
 
 def compute_image(
     step: SymbolicStep,
@@ -218,26 +213,22 @@ def compute_image(
     least: dict[StateVec, dict[str, Value]] = {}
     for combo, succ in rows:
         if succ not in least:
-            least[succ] = image.assignment(names, combo)
+            least[succ] = image.base | dict(zip(names, combo))
     return least
 
 
-class StateRows(NamedTuple):
-    """The input rows one state's unfolding enumerated.
+@dataclass(eq=False, slots=True)
+class StateRows(Grid):
+    """The input rows one state's unfolding enumerated, laid out as a
+    ``Grid``: an input's row values are every declared value, or for an
+    integer split into intervals, some of them.
 
-    ``values[k]`` are the row values of ``names[k]``, ascending: every
-    declared value, or for an integer input split into intervals, some of
-    them, each standing for the values up to the next one (the last one
-    up to the declared maximum).  Row i is the i-th combination of the
-    names' row values in ``itertools.product`` order and stands for every
-    declared input its intervals contain; ``edges[i]`` is the position, in the
-    state's transition list, of the transition row i takes, ``targets[j]``
-    is the successor state of transition j, and bit i of ``bits[j]`` is set
-    when row i takes transition j.
+    ``edges[i]`` is the position, in the state's transition list, of the
+    transition row i takes, ``targets[j]`` is the successor state of
+    transition j, and bit i of ``bits[j]`` is set when row i takes
+    transition j.
     """
 
-    names: tuple[str, ...]
-    values: tuple[tuple[Value, ...], ...]
     edges: list[int]
     targets: list[int]
     bits: list[int]
@@ -258,7 +249,6 @@ class Ts:
     init: int
     outputs: list[dict[str, Expr]]
     transitions: Sequence[list[tuple[Expr, int]]]
-    witnesses: dict[tuple[int, int], dict[str, Value]]
     inputs: dict[str, DataType]
     enums: dict[str, EnumType] = field(default_factory=dict)
     rows: list[StateRows] = field(default_factory=list)
@@ -271,6 +261,15 @@ class Ts:
 
     def label(self, idx: int) -> str:
         return _label(self.var_names, self.states[idx])
+
+    def witness(self, s: int, t: int) -> dict[str, Value]:
+        """The least stored row taking state s to state t, as a total
+        assignment, other inputs at their first value."""
+        stored = self.rows[s]
+        bits = stored.bits[stored.targets.index(t)]
+        dom = self.input_domain()
+        first = {n: dom.first(n) for n in dom.sorted_names()}
+        return first | stored.row((bits & -bits).bit_length() - 1)
 
 
 def _label(var_names: Sequence[str], vec: Sequence[Value]) -> str:
@@ -372,7 +371,6 @@ def unfold_to_ts(
     index: dict[StateVec, int] = {init_vec: 0}
     states: list[StateVec] = [init_vec]
     outputs: list[dict[str, Expr]] = []
-    witnesses: dict[tuple[int, int], dict[str, Value]] = {}
     state_rows: list[StateRows] = []
     ports = sorted(step.outputs)
     roots = [step.outputs[p] for p in ports] + [step.updates[v] for v in var_names]
@@ -389,11 +387,12 @@ def unfold_to_ts(
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []
-        for combo, vec in rows:
+        for _, vec in rows:
             if vec not in index:
                 if len(states) >= state_budget:
                     raise StateBudgetExceeded(
-                        f"{step.name}: more than {state_budget} reachable states"
+                        f"unfolding {step.name} needs more than {state_budget} "
+                        f"reachable states (budget {state_budget})"
                     )
                 index[vec] = len(states)
                 states.append(vec)
@@ -402,7 +401,6 @@ def unfold_to_ts(
             if edge is None:
                 edge = edge_of[tidx] = len(order)
                 order.append(tidx)
-                witnesses[(sidx, tidx)] = image.assignment(names, combo)
             edges.append(edge)
         bits = (
             row_bitsets(enumerate(edges), len(order), len(edges)) if len(order) > 1
@@ -417,7 +415,6 @@ def unfold_to_ts(
         init=0,
         outputs=outputs,
         transitions=_LazyTransitions(state_rows, dict(step.inputs)),
-        witnesses=witnesses,
         inputs=dict(step.inputs),
         enums=dict(step.enums),
         rows=state_rows,
@@ -427,11 +424,12 @@ def unfold_to_ts(
 def run_ts(
     ts: Ts, rows: Sequence[Mapping[str, Value]]
 ) -> list[dict[str, Value]]:
-    """Execute an input trace on the transition system.
+    """Execute an input trace on an unfolded transition system: each input
+    row takes the transition of the stored row standing for its values.
 
-    Raises DomainError when no transition guard matches a row, which only
-    happens for inputs outside the system's declared domain.  A state's
-    outputs and guards are compiled once per set of names the rows give.
+    A state with one transition takes it on every row; in any other,
+    an input outside the system's declared domain raises DomainError.  A
+    state's outputs are compiled once per set of names the rows give.
     """
     state = ts.init
     out: list[dict[str, Value]] = []
@@ -439,22 +437,16 @@ def run_ts(
     for row in rows:
         key = (state, tuple(row))
         if key not in compiled:
-            exprs = [*ts.outputs[state].values(), *(g for g, _ in ts.transitions[state])]
-            compiled[key] = compile_all(exprs, key[1])
+            compiled[key] = compile_all(list(ts.outputs[state].values()), key[1])
         values = tuple(row.values())
-        got = [f(values) for f in compiled[key]]
-        out.append(dict(zip(ts.outputs[state], got)))
-        held = got[len(ts.outputs[state]):]
-        matches = [t for (_, t), h in zip(ts.transitions[state], held) if h]
-        if len(matches) > 1:
-            raise AssertionError(
-                f"state {ts.label(state)}: {len(matches)} guards matched one row"
-            )
-        if not matches:
+        out.append(dict(zip(ts.outputs[state], [f(values) for f in compiled[key]])))
+        stored = ts.rows[state]
+        i = stored.index(row, ts.inputs) if len(stored.targets) > 1 else 0
+        if i is None:
             raise DomainError(
                 f"state {ts.label(state)}: no transition for inputs {dict(row)}"
             )
-        state = matches[0]
+        state = stored.targets[stored.edges[i]]
     return out
 
 

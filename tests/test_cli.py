@@ -55,6 +55,16 @@ def test_fix_search_cap_exits_4_naming_the_model_and_budget(tmp_path):
         "inconclusive: fix search for Drift: no verified constant fix within 3 attempts\n"
     )
 
+
+def test_split_cap_exits_4_naming_the_stage_model_and_cap():
+    code, out, err = run_cli("stats", FLIPFLOP, "--split-cap", "1")
+    assert (code, out) == (4, "")
+    assert err == (
+        "inconclusive: splitting the output Q of FlipFlop needs more than 1 "
+        "alternatives (cap 1)\n"
+    )
+
+
 def test_check_conditional():
     code, out, _ = run_cli("check", str(model_path("cruise_v4")),
                            str(model_path("cruise_v3")))
@@ -127,7 +137,9 @@ def test_check_pipeline_flags_accepted():
 def test_check_state_budget_inconclusive():
     code, out, err = run_cli("check", FLIPFLOP, FLIPFLOP, "--state-budget", "1")
     assert code == 4
-    assert err.startswith("inconclusive:")
+    assert err == (
+        "inconclusive: unfolding FlipFlop needs more than 1 reachable states (budget 1)\n"
+    )
     assert out == ""
 
 

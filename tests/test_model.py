@@ -1,5 +1,7 @@
 """Flattening, static validation, scheduling, stores, and port mapping."""
 
+import re
+
 import pytest
 
 from dfcompat import (
@@ -21,7 +23,7 @@ from dfcompat.errors import (
     UnmappedPort,
 )
 from dfcompat.interp import Interpreter
-from dfcompat.model import hold_var
+from dfcompat.model import Block, Connection, Diagram, Model, Port, hold_var
 from helpers import load_model
 
 
@@ -322,3 +324,31 @@ def test_interface_rejects_kind_mismatch():
     fa, fb = flatten_and_validate(a), flatten_and_validate(b)
     report = check_interface(fa, fb, derive_port_mapping(fa, fb))
     assert not report.compatible
+
+
+# ---------------------------------------------------------------------------
+# models built through the API, which no parser checked
+
+
+def _api_model(wire):
+    """Mirror (y = u) built without the parser, wired by wire."""
+    return Model("Api", diagram=Diagram(
+        inputs=[Port("u", "in", BoolType())],
+        outputs=[Port("y", "out", BoolType())],
+        blocks={"u": Block("u", "Inport"), "y": Block("y", "Outport")},
+        connections=[wire],
+    ))
+
+
+def test_api_built_model_with_valid_wire_flattens():
+    flat = flatten_and_validate(_api_model(Connection("u", "out", "y", "in")))
+    assert flat.output_sources == {"y": ("in", "u")}
+
+
+@pytest.mark.parametrize("wire,message", [
+    (Connection("u", "out", "Ghost", "in"), "wire references unknown block 'Ghost'"),
+    (Connection("u", "out", "u", "out"), "block 'u' has no input port 'out'"),
+])
+def test_api_built_wire_endpoints_are_checked(wire, message):
+    with pytest.raises(ModelValidationError, match=re.escape(message)):
+        flatten_and_validate(_api_model(wire))

@@ -152,7 +152,6 @@ def _single_state(name, out):
         init=0,
         outputs=[{"y": out}],
         transitions=[[(TRUE, 0)]],
-        witnesses={},
         inputs={"u": IntType(0, 5)},
     )
 
@@ -193,19 +192,41 @@ def test_hand_built_guards_over_different_names():
         name="Ref", var_names=("m",), states=[(0,), (1,)], init=0,
         outputs=[{"y": Const(0)}, {"y": Const(0)}],
         transitions=[[(both, 1), (Ite(both, Const(False), Const(True)), 0)], [(TRUE, 1)]],
-        witnesses={}, inputs={"p": BoolType(), "q": IntType(0, 2)},
+        inputs={"p": BoolType(), "q": IntType(0, 2)},
     )
     cand = Ts(
         name="Cand", var_names=("m",), states=[(0,), (1,)], init=0,
         outputs=[{"y": Const(0)}, {"y": Const(1)}],
         transitions=[[(p, 1), (Binary("eq", p, Const(False)), 0)], [(TRUE, 1)]],
-        witnesses={}, inputs={"p": BoolType()},
+        inputs={"p": BoolType()},
     )
     res = simulates(cand, ref, dom)
     assert not res.holds
     # the least reference row of p & q == 2 leads the candidate into m=1
     assert res.failure.rows == [{"p": True, "q": 2}, {"p": False, "q": 0}]
     assert res.failure.cand_state == "m=1" and res.failure.ref_state == "m=1"
+
+
+def test_state_without_transitions_leaves_the_least_reference_row_uncovered():
+    """A candidate state with no transition answers no reference move: the
+    first reference transition's least row, u = 2, is uncovered.  Backwards,
+    a reference state without moves asks for none."""
+    u = InputRef("u")
+    dom = Domain.of(u=IntType(0, 5))
+    stuck = Ts(
+        name="Stuck", var_names=(), states=[()], init=0,
+        outputs=[{"y": Const(0)}], transitions=[[]], inputs={"u": IntType(0, 5)},
+    )
+    ref = Ts(
+        name="Ref", var_names=(), states=[()], init=0, outputs=[{"y": Const(0)}],
+        transitions=[[(Binary("ge", u, Const(2)), 0), (Binary("lt", u, Const(2)), 0)]],
+        inputs={"u": IntType(0, 5)},
+    )
+    res = simulates(stuck, ref, dom)
+    assert not res.holds
+    assert res.failure.kind == "uncovered-input"
+    assert res.failure.rows == [{"u": 2}]
+    assert simulates(ref, stuck, dom).holds
 
 
 def test_counterexample_rows_are_shared():

@@ -152,7 +152,6 @@ def _plain_ts(outputs, transitions, states=1, inputs=None):
         init=0,
         outputs=outputs,
         transitions=transitions,
-        witnesses={},
         inputs=inputs or {"u": IntType(0, 5)},
     )
 
@@ -253,54 +252,44 @@ def test_both_directions_share_unfolded_systems(monkeypatch):
 
 def test_rows_evaluated_by_compiled_code(monkeypatch):
     """unfold_to_ts and simulates tree-walk no expression, per row or
-    otherwise, and unfolding builds a total assignment only for the
-    witness row of each edge."""
-    from dfcompat import unfold
+    otherwise, and unfolding turns no row back into an assignment: a
+    witness is read off the stored rows when asked for."""
+    from dfcompat import rows, unfold
 
     running: list[str] = []  # the patched functions currently running
     walked: list[str] = []  # per eval_expr call inside them, which one
+    decoded: list[str] = []  # per Grid.row call inside them, which one
 
-    def counted(real):
-        def eval_expr(e, env):
+    def counted(real, calls):
+        def call(*args):
             if running:
-                walked.append(running[-1])
-            return real(e, env)
-        return eval_expr
+                calls.append(running[-1])
+            return real(*args)
+        return call
 
-    def tracked(name, real, keep=None):
+    def tracked(name, real):
         def run(*args):
             running.append(name)
             try:
-                result = real(*args)
+                return real(*args)
             finally:
                 running.pop()
-            if keep is not None:
-                keep.append(result)
-            return result
         return run
 
-    # unfold does not import eval_expr; setting the name there still
-    # catches a change that would call it
+    # unfold and simcheck do not import eval_expr; setting the name there
+    # still catches a change that would call it
     for module in (unfold, simcheck):
-        monkeypatch.setattr(module, "eval_expr", counted(eval_expr), raising=False)
-    systems: list[Ts] = []
+        monkeypatch.setattr(module, "eval_expr", counted(eval_expr, walked), raising=False)
+    monkeypatch.setattr(rows.Grid, "row", counted(rows.Grid.row, decoded))
     monkeypatch.setattr(
-        simcheck, "unfold_to_ts",
-        tracked("unfold_to_ts", simcheck.unfold_to_ts, systems),
+        simcheck, "unfold_to_ts", tracked("unfold_to_ts", simcheck.unfold_to_ts)
     )
     monkeypatch.setattr(simcheck, "simulates", tracked("simulates", simcheck.simulates))
-    assignments = []
-    monkeypatch.setattr(
-        unfold._Image, "assignment",
-        lambda self, names, combo, real=unfold._Image.assignment:
-        assignments.append(combo) or real(self, names, combo),
-    )
     for cand, ref in FIXTURE_PAIRS:
         report_for(cand, ref)
     assert walked == []
-    edges = sum(len(ts.witnesses) for ts in systems)
-    rows = sum(len(r.edges) for ts in systems for r in ts.rows)
-    assert len(assignments) == edges < rows
+    # counterexample rows are decoded; unfolding decodes none
+    assert "simulates" in decoded and "unfold_to_ts" not in decoded
 
 
 def test_fix_attempts_share_reference_systems(monkeypatch):

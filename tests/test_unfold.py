@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import re
 import tracemalloc
 
@@ -23,11 +24,12 @@ from dfcompat import (
 )
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr, to_str
 from dfcompat.model import BoolType, IntType
+from dfcompat.simcheck import build_step
 from dfcompat.symbolic import SymbolicStep
 from dfcompat.rows import input_uses
 from dfcompat import solver, unfold
 from dfcompat.unfold import run_ts, ts_to_dot
-from helpers import MODELS_DIR, all_rows, load_model, ts_outputs, ts_step
+from helpers import MODELS_DIR, all_rows, load_model, run_cli, ts_outputs, ts_step
 from test_efa import model_step, pump_step
 
 
@@ -90,7 +92,7 @@ def test_unfold_compute_image_and_image_map_agree(name):
         reached = {ts.states[t] for t in targets}
         assert reached == set(image)
         for t in targets:
-            assert ts.witnesses[(s, t)] == image[ts.states[t]]
+            assert ts.witness(s, t) == image[ts.states[t]]
         # image_map leaves out transitions that move no variable
         listed = set().union(*(m.get(vec, ()) for m in maps))
         assert listed <= reached
@@ -120,12 +122,14 @@ def test_gated_max_tracker_states():
 def test_witnesses_replay_to_their_successor():
     ts = ts_of("bands_v1")
     step = summarize(extract_cfg(flatten_and_validate(load_model("bands_v1"))))
-    for (i, t), env in ts.witnesses.items():
+    for i, stored in enumerate(ts.rows):
         binding = ts.state_binding(i)
-        succ = tuple(
-            eval_expr(step.updates[v], {**binding, **env}) for v in ts.var_names
-        )
-        assert succ == ts.states[t]
+        for t in stored.targets:
+            env = ts.witness(i, t)
+            succ = tuple(
+                eval_expr(step.updates[v], {**binding, **env}) for v in ts.var_names
+            )
+            assert succ == ts.states[t]
 
 
 def test_stateless_system_has_single_total_state():
@@ -148,6 +152,27 @@ def test_run_rejects_out_of_domain_input():
     ts = ts_of("bands_v1")
     with pytest.raises(DomainError, match="no transition"):
         run_ts(ts, [{"u": 70}])
+
+
+def test_run_ts_and_stats_read_rows_not_guards(monkeypatch):
+    """Running a trace and counting transitions build no guard."""
+    trace = [{"u": 69}, {"u": 10}, {"u": 35}, {"u": 0}]
+    flat = flatten_and_validate(load_model("bands_v1"))
+    built = unfold_to_ts(build_step(flat))
+    outputs = run_ts(built, trace)
+    transitions = sum(len(t) for t in built.transitions)
+
+    def refuse(*_):
+        raise AssertionError("a guard was built")
+
+    monkeypatch.setattr(unfold, "_guards", refuse)
+    ts = unfold_to_ts(build_step(flat))
+    assert run_ts(ts, trace) == outputs
+    code, out, err = run_cli("stats", str(MODELS_DIR / "bands_v1.dfm"), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ts_transitions"] == transitions > len(ts.states)
+    with pytest.raises(AssertionError, match="a guard was built"):
+        ts.transitions[0]
 
 
 def test_state_budget_enforced():
@@ -199,8 +224,8 @@ def test_huge_comparison_only_input_unfolds_by_intervals():
         assert stored.names == ("u",)
         assert stored.values == ((0, 5),)
         assert stored.edges == [0, 1]
-    assert ts.witnesses[(0, 0)] == {"u": 0}
-    assert ts.witnesses[(0, 1)] == {"u": 5}
+    assert ts.witness(0, 0) == {"u": 0}
+    assert ts.witness(0, 1) == {"u": 5}
     # the guards stay exact on every declared value
     assert [to_str(g) for g, _ in ts.transitions[0]] == [
         "(0 <= u) && (u <= 4)", "(5 <= u) && (u <= 1000000000000)",
@@ -273,7 +298,7 @@ def test_input_compared_and_read_is_split():
     ts, peak = _peak_bytes(lambda: unfold_to_ts(step))
     assert peak < 10 * 1024 * 1024
     assert ts.rows[0].values == ((0, 1, 2),)
-    assert [ts.witnesses[(0, t)] for t in ts.rows[0].targets] == [
+    assert [ts.witness(0, t) for t in ts.rows[0].targets] == [
         {"u": 0}, {"u": 1}, {"u": 2},
     ]
     assert [to_str(g) for g, _ in ts.transitions[0]] == [
