@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Compare the reports of two checkouts on the standing-gate cases.
 
-    python3 scripts/compare_reports.py OLD_DIR NEW_DIR [--seeds 1-2] [--random 300]
+    python3 scripts/compare_reports.py OLD_DIR NEW_DIR
 
-The cases are every member of the four dfbench workloads at each seed and
-``random_model_pair(seed)`` of each checkout's test helpers for the first
-``--random`` seeds, checked in both directions.  A library case's result is
+The cases are every member of the four dfbench workloads at seeds 1 and 2
+and ``random_model_pair(seed)`` of each checkout's test helpers for seeds
+0-299, checked in both directions.  A library case's result is
 its report without ``elapsed`` (``queries`` kept) or its error class and
 message.  big_diagram members go through ``dfcompat check`` with every
 ``--emit-*`` flag, as dfbench runs them plus ``--emit-smt``; their result is
@@ -32,13 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-
-def parse_seeds(text: str) -> list[int]:
-    seeds: list[int] = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+SEEDS = (1, 2)
+RANDOM_PAIRS = 300
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +84,7 @@ def _cli_case(cli, text_a: str, text_b: str) -> dict:
                 "artifacts": files}
 
 
-def collect(checkout: Path, seeds: list[int], randoms: int) -> dict[str, dict]:
+def collect(checkout: Path) -> dict[str, dict]:
     """Every case's result, computed with the checkout's own code."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "dfbench"), str(checkout / "tests")]
     import dfcompat
@@ -99,14 +94,14 @@ def collect(checkout: Path, seeds: list[int], randoms: int) -> dict[str, dict]:
 
     results: dict[str, dict] = {}
     for workload, (members_of, mode) in bench.WORKLOADS.items():
-        for seed in seeds:
+        for seed in SEEDS:
             for k, m in enumerate(members_of(seed)):
                 key = f"{workload}/seed{seed}/{k:02d}-{m.name}"
                 if mode == "cli":
                     results[key] = _cli_case(cli, m.text_a, m.text_b)
                 else:
                     results[key] = _library_case(dfcompat, m.text_a, m.text_b)
-    for seed in range(randoms):
+    for seed in range(RANDOM_PAIRS):
         model_a, model_b = random_model_pair(seed)
         for tag, (x, y) in (("ab", (model_a, model_b)), ("ba", (model_b, model_a))):
             try:
@@ -139,22 +134,18 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path, nargs="?", help="checkout of the baseline")
     ap.add_argument("new", type=Path, nargs="?", help="checkout of the change")
-    ap.add_argument("--seeds", default="1-2", help="workload seeds, e.g. 1-2 or 1,5")
-    ap.add_argument("--random", type=int, default=300, help="random pair seeds")
     ap.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
 
     if args.collect is not None:
-        json.dump(collect(args.collect.resolve(), seeds, args.random), sys.stdout)
+        json.dump(collect(args.collect.resolve()), sys.stdout)
         return 0
     if args.old is None or args.new is None:
         ap.error("OLD_DIR and NEW_DIR are required")
 
     procs = [
         subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--collect", str(side.resolve()),
-             "--seeds", args.seeds, "--random", str(args.random)],
+            [sys.executable, str(Path(__file__).resolve()), "--collect", str(side.resolve())],
             cwd=side, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         )

@@ -153,7 +153,7 @@ class _Rows:
         self._values: dict[str, tuple[Value, ...]] = {}
         self._spaces: dict[tuple[Part, ...], Grid] = {}
         self._interned: dict[tuple, Grid] = {}
-        self.first = {n: dom.first(n) for n in dom.sorted_names()}
+        self.first = dom.first_values()
 
     def values(self, name: str) -> tuple[Value, ...]:
         if name not in self._values:

@@ -79,6 +79,11 @@ class Domain:
     def first(self, name: str) -> Value:
         return first_value(self.dtypes[name])
 
+    def first_values(self) -> dict[str, Value]:
+        """Every name at its first value, which fills in the names a row
+        leaves out."""
+        return {n: self.first(n) for n in self.sorted_names()}
+
     def space(self, names: Iterable[str] | None = None) -> int:
         size = 1
         for n in self.sorted_names() if names is None else names:
@@ -160,7 +165,7 @@ def sat_witness(
         raise DomainTooLarge(
             f"{stage} needs {space} input rows over {len(names)} names (budget {budget})"
         )
-    base = {n: dom.first(n) for n in dom.sorted_names()}
+    base = dom.first_values()
     values = [dom.values(n) if s is None else s for n, s in zip(names, starts)]
     holds = compile_expr(expr, names)
     for combo in itertools.product(*values):

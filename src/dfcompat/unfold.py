@@ -81,7 +81,7 @@ class _Image:
         self.budget = budget
         self.var_names = tuple(sorted(step.vars))
         self.dom = Domain(dict(step.inputs))
-        self.base = {n: self.dom.first(n) for n in self.dom.sorted_names()}
+        self.base = self.dom.first_values()
         self._declared: dict[str, tuple[Value, ...]] = {}
         self._row_values: dict[tuple, tuple[tuple[Value, ...], ...]] = {}
         self.ints = any(isinstance(dt, IntType) for dt in step.inputs.values())
@@ -267,8 +267,7 @@ class Ts:
         assignment, other inputs at their first value."""
         stored = self.rows[s]
         bits = stored.bits[stored.targets.index(t)]
-        dom = self.input_domain()
-        first = {n: dom.first(n) for n in dom.sorted_names()}
+        first = self.input_domain().first_values()
         return first | stored.row((bits & -bits).bit_length() - 1)
 
 
@@ -332,9 +331,9 @@ def _cells(ref: InputRef, vals: tuple[Value, ...], dt: DataType) -> list[Expr]:
 class _LazyTransitions(Sequence):
     """Transition lists of an unfolded system.
 
-    The simulation check reads the stored rows, so a state's guards are
-    only built when something asks for its transition list (DOT output,
-    ``run_ts``, ``--emit-ts``).
+    The simulation check, ``run_ts`` and ``stats`` read the stored rows,
+    so a state's guards are only built when something asks for its
+    transition list (DOT output, ``--emit-ts``).
     """
 
     def __init__(self, rows: list[StateRows], inputs: Mapping[str, DataType]):
