@@ -7,7 +7,8 @@ Unsatisfiable combinations are pruned as the product is built, and the
 result can be verified to be deterministic (pairwise disjoint guards) and
 total (guards cover the whole domain).  ``image_map`` takes each state's
 successors under one transition from unfolding's row primitive
-(``unfold._Image``), so it shares unfolding's per-state budget and errors.
+(``unfold._Image``), so it shares unfolding's per-state budget and errors;
+like every row count, its budget over all states is ``rows.plan``'s.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainTooLarge
 from .exprs import (
     Binary,
     Expr,
+    InputRef,
     TRUE,
     Unary,
     Value,
@@ -29,7 +30,8 @@ from .exprs import (
     render,
     specialise,
 )
-from .solver import DEFAULT_BUDGET, Domain, is_sat, row_count, row_starts, sat_witness
+from .rows import plan, row_uses
+from .solver import DEFAULT_BUDGET, Domain, is_sat, sat_witness
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     GuardedDef,
@@ -137,33 +139,31 @@ def image_map(
     input.  Transitions that leave every variable unchanged contribute an
     empty map since they cannot reach new states.  Before a transition's
     states are walked, its rows are counted as ``sat_witness`` counts them
-    (``row_starts``): every state times the input rows of the names it
+    (``rows.plan``): every state times the input rows of the names it
     mentions, an integer only compared with constants taking a row per
     interval.
     """
     image = _Image(efa.step, budget)
     var_names = image.var_names
     var_dom = state_domain(efa.step)
+    what = f"image of a transition of {efa.step.name}"
     maps: list[dict[tuple[Value, ...], frozenset[tuple[Value, ...]]]] = []
     for tr in efa.transitions:
         if all(tr.updates[v] == VarRef(v) for v in var_names):
             maps.append({})
             continue
         roots = [tr.updates[v] for v in var_names] + [tr.guard]
-        names, starts = row_starts(roots, efa.domain())
-        inputs = [(n, s) for n, s in zip(names, starts) if n in image.dom]
-        space = var_dom.space(var_names) * row_count(image.dom, inputs)
-        if space > budget:
-            raise DomainTooLarge(
-                f"image of a transition of {efa.step.name} needs {space} input rows "
-                f"over its states (budget {budget})"
-            )
+        uses = row_uses(roots, (InputRef, VarRef))
+        plan(
+            {n: c for n, c in uses.items() if n in image.dom}, image.dom.dtypes, budget,
+            what, lambda _: " over its states", image.cache, times=var_dom.space(var_names),
+        )
         order = postorder(roots)
         entry: dict[tuple[Value, ...], frozenset[tuple[Value, ...]]] = {}
         for old in itertools.product(*(var_dom.values(v) for v in var_names)):
             binding = dict(zip(var_names, old))
             *spec, guard = specialise(roots, binding, order)
-            _, _, rows = image.rows(binding, spec, guard)
+            _, rows = image.rows(binding, spec, guard)
             succs = frozenset(succ for _, succ in rows)
             if succs:
                 entry[old] = succs

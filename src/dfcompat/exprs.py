@@ -235,14 +235,6 @@ def _names(e: Expr, kinds: tuple[type, ...]) -> frozenset[str]:
     return frozenset(n.name for n in postorder([e]) if type(n) in kinds)
 
 
-def free_inputs(e: Expr) -> frozenset[str]:
-    return _names(e, (InputRef,))
-
-
-def free_vars(e: Expr) -> frozenset[str]:
-    return _names(e, (VarRef,))
-
-
 def free_names(e: Expr) -> frozenset[str]:
     """Input and variable names referenced by ``e``."""
     return _names(e, (InputRef, VarRef))

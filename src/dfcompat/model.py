@@ -759,9 +759,6 @@ class PortMapping:
     pairs: tuple[tuple[str, str], ...]  # (b port, a port)
     extra_inputs_a: tuple[str, ...]
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
     def a_to_b(self) -> dict[str, str]:
         return {a: b for b, a in self.pairs}
 

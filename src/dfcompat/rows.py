@@ -5,17 +5,22 @@ with constants may take one row per interval of its range.  ``Grid`` lays
 the rows out, ``input_uses`` and ``box_reads`` tell which names the rows
 must fix, and how finely, and ``compile_all`` turns expressions into
 functions of a row, evaluated as ``eval_expr`` evaluates them.
+
+``plan`` is the one place that chooses a query's rows, counts them and
+refuses a query over its budget: the unfolding, the simulation, the
+satisfiability checks and ``efa.image_map`` all call it.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ArithmeticOverflow
+from .errors import ArithmeticOverflow, DomainError, DomainTooLarge
 from .exprs import (
     _BINARY,
     _OPERATORS,
@@ -33,9 +38,22 @@ from .exprs import (
     _children,
     postorder,
 )
-from .model import DataType, IntType
+from .model import DataType, IntType, domain_size, domain_values
 
 Row = Sequence[Value]
+
+# Enumerate integer inputs compared with constants by intervals, in the
+# unfolding, the simulation's queries and the satisfiability checks; when
+# off, every integer input is enumerated value by value, as a reference.
+INTERVAL_ROWS = True
+# An integer input read by value with at most this many values takes every
+# value, in the unfolding and in the simulation's output comparisons:
+# splitting its range costs more than the rows it saves.
+SPLIT_MIN_VALUES = 64
+# Bitsets of up to this many rows are built on Python ints, a word each;
+# longer ones are filled in bytearrays, where setting bits one by one on an
+# ever longer int would copy it at every step (quadratic in the rows).
+WORD_ROWS = 64
 
 
 @dataclass(eq=False, slots=True)
@@ -94,6 +112,145 @@ class Grid:
                 for k in slots for p in pos
             ]
         return slots
+
+
+class Split(NamedTuple):
+    """How ``plan`` splits an integer it would read by value.
+
+    An integer with more than ``SPLIT_MIN_VALUES`` values is cut at the
+    cut points ``cuts(name)`` gives (None: it is not split) and at its ends
+    into intervals, unless that leaves its range whole and ``whole`` is
+    false.  Each interval takes its ``keep`` least values, and every value
+    where ``widen(names, values, intervals)`` says so: given ``values(k)``,
+    the row values of the k-th name so far, and per split name by position
+    its intervals, it returns per split name whether each interval takes
+    every value.
+    """
+
+    cuts: Callable[[str], Collection[int] | None]
+    keep: int
+    whole: bool
+    widen: Callable[..., dict[int, list[bool]]]
+
+
+def plan(
+    uses: Mapping[str, Collection[int] | None],
+    dtypes: Mapping[str, DataType],
+    budget: int,
+    what: str,
+    where: Callable[[tuple[str, ...]], str],
+    cache: dict | None = None,
+    times: int = 1,
+    ends: Mapping[str, Collection[int]] | None = None,
+    split: Split | None = None,
+) -> Grid:
+    """The rows of a query over the names of uses.
+
+    uses gives each name the cut points of its comparisons with constants,
+    or None when the query reads its value otherwise.  An integer with cut
+    points takes one row per interval of them and of its ``ends``, at the
+    interval's least value; every other name takes every declared value,
+    unless split.  With ``INTERVAL_ROWS`` off every name takes every value.
+    Each name's rows are None (every declared value) or (least, greatest)
+    segments each value of which is a row; they are counted, times
+    ``times``, before any value list is built, and a query over the budget
+    is refused with DomainTooLarge, naming ``what`` and ``where(names)``.
+    cache, kept by the caller, holds each name's declared values and the
+    grids built, so an equal plan is one Grid.  Raises DomainError for
+    names dtypes does not declare.
+    """
+    names = tuple(sorted(uses))
+    ends = ends or {}
+    cache = {} if cache is None else cache
+    segs: list[tuple[tuple[int, int], ...] | None] = [None] * len(names)
+    sizes: list[int] = []
+    cut: dict[int, list[tuple[int, int]]] = {}
+    for k, n in enumerate(names):
+        dt, c = dtypes.get(n), uses[n]
+        if dt is None:
+            declared_names(uses, dtypes)  # raises, naming every undeclared name
+        size = None
+        if c is not None:
+            s = interval_starts(dt, {*c, *ends.get(n, ())})
+            if s is not None:
+                segs[k], size = tuple((lo, lo) for lo in s), len(s)
+        elif (split is not None and isinstance(dt, IntType)
+              and domain_size(dt) > SPLIT_MIN_VALUES and (at := split.cuts(n)) is not None):
+            s = interval_starts(dt, {*at, *ends.get(n, ())})
+            if s is not None and (split.whole or len(s) > 1):
+                cut[k] = spans(dt, s)
+                segs[k] = tuple((lo, min(lo + split.keep - 1, hi)) for lo, hi in cut[k])
+                size = sum(hi - lo + 1 for lo, hi in segs[k])
+        sizes.append(domain_size(dt) if size is None else size)
+    # the one refusal of every stage: the rows are counted, and counted again
+    # once the split rule has widened some intervals
+    while True:
+        rows = times * math.prod(sizes)
+        if rows > budget:
+            raise DomainTooLarge(f"{what} needs {rows} input rows{where(names)} (budget {budget})")
+        if not cut:
+            break
+        row_values = lambda k: _values(names[k], segs[k], dtypes, cache)  # noqa: E731
+        for k, wide in split.widen(names, row_values, cut).items():
+            segs[k] = tuple(r if w else s for r, s, w in zip(cut[k], segs[k], wide))
+            sizes[k] = sum(hi - lo + 1 for lo, hi in segs[k])
+        cut = {}
+    key = (names, tuple(segs))
+    grid = cache.get(key)
+    if grid is None:
+        values = tuple(_values(n, s, dtypes, cache) for n, s in zip(names, segs))
+        grid = cache[key] = Grid(names, values)
+    return grid
+
+
+def _values(
+    name: str, segs: tuple[tuple[int, int], ...] | None, dtypes: Mapping[str, DataType],
+    cache: dict,
+) -> tuple[Value, ...]:
+    """A name's row values: every value of its segments, or its declared
+    values, kept in cache."""
+    if segs is not None:
+        return tuple(itertools.chain.from_iterable(range(lo, hi + 1) for lo, hi in segs))
+    if name not in cache:
+        cache[name] = domain_values(dtypes[name])
+    return cache[name]
+
+
+def declared_names(names: Iterable[str], dtypes: Mapping[str, DataType]) -> list[str]:
+    """The names in sorted order; DomainError when one is not declared."""
+    names = sorted(names)
+    missing = [n for n in names if n not in dtypes]
+    if missing:
+        raise DomainError(f"formula mentions undeclared names: {missing}")
+    return names
+
+
+def interval_starts(dt: DataType, cuts: Collection[int]) -> tuple[int, ...] | None:
+    """The least values of the intervals the cut points split an integer
+    range into, in ascending order; None for any other type, and for every
+    type when ``INTERVAL_ROWS`` is off."""
+    if not INTERVAL_ROWS or not isinstance(dt, IntType):
+        return None
+    return (dt.lo, *sorted(c for c in cuts if dt.lo < c <= dt.hi))
+
+
+def spans(dt: IntType, starts: Sequence[int]) -> list[tuple[int, int]]:
+    """The (least, greatest) values of the intervals with these starts."""
+    return list(zip(starts, [s - 1 for s in starts[1:]] + [dt.hi]))
+
+
+def row_bitsets(placed: Iterable[tuple[int, int]], count: int, size: int) -> list[int]:
+    """Row bitsets of size bits for transitions 0..count-1 from (row,
+    transition) pairs."""
+    if size <= WORD_ROWS:
+        bits = [0] * count
+        for i, edge in placed:
+            bits[edge] |= 1 << i
+        return bits
+    bufs = [bytearray((size + 7) >> 3) for _ in range(count)]
+    for i, edge in placed:
+        bufs[edge][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(b, "little") for b in bufs]
 
 
 def compile_expr(e: Expr, names: Sequence[str]) -> Callable[[Row], Value]:
@@ -290,6 +447,15 @@ def input_uses(
             seen.add(id(n))
             stack += (n.arg,) if kind is Unary else (n.other, n.then, n.cond)
     return cuts, reads
+
+
+def row_uses(
+    exprs: Iterable[Expr], kinds: tuple[type, ...] = (InputRef,)
+) -> dict[str, Collection[int] | None]:
+    """The uses ``plan`` takes: per name of ``input_uses``, its cut points,
+    or None when some occurrence reads its value otherwise."""
+    cuts, reads = input_uses(exprs, kinds)
+    return {n: None if n in reads else c for n, c in cuts.items()}
 
 
 # the cut points of a name read only by value, shared and never changed

@@ -7,7 +7,8 @@ reference side's input domain.  Checking both directions classifies a pair
 as fully compatible, safe only for existing callers, safe only for new
 callers, or incompatible, and every refusal comes with a replayable input
 trace.  Extra candidate inputs can be searched for constant settings that
-restore compatibility.
+restore compatibility.  Every query's rows come from ``rows.plan``; an
+output comparison gives it the affine two-point split rule.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainTooLarge, IterationCapExceeded
+from .errors import IterationCapExceeded
 from .exprs import (
     Binary,
     Expr,
@@ -46,12 +46,18 @@ from .solver import (
     DEFAULT_BUDGET,
     Domain,
     exists_forall_constants,
-    declared_names,
-    interval_starts,
-    row_count,
     sat_witness,  # noqa: F401 - dfbench/tracing.py wraps this module's sat_witness
 )
-from .rows import Grid, box_reads, compile_all, compile_expr, input_uses
+from .rows import (
+    Grid,
+    Split,
+    box_reads,
+    compile_all,
+    compile_expr,
+    input_uses,
+    plan,
+    row_bitsets,
+)
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     SymbolicStep,
@@ -61,14 +67,7 @@ from .symbolic import (
     restrict_to_outputs,
     summarize,
 )
-from . import solver, unfold
-from .unfold import (
-    DEFAULT_STATE_BUDGET,
-    Ts,
-    row_bitsets,
-    spans,
-    unfold_to_ts,
-)
+from .unfold import DEFAULT_STATE_BUDGET, Ts, unfold_to_ts
 
 
 @dataclass(frozen=True)
@@ -113,11 +112,9 @@ class SimResult:
         return self._visited()
 
 
-# A query part: the names some expressions read, each with the cut points
-# their comparisons with constants put into the name's range, or None when
-# they read the name's value otherwise (rows then take every value, but for
-# an integer an output comparison reads affinely).  Query spaces are cached
-# by their parts.
+# A query part: ``rows.plan``'s uses of some expressions, in a hashable
+# form (per name its sorted cut points, or None when read by value).
+# Query spaces are cached by their parts.
 Part = tuple[tuple[str, "tuple[Value, ...] | None"], ...]
 
 
@@ -127,147 +124,7 @@ def _part(exprs: Iterable[Expr]) -> Part:
     cuts, reads = input_uses(exprs, (InputRef, VarRef))
     if not cuts:
         return ()
-    return tuple(
-        (n, None if n in reads else tuple(sorted(cuts[n]))) for n in sorted(cuts)
-    )
-
-
-class _Rows:
-    """The query spaces of one simulates call, each a ``Grid``.
-
-    A query over parts (``Part``) spans their names; each integer name
-    they only compare takes as row values the common refinement of the
-    parts' cut points and of both systems' declared range ends, so the
-    candidate's extra range, or the part of the domain it does not
-    declare, is an interval of its own.  On each such interval every
-    expression the query evaluates keeps its value, except on the rows of
-    an affine output comparison (``output_space``).  ``first`` gives each
-    name of the domain its first value, for the names a row leaves out.
-    """
-
-    def __init__(self, dom: Domain, budget: int, cand: Ts, ref: Ts):
-        self.dom = dom
-        self.budget = budget
-        self.cand = cand
-        self.ref = ref
-        self._values: dict[str, tuple[Value, ...]] = {}
-        self._spaces: dict[tuple[Part, ...], Grid] = {}
-        self._interned: dict[tuple, Grid] = {}
-        self.first = dom.first_values()
-
-    def values(self, name: str) -> tuple[Value, ...]:
-        if name not in self._values:
-            self._values[name] = self.dom.values(name)
-        return self._values[name]
-
-    def _layout(self, parts: Iterable[Part]) -> tuple[tuple[str, ...], list]:
-        """The names of the parts, in sorted order, and per name its
-        interval starts, refined with both systems' declared range ends,
-        or None when it takes every value.  Raises DomainError for names
-        outside the domain."""
-        cuts: dict[str, set[Value] | None] = {}
-        for n, c in itertools.chain.from_iterable(parts):
-            seen = cuts.get(n, set())
-            cuts[n] = None if c is None or seen is None else seen | set(c)
-        names = tuple(declared_names(cuts, self.dom))
-        return names, [self._starts(n, cuts[n]) for n in names]
-
-    def _starts(self, name: str, cuts: set[Value] | None) -> tuple[int, ...] | None:
-        if cuts is None:
-            return None
-        for ts in (self.cand, self.ref):
-            dt = ts.inputs.get(name)
-            if isinstance(dt, IntType):
-                cuts = cuts | {dt.lo, dt.hi + 1}
-        return interval_starts(self.dom.dtypes[name], cuts)
-
-    def _refuse(self, pair: tuple[int, int], size: int) -> None:
-        if size > self.budget:
-            ai, bi = pair
-            raise DomainTooLarge(
-                f"simulating {self.ref.name} by {self.cand.name} needs {size} "
-                f"input rows in candidate state {self.cand.label(ai)}, reference "
-                f"state {self.ref.label(bi)} (budget {self.budget})"
-            )
-
-    def space(self, pair: tuple[int, int], *parts: Part) -> Grid:
-        """The rows of a query over these parts, asked at the state pair.
-
-        Raises DomainError for names outside the domain and DomainTooLarge,
-        naming both systems and the state pair, when the rows exceed the
-        budget.
-        """
-        hit = self._spaces.get(parts)
-        if hit is not None:
-            return hit
-        names, starts = self._layout(parts)
-        self._refuse(pair, row_count(self.dom, zip(names, starts)))
-        values = tuple(self.values(n) if s is None else s for n, s in zip(names, starts))
-        hit = self._interned.setdefault((names, values), Grid(names, values))
-        self._spaces[parts] = hit
-        return hit
-
-    def output_space(self, pair: tuple[int, int], port: str, a: "_Side", b: "_Side") -> Grid:
-        """The rows of comparing the outputs on port of the candidate's and
-        the reference's states of the pair.
-
-        When the outputs read one integer name by value, with more than
-        ``unfold.SPLIT_MIN_VALUES`` values, and both read it affinely
-        (``box_reads``) within each interval of their cut points, its range
-        is split at those cut points and both systems' range ends, and each
-        interval takes its two least values: on it, the difference of two
-        affine functions that is zero at both is zero throughout, so a row
-        value's outputs differ from the row's at most where they do at the
-        next one.
-        Evaluating the outputs at the interval's greatest value, for every
-        row of the other names, must not raise: affine nodes are monotone,
-        so none raises anywhere in the interval.  An interval where one
-        does takes every value, and the error comes where full enumeration
-        meets it.  Other names, and every name of any other comparison,
-        take the rows of ``space``.
-        """
-        ai, bi = pair
-        parts = (a.output_part(ai, port), b.output_part(bi, port))
-        hit = self._spaces.get(parts)
-        if hit is not None:
-            return hit
-        read = {
-            n for n, c in itertools.chain.from_iterable(parts)
-            if c is None and isinstance(self.dom.dtypes.get(n), IntType)
-        }
-        if not solver.INTERVAL_ROWS or len(read) != 1:
-            return self.space(pair, *parts)
-        (name,) = read
-        dt = self.dom.dtypes[name]
-        if domain_size(dt) <= unfold.SPLIT_MIN_VALUES:
-            return self.space(pair, *parts)
-        cuts = a.affine_cuts(ai, port, name), b.affine_cuts(bi, port, name)
-        if None in cuts:
-            return self.space(pair, *parts)
-        names, starts = self._layout(parts)
-        at = names.index(name)
-        starts[at] = ()
-        # only the one name read by value takes every value of a wide range
-        values = [self.values(n) if s is None else s for n, s in zip(names, starts)]
-        others = math.prod(map(len, values[:at] + values[at + 1:]))
-        ranges = spans(dt, self._starts(name, set(cuts[0] + cuts[1])))
-        # per interval, the least and the greatest value that is a row
-        segments = [(lo, min(lo + 1, hi)) for lo, hi in ranges]
-        self._refuse(pair, others * sum(hi - lo + 1 for lo, hi in segments))
-        fns = (a.output_fn(ai, port, names), b.output_fn(bi, port, names))
-        for i, (lo, hi) in enumerate(ranges):
-            values[at] = (hi,)
-            try:
-                for combo in itertools.product(*values):
-                    for f in fns:
-                        f(combo)
-            except Exception:
-                segments[i] = (lo, hi)
-        self._refuse(pair, others * sum(hi - lo + 1 for lo, hi in segments))
-        values[at] = tuple(
-            itertools.chain.from_iterable(range(lo, hi + 1) for lo, hi in segments)
-        )
-        return self._interned.setdefault((names, tuple(values)), Grid(names, tuple(values)))
+    return tuple((n, None if n in reads else tuple(sorted(cuts[n]))) for n in sorted(cuts))
 
 
 class _Side:
@@ -287,9 +144,8 @@ class _Side:
     compiled once per query space.
     """
 
-    def __init__(self, ts: Ts, rows: _Rows):
+    def __init__(self, ts: Ts):
         self.ts = ts
-        self.rows = rows
         self._parts: dict[int, Part] = {}
         self._bits: dict[tuple[int, Grid], list[int]] = {}
         self._out_parts: dict[tuple[int, str], Part] = {}
@@ -392,27 +248,122 @@ def simulates(
     raises DomainTooLarge.  ``queries`` counts the joint, residual and
     output checks answered.
     """
-    rows = _Rows(dom, budget, cand, ref)
-    a, b = _Side(cand, rows), _Side(ref, rows)
+    a, b = _Side(cand), _Side(ref)
     queries = 0
+    first = dom.first_values()
+    # the planner's cache, and the spaces planned per tuple of parts
+    cache: dict = {}
+    spaces: dict[tuple[Part, ...], Grid] = {}
+    # both systems' declared range ends refine every integer's intervals, so
+    # the candidate's extra range, or the part of the domain it does not
+    # declare, is an interval of its own
+    ends: dict[str, set[int]] = {}
+    for ts in (cand, ref):
+        for n, dt in ts.inputs.items():
+            if isinstance(dt, IntType):
+                ends.setdefault(n, set()).update((dt.lo, dt.hi + 1))
+    what = f"simulating {ref.name} by {cand.name}"
+
+    def space(pair: tuple[int, int], parts: tuple[Part, ...], split: Split | None = None) -> Grid:
+        """The rows of a query over these parts, asked at the state pair:
+        ``rows.plan`` of the parts' names, a name taking the union of their
+        cut points, or every value when one part reads it.  Raises
+        DomainError for names outside the domain and DomainTooLarge, naming
+        both systems and the state pair, when the rows exceed the budget.
+        Spaces planned without a split rule are kept per parts."""
+        hit = spaces.get(parts)
+        if hit is not None:
+            return hit
+        uses: dict[str, set[Value] | None] = {}
+        for n, c in itertools.chain.from_iterable(parts):
+            seen = uses.get(n, ())
+            uses[n] = None if c is None or seen is None else {*seen, *c}
+        ai, bi = pair
+        grid = plan(
+            uses, dom.dtypes, budget, what,
+            lambda _: f" in candidate state {cand.label(ai)}, reference state {ref.label(bi)}",
+            cache, ends=ends, split=split,
+        )
+        if split is None:
+            spaces[parts] = grid
+        return grid
+
+    def output_space(pair: tuple[int, int], port: str) -> Grid:
+        """The rows of comparing the outputs on port of the candidate's and
+        the reference's states of the pair.
+
+        When the outputs read one integer name by value, and both read it
+        affinely (``box_reads``) within each interval of their cut points,
+        the planner may split its range at those cut points and both
+        systems' range ends, and each interval takes its two least values:
+        on it, the difference of two affine functions that is zero at both
+        is zero throughout, so a row value's outputs differ from the row's
+        at most where they do at the next one.  Evaluating the outputs at
+        the interval's greatest value, for every row of the other names,
+        must not raise: affine nodes are monotone, so none raises anywhere
+        in the interval.  An interval where one does takes every value, and
+        the error comes where full enumeration meets it.  Other names, and
+        every name of any other comparison, take the rows of ``space``.
+        """
+        ai, bi = pair
+        parts = (a.output_part(ai, port), b.output_part(bi, port))
+        hit = spaces.get(parts)
+        if hit is not None:
+            return hit
+        read = {
+            n for n, c in itertools.chain.from_iterable(parts)
+            if c is None and isinstance(dom.dtypes.get(n), IntType)
+        }
+        if len(read) != 1:
+            return space(pair, parts)
+
+        def affine(name):
+            # both outputs' cut points of name, when both read it affinely
+            cuts = a.affine_cuts(ai, port, name), b.affine_cuts(bi, port, name)
+            return None if None in cuts else {*cuts[0], *cuts[1]}
+
+        consulted: list[bool] = []
+
+        def raising(names, values, split):
+            # per interval, whether an output raises at its greatest value
+            consulted.append(True)
+            fns = (a.output_fn(ai, port, names), b.output_fn(bi, port, names))
+            ((at, ranges),) = split.items()
+            rows, wide = list(map(values, range(len(names)))), []
+            for _, hi in ranges:
+                rows[at] = (hi,)
+                try:
+                    for combo in itertools.product(*rows):
+                        for f in fns:
+                            f(combo)
+                except Exception:
+                    wide.append(True)
+                else:
+                    wide.append(False)
+            return {at: wide}
+
+        grid = space(pair, parts, Split(affine, 2, True, raising))
+        if not consulted:  # nothing was split: the plain space of the parts
+            spaces[parts] = grid
+        return grid
 
     def output_diff(ai: int, bi: int, port: str) -> dict[str, Value] | None:
         # rows in order, the candidate's output evaluated first: the least
         # differing row, and an overflow only where enumeration reaches it
         # first, as sat_witness over the two outputs' inequality
-        space = rows.output_space((ai, bi), port, a, b)
-        fa = a.output_fn(ai, port, space.names)
-        fb = b.output_fn(bi, port, space.names)
-        for i, combo in enumerate(itertools.product(*space.values)):
+        grid = output_space((ai, bi), port)
+        fa = a.output_fn(ai, port, grid.names)
+        fb = b.output_fn(bi, port, grid.names)
+        for i, combo in enumerate(itertools.product(*grid.values)):
             if fa(combo) != fb(combo):
-                return rows.first | space.row(i)
+                return first | grid.row(i)
         return None
 
     def pair_bits(pair: tuple[int, int]) -> tuple[Grid, list[int], list[int]]:
         """The pair's space and, per transition of each side, its bitset."""
         ai, bi = pair
-        space = rows.space(pair, a.part(ai), b.part(bi))
-        return space, a.bits(ai, space), b.bits(bi, space)
+        grid = space(pair, (a.part(ai), b.part(bi)))
+        return grid, a.bits(ai, grid), b.bits(bi, grid)
 
     # breadth-first product exploration; index = discovery order
     start = (cand.init, ref.init)
@@ -463,7 +414,7 @@ def simulates(
         nonlocal queries
         if not moves[i]:
             return None
-        space, bits_a, bits_b = pair_bits(order[i])
+        grid, bits_a, bits_b = pair_bits(order[i])
         for jb, hits in enumerate(moves[i]):
             queries += 1
             cover = 0
@@ -474,7 +425,7 @@ def simulates(
             if not rest:
                 continue
             low = (rest & -rest).bit_length() - 1
-            row = rows.first | space.row(low)
+            row = first | grid.row(low)
             # the candidate move the row takes, into a dead pair
             for ja, q in hits:
                 if bits_a[ja] >> low & 1:

@@ -5,8 +5,9 @@ of small declared domains.  Witnesses are deterministic: variables are
 enumerated in sorted name order, values in ascending domain order, and
 variables the formula does not mention stay at their first domain value,
 which makes every witness the lexicographically least satisfying total
-assignment.  Queries whose search space exceeds the evaluation budget fail
-with DomainTooLarge rather than running unbounded.
+assignment.  A query's rows, and its refusal with DomainTooLarge when they
+exceed the evaluation budget, are ``rows.plan``'s, as for every other
+stage: an integer only compared with constants takes a row per interval.
 
 SMT-LIB 2 emission of the same queries supports cross-checking against an
 external solver.
@@ -15,15 +16,14 @@ external solver.
 from __future__ import annotations
 
 import itertools
-import math
 import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, DomainTooLarge, SolverFailure
+from .errors import DomainError, SolverFailure
 from .exprs import (
     Binary,
     Const,
@@ -48,13 +48,9 @@ from .model import (
     domain_values,
     first_value,
 )
-from .rows import compile_expr, input_uses
+from .rows import compile_expr, declared_names, plan, row_uses
 
 DEFAULT_BUDGET = 10_000_000
-# Enumerate integer inputs compared with constants by intervals, in the
-# unfolding, the simulation's queries and the satisfiability checks; when
-# off, every integer input is enumerated value by value, as a reference.
-INTERVAL_ROWS = True
 
 
 @dataclass(frozen=True)
@@ -102,51 +98,8 @@ class Domain:
         return Domain(joined)
 
 
-def declared_names(names: Iterable[str], dom: Domain) -> list[str]:
-    """The names in sorted order; DomainError when one is not declared."""
-    names = sorted(names)
-    missing = [n for n in names if n not in dom]
-    if missing:
-        raise DomainError(f"formula mentions undeclared names: {missing}")
-    return names
-
-
 def _free_in_domain(expr: Expr, dom: Domain) -> list[str]:
-    return declared_names(free_names(expr), dom)
-
-
-def interval_starts(dt: DataType, cuts: Collection[int]) -> tuple[int, ...] | None:
-    """The least values of the intervals the cut points split an integer
-    range into, in ascending order; None for any other type, and for every
-    type when ``INTERVAL_ROWS`` is off."""
-    if not INTERVAL_ROWS or not isinstance(dt, IntType):
-        return None
-    return (dt.lo, *sorted(c for c in set(cuts) if dt.lo < c <= dt.hi))
-
-
-def row_starts(
-    exprs: Iterable[Expr], dom: Domain
-) -> tuple[list[str], list[tuple[int, ...] | None]]:
-    """The sorted names the expressions mention, and per name the interval
-    starts of an integer only compared with constants, or None for a name
-    enumerated value by value.
-
-    On each interval such a name leaves every expression's value, and what
-    evaluating it raises, the same, so its least value stands for the
-    interval.  Raises DomainError for undeclared names.
-    """
-    cuts, reads = input_uses(exprs, (InputRef, VarRef))
-    names = declared_names(cuts, dom)
-    return names, [
-        None if n in reads else interval_starts(dom.dtypes[n], cuts[n]) for n in names
-    ]
-
-
-def row_count(dom: Domain, named_starts: Iterable[tuple[str, tuple | None]]) -> int:
-    """The rows of names with these interval starts (None: every value)."""
-    return math.prod(
-        domain_size(dom.dtypes[n]) if s is None else len(s) for n, s in named_starts
-    )
+    return declared_names(free_names(expr), dom.dtypes)
 
 
 def sat_witness(
@@ -154,23 +107,19 @@ def sat_witness(
 ) -> dict[str, Value] | None:
     """Least satisfying total assignment, or None when unsatisfiable.
 
-    An integer the formula only compares with constants is enumerated one
-    row per interval (``row_starts``).  Raises DomainError for undeclared
-    names and DomainTooLarge, naming the stage, when the rows exceed the
-    budget; no value list is built then.
+    The rows are ``rows.plan``'s: an integer the formula only compares with
+    constants takes one row per interval, at its least value.  Raises
+    DomainError for undeclared names and DomainTooLarge, naming the stage,
+    when the rows exceed the budget; no value list is built then.
     """
-    names, starts = row_starts([expr], dom)
-    space = row_count(dom, zip(names, starts))
-    if space > budget:
-        raise DomainTooLarge(
-            f"{stage} needs {space} input rows over {len(names)} names (budget {budget})"
-        )
-    base = dom.first_values()
-    values = [dom.values(n) if s is None else s for n, s in zip(names, starts)]
-    holds = compile_expr(expr, names)
-    for combo in itertools.product(*values):
+    grid = plan(
+        row_uses([expr], (InputRef, VarRef)), dom.dtypes, budget, stage,
+        lambda names: f" over {len(names)} names",
+    )
+    holds = compile_expr(expr, grid.names)
+    for combo in itertools.product(*grid.values):
         if holds(combo):
-            return base | dict(zip(names, combo))
+            return dom.first_values() | dict(zip(grid.names, combo))
     return None
 
 
@@ -223,20 +172,17 @@ def exists_forall_constants(
     Candidate constant vectors are tried in lexicographic order, skipping
     excluded ones; the first vector whose substituted formula has no
     counterexample wins.  The budget counts the constant vectors times the
-    rows of the other names (``row_starts``).
+    rows ``rows.plan`` gives the other names.
     """
     consts = sorted(const_names)
     for c in consts:
         if c not in dom:
             raise DomainError(f"constant {c} has no declared domain")
-    names, starts = row_starts([formula], dom)
-    forall = [(n, s) for n, s in zip(names, starts) if n not in consts]
-    space = dom.space(consts) * row_count(dom, forall)
-    if space > budget:
-        raise DomainTooLarge(
-            f"{stage} needs {space} input rows over {len(consts)}+{len(forall)} names "
-            f"(budget {budget})"
-        )
+    uses = row_uses([formula], (InputRef, VarRef))
+    plan(
+        {n: c for n, c in uses.items() if n not in consts}, dom.dtypes, budget, stage,
+        lambda names: f" over {len(consts)}+{len(names)} names", times=dom.space(consts),
+    )
     skip = {tuple(sorted(e.items())) for e in exclude}
     inner_dom = dom.restrict(n for n in dom.sorted_names() if n not in consts)
     for combo in itertools.product(*(dom.values(c) for c in consts)):
@@ -366,13 +312,6 @@ def emit_check_sat(
     lines.append(f"(assert {expr_to_smt(expr, enums)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
-
-
-def emit_validity(
-    p: Expr, q: Expr, dom: Domain, enums: Mapping[str, EnumType] | None = None
-) -> str:
-    """Script that answers unsat exactly when p -> q is valid."""
-    return emit_check_sat(Binary("and", p, Unary("not", q)), dom, enums)
 
 
 def emit_exists_forall(

@@ -10,26 +10,23 @@ the ``stats`` counts and each transition's witness row (``Ts.witness``)
 read; a transition's guard, the disjunction of its rows, is built only for
 the text of DOT output and ``--emit-ts``.
 
-An integer input that a state's specialised updates and guard compare with
-constants is split where those comparisons can change truth.  On an
-interval where they do not read its value otherwise, the interval is one
-row, at its least value; where they do, each value is a row.  Every other
-input is enumerated value by value.  ``_Image.rows`` enumerates one state's
-rows and the successor each reaches, evaluating the state's updates as
-closures compiled once per state; ``unfold_to_ts``, ``compute_image`` and
-``efa.image_map`` keep only their own bookkeeping around it.  Each of them
-lists its expressions' nodes once (``postorder``) and specialises them to
-every state in one flat loop over that list.
+A state's rows are ``rows.plan``'s, split by the unfolding's rule
+(``_box_widen``).  ``_Image.rows`` walks them and the successor each
+reaches, evaluating the state's updates as closures compiled once per
+state; ``unfold_to_ts``, ``compute_image`` and ``efa.image_map`` keep only
+their own bookkeeping around it.  Each of them lists its expressions' nodes
+once (``postorder``) and specialises them to every state in one flat loop
+over that list.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, DomainTooLarge, StateBudgetExceeded
+from .errors import DomainError, StateBudgetExceeded
 from .exprs import (
     Binary,
     Const,
@@ -43,20 +40,12 @@ from .exprs import (
     render,
     specialise,
 )
-from .model import DataType, EnumType, IntType, domain_size, in_domain
-from .rows import Grid, box_reads, compile_all, input_uses
-from .solver import DEFAULT_BUDGET, Domain, interval_starts
+from .model import DataType, EnumType, IntType, in_domain
+from .rows import Grid, Split, box_reads, compile_all, input_uses, plan, row_bitsets
+from .solver import DEFAULT_BUDGET, Domain
 from .symbolic import SymbolicStep
 
 DEFAULT_STATE_BUDGET = 100_000
-# Bitsets of up to this many rows are built on Python ints, a word each;
-# longer ones are filled in bytearrays, where setting bits one by one on an
-# ever longer int would copy it at every step (quadratic in the rows).
-WORD_ROWS = 64
-# An integer input read by value with at most this many values takes every
-# value, in the unfolding and in the simulation's output comparisons:
-# splitting its range costs more than the rows it saves.
-SPLIT_MIN_VALUES = 64
 
 StateVec = tuple[Value, ...]
 
@@ -64,125 +53,58 @@ StateVec = tuple[Value, ...]
 Row = tuple[tuple[Value, ...], StateVec]
 
 
-def spans(dt: IntType, starts: Sequence[int]) -> list[tuple[int, int]]:
-    """The (least, greatest) values of the intervals with these starts."""
-    return list(zip(starts, [s - 1 for s in starts[1:]] + [dt.hi]))
-
-
 class _Image:
     """A step's successors, one state and one input row at a time: the one
-    loop that evaluates a step's updates per input row.  For every state of
-    one call it keeps each input's declared values, and one row-values
-    tuple per distinct set of rows, which the states enumerating those
-    rows share."""
+    loop that evaluates a step's updates per input row.  The row plans of
+    every state of one call share one cache of declared values and grids."""
 
     def __init__(self, step: SymbolicStep, budget: int):
         self.step = step
         self.budget = budget
         self.var_names = tuple(sorted(step.vars))
         self.dom = Domain(dict(step.inputs))
-        self.base = self.dom.first_values()
-        self._declared: dict[str, tuple[Value, ...]] = {}
-        self._row_values: dict[tuple, tuple[tuple[Value, ...], ...]] = {}
+        self.what = f"unfolding {step.name}"
+        self.cache: dict = {}
+        # the split rule reads integer inputs only
         self.ints = any(isinstance(dt, IntType) for dt in step.inputs.values())
 
     def rows(
         self, binding: dict[str, Value], spec: list[Expr], guard: Expr | None = None,
-    ) -> tuple[tuple[str, ...], tuple[tuple[Value, ...], ...], Iterator[Row]]:
-        """The inputs a state's rows range over, each one's row values, and
-        the rows themselves.
+    ) -> tuple[Grid, Iterator[Row]]:
+        """A state's rows, and the rows themselves as they are walked.
 
         spec are the updates of ``var_names``, and guard the guard, both
         specialised to the state; they are compiled once, together, and
         only the inputs they still mention are enumerated, in
-        ``itertools.product`` order of their row values; every other input
-        sits at its first value.  An integer input they compare with
-        constants is split into intervals where those comparisons can
-        change truth (``input_uses``, ``interval_starts``).  One only
-        compared takes one row per interval, at its least value.  One also
-        read otherwise, with more than ``SPLIT_MIN_VALUES`` values, takes a
-        row per value on the intervals where some box of the split inputs'
-        intervals reads it (``box_reads``), and one row elsewhere.  The
-        budget counts these rows.  Each row the guard
-        admits (every row without one) yields its values over the inputs
-        and the successor vector.
+        ``itertools.product`` order of the rows ``rows.plan`` gives them;
+        every other input sits at its first value.  An integer input they
+        compare with constants is split where those comparisons can change
+        truth: an interval is one row, at its least value, unless they also
+        read its value there (``_box_widen``), and then each value is a row.
+        Each row the guard admits (every row without one) yields its values
+        over the inputs and the successor vector.
         """
         exprs = spec if guard is None else spec + [guard]
         cuts, reads = input_uses(exprs)
-        names = tuple(sorted(cuts))
-        dtypes = self.dom.dtypes
-        # per name: the (least, greatest) values of the segments each value
-        # of which is a row, or None for every declared value
-        plan: list[tuple[tuple[int, int], ...] | None] = [None] * len(names)
-        split = {}
-        if self.ints and any(cuts.values()):
-            for k, n in enumerate(names):
-                s = interval_starts(dtypes[n], cuts[n])
-                if s is not None and (
-                    n not in reads or len(s) > 1 and domain_size(dtypes[n]) > SPLIT_MIN_VALUES
-                ):
-                    plan[k] = tuple((lo, lo) for lo in s)
-                    if n in reads:
-                        split[k] = spans(dtypes[n], s)
-        # one row per interval of a split name bounds the rows from below
-        if split and self._count(names, plan) <= self.budget:
-            for k, segments in self._split(exprs, names, split).items():
-                plan[k] = segments
-        space = self._count(names, plan)
-        if space > self.budget:
-            state = _label(self.var_names, [binding[v] for v in self.var_names])
-            raise DomainTooLarge(
-                f"unfolding {self.step.name} needs {space} input rows in state "
-                f"{state} (budget {self.budget})"
-            )
-        key = (names, tuple(plan))
-        values = self._row_values.get(key)
-        if values is None:
-            values = self._row_values[key] = tuple(
-                self._values(n) if g is None
-                else tuple(itertools.chain.from_iterable(range(lo, hi + 1) for lo, hi in g))
-                for n, g in zip(names, plan)
-            )
-        return names, values, self._walk(binding, names, values, spec, guard)
-
-    def _count(self, names: tuple[str, ...], plan: list) -> int:
-        return math.prod(
-            domain_size(self.dom.dtypes[n]) if g is None else sum(hi - lo + 1 for lo, hi in g)
-            for n, g in zip(names, plan)
+        split = Split(cuts.get, 1, False, partial(_box_widen, exprs)) if self.ints else None
+        grid = plan(
+            {n: None if n in reads else c for n, c in cuts.items()}, self.dom.dtypes,
+            self.budget, self.what,
+            lambda _: f" in state {_label(self.var_names, [binding[v] for v in self.var_names])}",
+            self.cache, split=split,
         )
-
-    def _split(
-        self, exprs: list[Expr], names: tuple[str, ...], split: dict[int, list[tuple[int, int]]]
-    ) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Per split name (by position), its segments: each interval that
-        some box of the split names' intervals reads it on, and the least
-        value of every other."""
-        read = {k: [False] * len(r) for k, r in split.items()}
-        order = postorder(exprs)
-        for box in itertools.product(*(enumerate(r) for r in split.values())):
-            found = box_reads(exprs, {names[k]: span for k, (_, span) in zip(split, box)}, order)
-            for k, (i, _) in zip(split, box):
-                read[k][i] |= names[k] in found
-        return {
-            k: tuple((lo, hi if r else lo) for (lo, hi), r in zip(split[k], read[k]))
-            for k in split
-        }
-
-    def _values(self, name: str) -> tuple[Value, ...]:
-        if name not in self._declared:
-            self._declared[name] = self.dom.values(name)
-        return self._declared[name]
+        return grid, self._walk(binding, grid, spec, guard)
 
     def _walk(
-        self, binding: dict[str, Value], names: tuple[str, ...],
-        values: tuple[tuple[Value, ...], ...], spec: list[Expr], guard: Expr | None,
+        self, binding: dict[str, Value], grid: Grid, spec: list[Expr], guard: Expr | None,
     ) -> Iterator[Row]:
+        names = grid.names
         fns = compile_all(spec if guard is None else spec + [guard], names)
         checks = [
             (v, self.step.vars[v][0], f) for v, f in zip(self.var_names, fns)
         ]
         admits = None if guard is None else fns[-1]
-        for combo in itertools.product(*values):
+        for combo in itertools.product(*grid.values):
             if admits is not None and not admits(combo):
                 continue
             succ = []
@@ -197,6 +119,22 @@ class _Image:
             yield combo, tuple(succ)
 
 
+def _box_widen(
+    exprs: list[Expr], names: tuple[str, ...], values: Callable[[int], tuple],
+    split: dict[int, list[tuple[int, int]]],
+) -> dict[int, list[bool]]:
+    """The unfolding's split rule: per split input (by position), whether
+    each of its intervals is read on some box of the split inputs'
+    intervals (``box_reads``), and so takes a row per value."""
+    read = {k: [False] * len(r) for k, r in split.items()}
+    order = postorder(exprs)
+    for box in itertools.product(*(enumerate(r) for r in split.values())):
+        found = box_reads(exprs, {names[k]: span for k, (_, span) in zip(split, box)}, order)
+        for k, (i, _) in zip(split, box):
+            read[k][i] |= names[k] in found
+    return read
+
+
 def compute_image(
     step: SymbolicStep,
     state: Mapping[str, Value],
@@ -209,11 +147,12 @@ def compute_image(
     """
     image = _Image(step, budget)
     spec = specialise([step.updates[v] for v in image.var_names], state)
-    names, _, rows = image.rows(dict(state), spec)
+    grid, rows = image.rows(dict(state), spec)
+    first = image.dom.first_values()
     least: dict[StateVec, dict[str, Value]] = {}
     for combo, succ in rows:
         if succ not in least:
-            least[succ] = image.base | dict(zip(names, combo))
+            least[succ] = first | dict(zip(grid.names, combo))
     return least
 
 
@@ -281,20 +220,6 @@ def _fmt(v: Value) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     return str(v)
-
-
-def row_bitsets(placed: Iterable[tuple[int, int]], count: int, size: int) -> list[int]:
-    """Row bitsets of size bits for transitions 0..count-1 from (row,
-    transition) pairs."""
-    if size <= WORD_ROWS:
-        bits = [0] * count
-        for i, edge in placed:
-            bits[edge] |= 1 << i
-        return bits
-    bufs = [bytearray((size + 7) >> 3) for _ in range(count)]
-    for i, edge in placed:
-        bufs[edge][i >> 3] |= 1 << (i & 7)
-    return [int.from_bytes(b, "little") for b in bufs]
 
 
 def _guards(rows: StateRows, inputs: Mapping[str, DataType]) -> list[Expr]:
@@ -382,7 +307,7 @@ def unfold_to_ts(
         binding = dict(zip(var_names, states[sidx]))
         spec = specialise(roots, binding, nodes)
         outputs.append(dict(zip(ports, spec)))
-        names, values, rows = image.rows(binding, spec[len(ports):])
+        grid, rows = image.rows(binding, spec[len(ports):])
         edge_of: dict[int, int] = {}
         order: list[int] = []
         edges: list[int] = []
@@ -405,7 +330,7 @@ def unfold_to_ts(
             row_bitsets(enumerate(edges), len(order), len(edges)) if len(order) > 1
             else [(1 << len(edges)) - 1]
         )
-        state_rows.append(StateRows(names, values, edges, order, bits))
+        state_rows.append(StateRows(grid.names, grid.values, edges, order, bits))
 
     return Ts(
         name=step.name,

@@ -22,10 +22,8 @@ from dfcompat.exprs import (
     equal,
     eval_expr,
     fold,
-    free_inputs,
     free_names,
     free_signals,
-    free_vars,
     normalize,
     partial_eval,
     structural_key,
@@ -300,8 +298,6 @@ def test_partial_eval_keeps_overflowing_node():
 
 def test_free_name_queries():
     e = Ite(InputRef("p"), VarRef("w"), SignalRef("Acc"))
-    assert free_inputs(e) == {"p"}
-    assert free_vars(e) == {"w"}
     assert free_signals(e) == {"Acc"}
     # signals live in their own namespace and are not input/var names
     assert free_names(e) == {"p", "w"}

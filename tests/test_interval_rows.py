@@ -2,7 +2,7 @@
 for those also read by value, and two rows per interval for affine output
 comparisons.
 
-With ``solver.INTERVAL_ROWS`` off every integer input is enumerated value
+With ``rows.INTERVAL_ROWS`` off every integer input is enumerated value
 by value, in the unfolding, the simulation and the satisfiability checks
 of fix search: the reference the interval rows must reproduce, with the
 same verdicts, counterexample rows, pair and query counts.
@@ -18,20 +18,28 @@ import pytest
 from dfcompat import (
     CheckConfig,
     DfcError,
+    Domain,
     DomainTooLarge,
+    build_efa,
     build_step,
     check_compatibility,
+    exists_forall_constants,
     flatten_and_validate,
+    image_map,
     parse_model,
+    rows,
+    sat_witness,
     simcheck,
-    solver,
-    unfold,
     unfold_to_ts,
 )
 from dfcompat.errors import ArithmeticOverflow
+from dfcompat.exprs import Binary, Const, InputRef, Unary, VarRef
+from dfcompat.model import BoolType, IntType, domain_size, domain_values
 from dfcompat.rows import box_reads
-from dfcompat.model import domain_size
-from helpers import model_path, random_model_pair
+from dfcompat.simcheck import simulates
+from dfcompat.symbolic import SymbolicStep
+from dfcompat.unfold import Ts
+from helpers import load_model, model_path, random_model_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -61,9 +69,9 @@ def outcomes(model_a, model_b, configs=CONFIGS):
 def same_without_intervals(monkeypatch, model_a, model_b, configs=CONFIGS):
     for a, b in ((model_a, model_b), (model_b, model_a)):
         with_intervals = outcomes(a, b, configs)
-        monkeypatch.setattr(solver, "INTERVAL_ROWS", False)
+        monkeypatch.setattr(rows, "INTERVAL_ROWS", False)
         assert outcomes(a, b, configs) == with_intervals
-        monkeypatch.setattr(solver, "INTERVAL_ROWS", True)
+        monkeypatch.setattr(rows, "INTERVAL_ROWS", True)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -91,7 +99,7 @@ def test_random_pairs_same_as_full_enumeration(monkeypatch):
 
     monkeypatch.setattr(simcheck, "box_reads", counted)
     # the generator's split inputs are narrow: split them all the same
-    monkeypatch.setattr(unfold, "SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(rows, "SPLIT_MIN_VALUES", 0)
     compressed = split = 0
     for seed in RANDOM_SEEDS:
         model_a, model_b = random_model_pair(seed)
@@ -106,7 +114,7 @@ def test_random_pairs_same_as_full_enumeration(monkeypatch):
     assert compressed >= 10
     assert split >= 10
     assert sum(affine) >= 100
-    monkeypatch.setattr(solver, "INTERVAL_ROWS", False)
+    monkeypatch.setattr(rows, "INTERVAL_ROWS", False)
     assert not any(compressed_rows(random_model_pair(s)[0]) for s in RANDOM_SEEDS)
 
 
@@ -210,7 +218,7 @@ def test_overflowing_affine_output_enumerated_by_value(monkeypatch):
     raises, so it is enumerated value by value and the overflow comes
     where full enumeration meets it, or, over ten million values, past
     the budget."""
-    monkeypatch.setattr(unfold, "SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(rows, "SPLIT_MIN_VALUES", 0)
     big = 2**60
     a, b = scaled("A", big, 20), scaled("B", big, 20)
     with pytest.raises(ArithmeticOverflow, match="9223372036854775808"):
@@ -224,3 +232,119 @@ def test_overflowing_affine_output_enumerated_by_value(monkeypatch):
         "s0, reference state s0 (budget 10000000)"
     )):
         check_compatibility(wide, wide)
+
+
+def test_off_switch_reaches_every_planner(monkeypatch):
+    """With ``rows.INTERVAL_ROWS`` off, every grid the planner returns, to
+    any stage, gives each name every declared value."""
+    planned = []
+    original = rows.plan
+
+    def recorded(uses, dtypes, budget, what, *args, **kwargs):
+        grid = original(uses, dtypes, budget, what, *args, **kwargs)
+        planned.append((what, grid, dtypes))
+        return grid
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dfcompat") and getattr(module, "plan", None) is original:
+            monkeypatch.setattr(module, "plan", recorded)
+    monkeypatch.setattr(rows, "INTERVAL_ROWS", False)
+    text_a, text_b = GOLDEN["cruise_v4__cruise_v3"]
+    assert check_compatibility(parse_model(text_a), parse_model(text_b)).conditional
+    u, k = InputRef("u"), InputRef("k")
+    wide = Domain.of(k=BoolType(), u=IntType(0, 100_000))
+    band = Binary("and", Binary("ge", u, Const(7)), Binary("lt", u, Const(9)))
+    assert sat_witness(band, wide) == {"k": False, "u": 7}
+    either = Binary("or", k, Binary("lt", u, Const(5)))
+    assert exists_forall_constants(either, ["k"], wide) == {"k": True}
+    pump = build_step(flatten_and_validate(load_model("charge_pump")))
+    assert any(image_map(build_efa(pump)))
+    stages = {what.split()[0] for what, _, _ in planned}
+    # build_efa's guard checks are "checking the guarded transitions of ..."
+    assert stages == {
+        "unfolding", "simulating", "fix", "satisfiability", "constant", "checking", "image",
+    }
+    for what, grid, dtypes in planned:
+        assert grid.values == tuple(domain_values(dtypes[n]) for n in grid.names), what
+
+
+WIDE = IntType(0, 1_000_000)
+SQUARE_SMALL = Binary("lt", Binary("mul", InputRef("u"), InputRef("u")), Const(5))
+
+
+def wide_step(name, outputs, updates):
+    """A step over u : int[0, 1000000] and, with updates, m : bool."""
+    return SymbolicStep(
+        name=name,
+        inputs={"u": WIDE},
+        vars={"m": (BoolType(), False)} if updates else {},
+        outputs=outputs,
+        updates=updates,
+    )
+
+
+def hand_built(name):
+    """One state whose two transitions read u by value."""
+    return Ts(
+        name=name, var_names=(), states=[()], init=0, outputs=[{"y": Const(0)}],
+        transitions=[[(SQUARE_SMALL, 0), (Unary("not", SQUARE_SMALL), 0)]],
+        inputs={"u": WIDE},
+    )
+
+
+def shifted(name):
+    """No state, y = u * 2**60, which overflows at the top of u's range."""
+    return unfold_to_ts(wide_step(name, {"y": Binary("mul", InputRef("u"), Const(2**60))}, {}))
+
+
+# per stage: the call refused, with a budget of 1000, and its message
+REFUSALS = {
+    "unfold": (
+        lambda: unfold_to_ts(wide_step("Wide", {"y": VarRef("m")}, {"m": SQUARE_SMALL}),
+                             budget=1000),
+        "unfolding Wide needs 1000001 input rows in state m=0 (budget 1000)",
+    ),
+    "simulate space": (
+        lambda: simulates(hand_built("A"), hand_built("B"), Domain.of(u=WIDE), 1000),
+        "simulating B by A needs 1000001 input rows in candidate state s0, "
+        "reference state s0 (budget 1000)",
+    ),
+    "simulate output_space": (
+        lambda a=shifted("A"), b=shifted("B"): simulates(a, b, Domain.of(u=WIDE), 1000),
+        "simulating B by A needs 1000001 input rows in candidate state s0, "
+        "reference state s0 (budget 1000)",
+    ),
+    "sat_witness": (
+        lambda: sat_witness(SQUARE_SMALL, Domain.of(u=WIDE), 1000),
+        "satisfiability needs 1000001 input rows over 1 names (budget 1000)",
+    ),
+    "exists_forall_constants": (
+        lambda: exists_forall_constants(
+            Binary("or", InputRef("k"), SQUARE_SMALL), ["k"],
+            Domain.of(k=BoolType(), u=WIDE), 1000,
+        ),
+        "constant search needs 2000002 input rows over 1+1 names (budget 1000)",
+    ),
+    "image_map": (
+        lambda efa=build_efa(wide_step("Wide", {"y": VarRef("m")}, {"m": SQUARE_SMALL})):
+            image_map(efa, 1000),
+        "image of a transition of Wide needs 2000002 input rows over its states "
+        "(budget 1000)",
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(REFUSALS))
+def test_query_refused_before_any_rows_are_built(stage):
+    """u, read by value, has 1,000,001 values: listing them would take
+    about 36 MB, so a peak under 1 MB shows the rows were counted, not
+    built."""
+    refused, message = REFUSALS[stage]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainTooLarge, match=f"^{re.escape(message)}$"):
+            refused()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dfcompat import Domain, DomainError, DomainTooLarge, minimal_cover, sat_witness, solver
+from dfcompat import Domain, DomainError, DomainTooLarge, minimal_cover, rows, sat_witness
 from dfcompat.errors import SolverFailure
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, Unary, VarRef, eval_expr
 from dfcompat.model import BoolType, EnumType, IntType
 from dfcompat.solver import (
     emit_check_sat,
     emit_exists_forall,
-    emit_validity,
     exists_forall_constants,
     expr_to_smt,
     is_sat,
@@ -109,7 +108,7 @@ def test_compared_integer_enumerated_by_intervals(monkeypatch):
         "p": True, "u": 7_000_001,
     }
     assert sat_witness(Binary("and", e, ge("u", 7_000_005)), dom, budget=10) is None
-    monkeypatch.setattr(solver, "INTERVAL_ROWS", False)
+    monkeypatch.setattr(rows, "INTERVAL_ROWS", False)
     with pytest.raises(DomainTooLarge, match=r"^satisfiability needs 20000002 input rows"):
         sat_witness(Binary("and", e, InputRef("p")), dom, budget=10)
 
@@ -329,7 +328,7 @@ def test_smt_ambiguous_variant_rejected():
 
 def test_validity_script_negates_consequent():
     dom = Domain.of(u=IntType(0, 9))
-    script = emit_validity(lt("u", 3), lt("u", 5), dom)
+    script = emit_check_sat(Binary("and", lt("u", 3), Unary("not", lt("u", 5))), dom)
     assert "(assert (and (< u 3) (not (< u 5))))" in script
 
 

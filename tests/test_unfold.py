@@ -27,7 +27,7 @@ from dfcompat.model import BoolType, IntType
 from dfcompat.simcheck import build_step
 from dfcompat.symbolic import SymbolicStep
 from dfcompat.rows import input_uses
-from dfcompat import solver, unfold
+from dfcompat import rows, unfold
 from dfcompat.unfold import run_ts, ts_to_dot
 from helpers import MODELS_DIR, all_rows, load_model, run_cli, ts_outputs, ts_step
 from test_efa import model_step, pump_step
@@ -319,7 +319,7 @@ def test_split_reads_eager_operands_of_decided_operators(monkeypatch):
     compiled code still evaluates that product, which overflows from
     u = 4: the interval keeps a row per value, and unfolding raises where
     full enumeration does."""
-    monkeypatch.setattr(unfold, "SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(rows, "SPLIT_MIN_VALUES", 0)
     u = InputRef("u")
     big = Binary("eq", Binary("mul", u, Const(2**61)), Const(0))
     step = SymbolicStep(
@@ -331,13 +331,13 @@ def test_split_reads_eager_operands_of_decided_operators(monkeypatch):
     )
 
     def error(interval_rows):
-        solver.INTERVAL_ROWS = interval_rows
+        rows.INTERVAL_ROWS = interval_rows
         try:
             unfold_to_ts(step)
         except ArithmeticOverflow as exc:
             return str(exc)
         finally:
-            solver.INTERVAL_ROWS = True
+            rows.INTERVAL_ROWS = True
 
     assert error(True) == error(False) == "value 9223372036854775808 exceeds 64-bit signed range"
     # in an arm an ite does not take, the product is not evaluated
