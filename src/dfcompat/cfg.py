@@ -81,54 +81,41 @@ def src_expr(src: Src) -> Expr:
     return InputRef(name) if tag == "in" else SignalRef(name)
 
 
-def _bool_src(flat: FlatModel, src: Src, source: Callable[[Src], Expr]) -> Expr:
-    """Reference usable as a branch condition; numeric controls test != 0."""
-    ref = source(src)
-    if src[0] == "in":
-        k = kind_of(flat.input_port(src[1]).dtype)
-    else:
-        k = flat.signal_kinds[src[1]]
-    if k == "int":
-        return Binary("ne", ref, Const(0))
-    return ref
-
-
 def block_expr(blk: FlatBlock, source: Callable[[Src], Expr]) -> Expr:
     """Right-hand side of an unconditional block's output assignment, with
     source giving the reference to each input's source."""
-    refs = {p: source(s) for p, s in blk.inputs.items()}
-    k = blk.kind
+    k, ins = blk.kind, blk.inputs
+    if k == "Logic":
+        op = blk.params["op"]
+        if op == "NOT":
+            return Unary("not", source(ins["in1"]))
+        return Binary(_LOGIC_OP_MAP[op], source(ins["in1"]), source(ins["in2"]))
     if k == "Constant":
         return Const(blk.params["value"])
     if k == "UnitDelay":
         return VarRef(blk.path)
     if k == "DataStoreRead":
         return VarRef(blk.params["store"])
-    if k == "Logic":
-        op = blk.params["op"]
-        if op == "NOT":
-            return Unary("not", refs["in1"])
-        return Binary(_LOGIC_OP_MAP[op], refs["in1"], refs["in2"])
     if k == "Relational":
-        return Binary(_REL_OP_MAP[blk.params["op"]], refs["in1"], refs["in2"])
+        return Binary(_REL_OP_MAP[blk.params["op"]], source(ins["in1"]), source(ins["in2"]))
     if k == "Sum":
         acc: Expr | None = None
         for i, sign in enumerate(blk.params["signs"]):
-            term = refs[f"in{i + 1}"]
+            term = source(ins[f"in{i + 1}"])
             if acc is None:
                 acc = Unary("neg", term) if sign == "-" else term
             else:
                 acc = Binary("add" if sign == "+" else "sub", acc, term)
         return acc
     if k == "Product":
-        return Binary("mul", refs["in1"], refs["in2"])
+        return Binary("mul", source(ins["in1"]), source(ins["in2"]))
     if k == "Gain":
-        return Binary("mul", Const(blk.params["k"]), refs["in"])
+        return Binary("mul", Const(blk.params["k"]), source(ins["in"]))
     if k == "MinMax":
-        return Binary(blk.params["mode"], refs["in1"], refs["in2"])
+        return Binary(blk.params["mode"], source(ins["in1"]), source(ins["in2"]))
     if k == "Saturation":
         lo, hi = blk.params["lo"], blk.params["hi"]
-        return Binary("min", Binary("max", refs["in"], Const(lo)), Const(hi))
+        return Binary("min", Binary("max", source(ins["in"]), Const(lo)), Const(hi))
     raise AssertionError(f"no direct expression for kind {k}")
 
 
@@ -184,6 +171,14 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
             hit = refs[src] = src_expr(src)
         return hit
 
+    in_kinds = {p.name: kind_of(p.dtype) for p in flat.inputs}
+
+    def cond(src: Src) -> Expr:
+        """Reference usable as a branch condition; numeric controls test != 0."""
+        r = ref(src)
+        k = in_kinds[src[1]] if src[0] == "in" else flat.signal_kinds[src[1]]
+        return Binary("ne", r, Const(0)) if k == "int" else r
+
     def new_node(assigns: list[Assign] | None = None) -> int:
         nid = len(nodes)
         nodes[nid] = assigns or []
@@ -210,7 +205,7 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
             stack.append((blk.group[: depth + 1], BranchEl(guard)))
 
         if blk.kind == "Switch":
-            ctrl = _bool_src(flat, blk.inputs["ctrl"], ref)
+            ctrl = cond(blk.inputs["ctrl"])
             br = BranchEl(
                 ctrl,
                 [Straight(new_node([("sig", path, ref(blk.inputs["in1"]))]))],
@@ -218,7 +213,7 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
             )
             container().append(br)
         elif blk.kind == "HoldOutput":
-            gate = conjoin([_bool_src(flat, s, ref) for s in blk.params["gate"]])
+            gate = conjoin([cond(s) for s in blk.params["gate"]])
             br = BranchEl(
                 gate,
                 [Straight(new_node([("sig", path, ref(blk.inputs["in"]))]))],
@@ -246,7 +241,7 @@ def extract_cfg(flat: FlatModel, schedule: Schedule | None = None) -> Cfg:
         else:  # HoldOutput: latch the emitted value
             var, rhs = hold_var(path), SignalRef(path)
         if blk.enables:  # only while every enclosing scope runs
-            gate = conjoin([_bool_src(flat, s, ref) for s in blk.enables])
+            gate = conjoin([cond(s) for s in blk.enables])
             rhs = Ite(gate, rhs, VarRef(var))
         update_assigns.append((var, rhs))
 
@@ -283,13 +278,20 @@ def count_paths(cfg: Cfg) -> int:
     for e in cfg.edges:
         succ.setdefault(e.src, []).append(e.dst)
     memo: dict[int, int] = {cfg.exit: 1}
-
-    def count(n: int) -> int:
-        if n not in memo:
-            memo[n] = sum(count(s) for s in succ.get(n, []))
-        return memo[n]
-
-    return count(cfg.entry)
+    # depth-first without recursion: a chain of blocks is as deep as long
+    stack = [cfg.entry]
+    while stack:
+        n = stack[-1]
+        if n in memo:
+            stack.pop()
+            continue
+        todo = [s for s in succ.get(n, []) if s not in memo]
+        if todo:
+            stack += todo
+        else:
+            memo[n] = sum(memo[s] for s in succ.get(n, []))
+            stack.pop()
+    return memo[cfg.entry]
 
 
 def run_cfg_step(

@@ -140,6 +140,9 @@ class Connection:
     line: int = field(default=0, compare=False)
 
 
+PortTable = tuple[tuple[str, ...], tuple[str, ...]]
+
+
 @dataclass
 class Block:
     name: str
@@ -155,6 +158,11 @@ class Diagram:
     outputs: list[Port] = field(default_factory=list)
     blocks: dict[str, Block] = field(default_factory=dict)
     connections: list[Connection] = field(default_factory=list)
+    # each block's ``block_ports``, as the parser computed it once and
+    # checked every wire against it; None for a diagram built through the
+    # API, whose tables and wires flattening computes and checks.  A parsed
+    # diagram changed afterwards needs it set to None.
+    port_tables: dict[str, PortTable] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -197,7 +205,7 @@ SUBSYSTEM_KINDS = frozenset({"Subsystem", "EnabledSubsystem"})
 ALL_KINDS = ATOMIC_KINDS | SUBSYSTEM_KINDS
 
 
-def block_ports(block: Block) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def block_ports(block: Block) -> PortTable:
     """Input and output port names of a block, in declaration order."""
     if block.kind == "Logic":
         ins = ("in1",) if block.params["op"] == "NOT" else ("in1", "in2")
@@ -212,6 +220,26 @@ def block_ports(block: Block) -> tuple[tuple[str, ...], tuple[str, ...]]:
             ins = ins + ("enable",)
         return ins, tuple(p.name for p in block.children.outputs)
     return _PORT_TABLE[block.kind]
+
+
+def wire_end(ports: Mapping[str, PortTable], block: str, port: str | None, out: bool) -> str:
+    """The port a wire's source (out) or destination end names on block,
+    given each block's port table: port itself, or the block's one port on
+    that side when port is None.  Raises ModelValidationError.  Each wire
+    end is checked once: by the parser, or by flattening for a diagram
+    built through the API."""
+    table = ports.get(block)
+    if table is None:
+        raise ModelValidationError(f"wire references unknown block {block!r}")
+    names = table[1] if out else table[0]
+    if port in names:
+        return port
+    side = "output" if out else "input"
+    if port is None:
+        if len(names) == 1:
+            return names[0]
+        raise ModelValidationError(f"block {block!r} has {len(names)} {side} ports; name one")
+    raise ModelValidationError(f"block {block!r} has no {side} port {port!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +282,6 @@ class FlatModel:
                 out.append(Connection(name, "out", blk.path, port))
         return out
 
-    def input_port(self, name: str) -> Port:
-        for p in self.inputs:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def input_domains(self) -> dict[str, DataType]:
         return {p.name: p.dtype for p in self.inputs}
 
@@ -279,44 +301,66 @@ class _Level:
     """One diagram instance during flattening."""
 
     def __init__(self, diagram: Diagram, prefix: str, parent: "_Level | None",
-                 name_in_parent: str, group: tuple[str, ...]):
+                 name_in_parent: str, group: tuple[str, ...], enabled: bool):
         self.diagram = diagram
         self.prefix = prefix  # "" at top, otherwise "Sub/" style
         self.parent = parent
         self.name_in_parent = name_in_parent
         self.group = group
+        self.enabled = enabled  # the level of an EnabledSubsystem
+        self.tables: dict[str, PortTable] = {}  # block name -> block_ports
         self.drivers: dict[tuple[str, str], Connection] = {}
+        self.stores: dict[str, str] = {}  # data store name -> flat path
+        self.children: dict[str, _Level] = {}
+        self.sigs: dict[str, Src] = {}  # atomic block name -> its own source
 
     def path(self, block_name: str) -> str:
         return self.prefix + block_name
 
 
-def _index_drivers(level: _Level) -> None:
-    for conn in level.diagram.connections:
+def _build_level(diagram: Diagram, prefix: str, parent: _Level | None, name_in_parent: str,
+                 group: tuple[str, ...], enabled: bool) -> _Level:
+    """The level of a diagram, and below it those of its subsystems.  One
+    pass over its blocks checks their kinds, one over its wires indexes
+    the ports they drive.  A diagram built through the API has its port
+    tables computed and each wire's ends checked here; a parsed one
+    carries both done."""
+    lvl = _Level(diagram, prefix, parent, name_in_parent, group, enabled)
+    built = diagram.port_tables is None
+    if not built:
+        lvl.tables = diagram.port_tables
+    tables, sigs, subs = lvl.tables, lvl.sigs, []
+    for name, blk in diagram.blocks.items():
+        kind = blk.kind
+        if kind not in ALL_KINDS:
+            raise ModelValidationError(f"unknown block kind {kind!r}")
+        if built:
+            tables[name] = block_ports(blk)
+        if kind in SUBSYSTEM_KINDS:
+            subs.append((name, kind == "EnabledSubsystem", blk.children))
+        elif kind != "Inport":
+            sigs[name] = ("sig", prefix + name)
+            if kind == "DataStoreMemory":
+                lvl.stores[name] = prefix + name
+    if built:
+        for conn in diagram.connections:
+            wire_end(tables, conn.src_block, conn.src_port, True)
+            wire_end(tables, conn.dst_block, conn.dst_port, False)
+    drivers = lvl.drivers
+    for conn in diagram.connections:
         key = (conn.dst_block, conn.dst_port)
-        if key in level.drivers:
+        if key in drivers:
             raise ModelValidationError(
                 f"port {conn.dst_block}.{conn.dst_port} has multiple drivers"
             )
-        level.drivers[key] = conn
-
-
-def _check_endpoints(level: _Level) -> None:
-    blocks = level.diagram.blocks
-    for conn in level.diagram.connections:
-        for bname, pname, want_out in (
-            (conn.src_block, conn.src_port, True),
-            (conn.dst_block, conn.dst_port, False),
-        ):
-            if bname not in blocks:
-                raise ModelValidationError(f"wire references unknown block {bname!r}")
-            ins, outs = block_ports(blocks[bname])
-            ok = pname in (outs if want_out else ins)
-            if not ok:
-                raise ModelValidationError(
-                    f"block {bname!r} has no {'output' if want_out else 'input'} "
-                    f"port {pname!r}"
-                )
+        drivers[key] = conn
+    for name, sub_enabled, children in subs:
+        path = prefix + name
+        lvl.children[name] = _build_level(
+            children, path + "/", lvl, name, group + (path,) if sub_enabled else group,
+            sub_enabled,
+        )
+    return lvl
 
 
 def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel:
@@ -348,27 +392,11 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
             f"ports used as both input and output: {sorted(clash)}"
         )
 
-    levels: list[_Level] = []
-    store_paths: dict[_Level, dict[str, str]] = {}
-
-    def build_level(diagram, prefix, parent, name_in_parent, group) -> _Level:
-        lvl = _Level(diagram, prefix, parent, name_in_parent, group)
-        _check_endpoints(lvl)
-        _index_drivers(lvl)
-        levels.append(lvl)
-        store_paths[lvl] = {
-            name: lvl.path(name)
-            for name, blk in diagram.blocks.items()
-            if blk.kind == "DataStoreMemory"
-        }
-        return lvl
-
-    top = build_level(model.diagram, "", None, "", ())
+    top = _build_level(model.diagram, "", None, "", (), False)
 
     # source resolution with through-wire cycle detection
     memo: dict[tuple[int, str, str], Src] = {}
     resolving: set[tuple[int, str, str]] = set()
-    child_levels: dict[tuple[int, str], _Level] = {}
 
     def driver_src(level: _Level, block: str, port: str) -> Src:
         conn = level.drivers.get((block, port))
@@ -376,9 +404,12 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
             raise UnconnectedInput(
                 f"{model.name}: input port {level.path(block)}.{port} is not wired"
             )
-        return source_of(level, conn.src_block, conn.src_port)
+        src = level.sigs.get(conn.src_block)  # an atomic block is its own source
+        return src if src is not None else source_of(level, conn.src_block, conn.src_port)
 
     def source_of(level: _Level, block: str, port: str) -> Src:
+        """The source behind an inport or a subsystem's output port."""
+        kind = level.diagram.blocks[block].kind
         key = (id(level), block, port)
         if key in memo:
             return memo[key]
@@ -387,109 +418,80 @@ def flatten_and_validate(model: Model, datastore: str = "internal") -> FlatModel
                 f"degenerate wire cycle through {level.path(block)}.{port}"
             )
         resolving.add(key)
-        blk = level.diagram.blocks[block]
-        if blk.kind == "Inport":
+        if kind == "Inport":
             if level.parent is None:
-                src: Src = ("in", block)
+                src = ("in", block)
             else:
                 src = driver_src(level.parent, level.name_in_parent, block)
-        elif blk.kind == "Subsystem":
-            sub = child_levels[(id(level), block)]
-            src = driver_src(sub, port, "in")  # inner Outport pseudo-block
-        elif blk.kind == "EnabledSubsystem":
-            sub = child_levels[(id(level), block)]
-            src = ("sig", sub.prefix + port)  # hold block synthesized below
+        elif kind == "Subsystem":
+            src = driver_src(level.children[block], port, "in")  # inner Outport pseudo-block
         else:
-            src = ("sig", level.path(block))
+            src = ("sig", level.children[block].prefix + port)  # hold block synthesized below
         resolving.discard(key)
         memo[key] = src
         return src
 
-    # pass 1: create all levels so cross-subsystem wires resolve lazily
-    def expand(level: _Level) -> None:
-        for name, blk in level.diagram.blocks.items():
-            if blk.kind not in ALL_KINDS:
-                raise ModelValidationError(f"unknown block kind {blk.kind!r}")
-            if blk.kind in SUBSYSTEM_KINDS:
-                prefix = level.path(name) + "/"
-                group = level.group
-                if blk.kind == "EnabledSubsystem":
-                    group += (level.path(name),)
-                sub = build_level(blk.children, prefix, level, name, group)
-                child_levels[(id(level), name)] = sub
-                expand(sub)
-
-    expand(top)
-
-    # pass 2: emit flat blocks in creation order; outer is the enable chain
-    # of the enclosing scope, one source per enabled subsystem around it
+    # emit flat blocks in creation order; outer is the enable chain of the
+    # enclosing scope, one source per enabled subsystem around it
     def emit(level: _Level, outer: tuple[Src, ...]) -> None:
         enables = outer
-        if level.parent is not None:
-            pblk = level.parent.diagram.blocks[level.name_in_parent]
-            if pblk.kind == "EnabledSubsystem":
-                enables += (driver_src(level.parent, level.name_in_parent, "enable"),)
+        if level.enabled:
+            enables += (driver_src(level.parent, level.name_in_parent, "enable"),)
 
+        prefix, tables, blocks = level.prefix, level.tables, flat.blocks
         for name, blk in level.diagram.blocks.items():
-            path = level.path(name)
-            if blk.kind in SUBSYSTEM_KINDS:
-                emit(child_levels[(id(level), name)], enables)
+            kind = blk.kind
+            if kind in SUBSYSTEM_KINDS:
+                emit(level.children[name], enables)
                 continue
-            if blk.kind == "Inport":
+            path = prefix + name
+            if kind == "Inport":
                 if level.parent is None:
-                    flat.blocks[path] = FlatBlock(path, "Inport", {}, {})
+                    blocks[path] = FlatBlock(path, "Inport", {}, {})
                 continue
-            if blk.kind == "Outport":
+            if kind == "Outport":
                 if level.parent is None:
-                    flat.blocks[path] = FlatBlock(
-                        path, "Outport", {}, {"in": driver_src(level, name, "in")}
-                    )
-                    flat.output_sources[name] = driver_src(level, name, "in")
+                    src = driver_src(level, name, "in")
+                    blocks[path] = FlatBlock(path, "Outport", {}, {"in": src})
+                    flat.output_sources[name] = src
                 # boundary outputs dissolve; conditioned ones get hold blocks below
                 continue
             params = dict(blk.params)
-            if blk.kind in ("DataStoreRead", "DataStoreWrite"):
+            if kind == "DataStoreRead" or kind == "DataStoreWrite":
                 params["store"] = _resolve_store(level, params["store"])
-            inputs = {
-                port: driver_src(level, name, port)
-                for port in block_ports(blk)[0]
-            }
-            flat.blocks[path] = FlatBlock(
-                path, blk.kind, params, inputs, enables, level.group
-            )
-            if blk.kind == "UnitDelay":
+            inputs = {port: driver_src(level, name, port) for port in tables[name][0]}
+            blocks[path] = FlatBlock(path, kind, params, inputs, enables, level.group)
+            if kind == "UnitDelay":
                 flat.var_decls[path] = (params["dtype"], params["init"])
-            elif blk.kind == "DataStoreMemory":
+            elif kind == "DataStoreMemory":
                 flat.stores[path] = (params["dtype"], params["init"])
                 flat.var_decls[path] = (params["dtype"], params["init"])
 
         # synthesize hold blocks for conditioned boundary outputs
-        if level.parent is not None:
-            pblk = level.parent.diagram.blocks[level.name_in_parent]
-            if pblk.kind == "EnabledSubsystem":
-                for port in level.diagram.outputs:
-                    path = level.prefix + port.name
-                    init = port.init if port.init is not None else first_value(port.dtype)
-                    if not in_domain(port.dtype, init):
-                        raise ModelValidationError(
-                            f"hold seed {init!r} outside domain of {path}"
-                        )
-                    blkf = FlatBlock(
-                        path,
-                        "HoldOutput",
-                        {"dtype": port.dtype, "init": init, "gate": enables},
-                        {"in": driver_src(level, port.name, "in")},
-                        enables=outer,  # runs in the parent scope
-                        group=level.group[:-1],
+        if level.enabled:
+            for port in level.diagram.outputs:
+                path = prefix + port.name
+                init = port.init if port.init is not None else first_value(port.dtype)
+                if not in_domain(port.dtype, init):
+                    raise ModelValidationError(
+                        f"hold seed {init!r} outside domain of {path}"
                     )
-                    flat.blocks[path] = blkf
-                    flat.var_decls[hold_var(path)] = (port.dtype, init)
+                blkf = FlatBlock(
+                    path,
+                    "HoldOutput",
+                    {"dtype": port.dtype, "init": init, "gate": enables},
+                    {"in": driver_src(level, port.name, "in")},
+                    enables=outer,  # runs in the parent scope
+                    group=level.group[:-1],
+                )
+                blocks[path] = blkf
+                flat.var_decls[hold_var(path)] = (port.dtype, init)
 
     def _resolve_store(level: _Level, store_name: str) -> str:
         lvl: _Level | None = level
         while lvl is not None:
-            if store_name in store_paths[lvl]:
-                return store_paths[lvl][store_name]
+            if store_name in lvl.stores:
+                return lvl.stores[store_name]
             lvl = lvl.parent
         raise ModelValidationError(f"unknown data store {store_name!r}")
 
@@ -560,14 +562,6 @@ def _globalize_stores(flat: FlatModel) -> None:
 _UNSCHEDULED = frozenset({"Inport", "Outport", "DataStoreMemory"})
 
 
-def _item_of(flat: FlatModel, path: str, depth: int) -> str:
-    """Scheduling item for a block seen from group depth ``depth``."""
-    g = flat.blocks[path].group
-    if len(g) > depth:
-        return g[depth]  # the conditioned subsystem containing it
-    return path
-
-
 def schedule_units(flat: FlatModel) -> list[str]:
     """Topological execution order of the output phase.
 
@@ -575,62 +569,61 @@ def schedule_units(flat: FlatModel) -> list[str]:
     contiguous); ties are broken lexicographically by block path.  Raises
     :class:`AlgebraicLoop` when a cycle does not pass through a delay.
     """
+    blocks = flat.blocks
     members: dict[tuple[str, ...], list[str]] = {}
-    for path, blk in flat.blocks.items():
+    for path, blk in blocks.items():
         if blk.kind in _UNSCHEDULED:
             continue
         members.setdefault(blk.group, []).append(path)
 
     def order_level(prefix: tuple[str, ...]) -> list[str]:
         depth = len(prefix)
-        items: dict[str, list[str]] = {}
+        # each member's item: the block, or the conditioned subsystem holding it
+        item: dict[str, str] = {}
         for group, paths in members.items():
             if group[:depth] != prefix:
                 continue
-            for p in paths:
-                items.setdefault(_item_of(flat, p, depth), []).append(p)
-        deps: dict[str, set[str]] = {it: set() for it in items}
-        rdeps: dict[str, set[str]] = {it: set() for it in items}
+            if len(group) > depth:
+                item.update(dict.fromkeys(paths, group[depth]))
+            else:
+                item.update(zip(paths, paths))
+        succ: dict[str, set[str]] = {it: set() for it in item.values()}
+        for p, it in item.items():
+            blk = blocks[p]
+            if blk.kind == "UnitDelay":
+                continue  # input consumed in the update phase
+            srcs = [*blk.inputs.values(), *blk.enables]
+            if blk.kind == "HoldOutput":
+                srcs += blk.params["gate"]
+            for tag, name in srcs:
+                if tag == "sig":
+                    src_item = item.get(name)
+                    if src_item is not None and src_item != it:
+                        succ[src_item].add(it)
 
-        def add_edge(src_item: str, dst_item: str) -> None:
-            if src_item == dst_item or src_item not in items or dst_item not in items:
-                return
-            deps[dst_item].add(src_item)
-            rdeps[src_item].add(dst_item)
-
-        for it, paths in items.items():
-            for p in paths:
-                blk = flat.blocks[p]
-                if blk.kind == "UnitDelay":
-                    continue  # input consumed in the update phase
-                srcs = list(blk.inputs.values())
-                if blk.kind == "HoldOutput":
-                    srcs += list(blk.params["gate"])
-                srcs += list(blk.enables)
-                for tag, name in srcs:
-                    if tag != "sig":
-                        continue
-                    if name not in flat.blocks:
-                        continue
-                    add_edge(_item_of(flat, name, depth), _item_of(flat, p, depth))
-
-        ready = [it for it, d in deps.items() if not d]
+        indeg = dict.fromkeys(succ, 0)
+        for targets in succ.values():
+            for t in targets:
+                indeg[t] += 1
+        ready = [it for it, n in indeg.items() if not n]
         heapq.heapify(ready)
         out: list[str] = []
-        done: set[str] = set()
         while ready:
             it = heapq.heappop(ready)
-            done.add(it)
-            if it in flat.blocks:
+            if it in blocks:
                 out.append(it)
             else:
                 out.extend(order_level(prefix + (it,)))
-            for nxt in sorted(rdeps[it]):
-                deps[nxt].discard(it)
-                if not deps[nxt] and nxt not in done:
+            for nxt in succ[it]:
+                indeg[nxt] -= 1
+                if not indeg[nxt]:
                     heapq.heappush(ready, nxt)
-        if len(done) != len(items):
-            remaining = {it for it in items if it not in done}
+        remaining = {it for it, n in indeg.items() if n}
+        if remaining:
+            deps: dict[str, set[str]] = {it: set() for it in remaining}
+            for it, targets in succ.items():
+                for t in targets & remaining:
+                    deps[t].add(it)
             raise AlgebraicLoop(_find_cycle(deps, remaining))
         return out
 
@@ -659,86 +652,84 @@ _INT_ONLY = frozenset({"Sum", "Product", "Gain", "MinMax", "Saturation"})
 _ORDER_OPS = frozenset({"<", "<=", ">", ">="})
 
 
-def _src_kind(flat: FlatModel, src: Src) -> Kind:
-    tag, name = src
-    if tag == "in":
-        return kind_of(flat.input_port(name).dtype)
-    return flat.signal_kinds[name]
-
-
 def _infer_kinds(flat: FlatModel, order: list[str]) -> None:
     kinds = flat.signal_kinds
+    # built for this pass only: _globalize_stores adds inputs afterwards
+    in_kinds = {p.name: kind_of(p.dtype) for p in flat.inputs}
 
-    def require(cond: bool, msg: str) -> None:
-        if not cond:
-            raise TypeMismatch(f"{flat.name}: {msg}")
+    def src_kind(src: Src) -> Kind:
+        tag, name = src
+        return in_kinds[name] if tag == "in" else kinds[name]
 
+    def fail(msg: str):
+        raise TypeMismatch(f"{flat.name}: {msg}")
+
+    blocks = flat.blocks
     for path in order:
-        blk = flat.blocks[path]
+        blk = blocks[path]
         k = blk.kind
         if k == "UnitDelay":
             # runs before its feeder; the input kind is checked afterwards
             kinds[path] = kind_of(blk.params["dtype"])
-            continue
-        ins = {p: _src_kind(flat, s) for p, s in blk.inputs.items()}
-        if k == "Constant":
+        elif k == "Logic" or k in _INT_ONLY:
+            want = "bool" if k == "Logic" else "int"
+            for p, s in blk.inputs.items():
+                got = src_kind(s)
+                if got != want:
+                    fail(f"{path}.{p} must be {want}, got {kind_str(got)}")
+            kinds[path] = want
+        elif k == "Constant":
             kinds[path] = blk.params["kind"]
         elif k == "Switch":
-            require(ins["in1"] == ins["in3"],
-                    f"{path} mixes {kind_str(ins['in1'])} and {kind_str(ins['in3'])}")
-            require(ins["ctrl"] in ("bool", "int"),
-                    f"{path} control must be bool or int")
-            kinds[path] = ins["in1"]
-        elif k == "Logic":
-            for p, kk in ins.items():
-                require(kk == "bool", f"{path}.{p} must be bool, got {kind_str(kk)}")
-            kinds[path] = "bool"
+            ins = blk.inputs
+            k1, k3 = src_kind(ins["in1"]), src_kind(ins["in3"])
+            if k1 != k3:
+                fail(f"{path} mixes {kind_str(k1)} and {kind_str(k3)}")
+            if src_kind(ins["ctrl"]) not in ("bool", "int"):
+                fail(f"{path} control must be bool or int")
+            kinds[path] = k1
         elif k == "Relational":
-            require(ins["in1"] == ins["in2"],
-                    f"{path} compares {kind_str(ins['in1'])} with {kind_str(ins['in2'])}")
-            if blk.params["op"] in _ORDER_OPS:
-                require(ins["in1"] == "int", f"{path} order comparison needs ints")
+            k1, k2 = src_kind(blk.inputs["in1"]), src_kind(blk.inputs["in2"])
+            if k1 != k2:
+                fail(f"{path} compares {kind_str(k1)} with {kind_str(k2)}")
+            if blk.params["op"] in _ORDER_OPS and k1 != "int":
+                fail(f"{path} order comparison needs ints")
             kinds[path] = "bool"
-        elif k in _INT_ONLY:
-            for p, kk in ins.items():
-                require(kk == "int", f"{path}.{p} must be int, got {kind_str(kk)}")
-            kinds[path] = "int"
         elif k == "DataStoreRead":
             kinds[path] = kind_of(flat.stores[blk.params["store"]][0])
         elif k == "DataStoreWrite":
-            want = kind_of(flat.stores[blk.params["store"]][0])
-            require(ins["in"] == want,
-                    f"{path} writes {kind_str(ins['in'])} into {kind_str(want)} store")
+            want, got = kind_of(flat.stores[blk.params["store"]][0]), src_kind(blk.inputs["in"])
+            if got != want:
+                fail(f"{path} writes {kind_str(got)} into {kind_str(want)} store")
         elif k == "HoldOutput":
-            want = kind_of(blk.params["dtype"])
-            require(ins["in"] == want,
-                    f"{path} holds {kind_str(want)} but is fed {kind_str(ins['in'])}")
+            want, got = kind_of(blk.params["dtype"]), src_kind(blk.inputs["in"])
+            if got != want:
+                fail(f"{path} holds {kind_str(want)} but is fed {kind_str(got)}")
             kinds[path] = want
 
-    # delayed check: a delay's feeder is scheduled after the delay itself
-    for path, blk in flat.blocks.items():
+    # delayed check: a delay's feeder is scheduled after the delay itself;
+    # then enable signals must be boolean, the first fault raised after
+    # every delay is checked
+    gate_fault = None
+    for blk in blocks.values():
         if blk.kind == "UnitDelay":
-            want = kind_of(blk.params["dtype"])
-            got = _src_kind(flat, blk.inputs["in"])
-            require(got == want,
-                    f"{path} stores {kind_str(want)} but is fed {kind_str(got)}")
-
-    # enable signals must be boolean
-    for blk in flat.blocks.values():
-        gates = set(blk.enables)
-        if blk.kind == "HoldOutput":
-            gates |= set(blk.params["gate"])
-        for src in gates:
-            if _src_kind(flat, src) != "bool":
-                raise TypeMismatch(
-                    f"{flat.name}: enable feeding {blk.path} must be bool"
-                )
+            want, got = kind_of(blk.params["dtype"]), src_kind(blk.inputs["in"])
+            if got != want:
+                fail(f"{blk.path} stores {kind_str(want)} but is fed {kind_str(got)}")
+        if gate_fault is None:
+            gates = blk.enables
+            if blk.kind == "HoldOutput":
+                gates += blk.params["gate"]
+            if gates and any(src_kind(src) != "bool" for src in gates):
+                gate_fault = blk.path
+    if gate_fault is not None:
+        raise TypeMismatch(f"{flat.name}: enable feeding {gate_fault} must be bool")
 
     # external outputs
     for port in flat.outputs:
         if port.name not in flat.output_sources:
             raise UnconnectedInput(f"{flat.name}: output {port.name} is not wired")
-        got = _src_kind(flat, flat.output_sources[port.name])
+        got = src_kind(flat.output_sources[port.name])
         if got != kind_of(port.dtype):
             raise TypeMismatch(
                 f"{flat.name}: output {port.name} declared "

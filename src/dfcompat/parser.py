@@ -13,6 +13,7 @@ import sys
 from .errors import (
     DslSyntaxError,
     DuplicateName,
+    ModelValidationError,
     TypeAnnotationMissing,
     UnknownBlockKind,
 )
@@ -32,13 +33,15 @@ from .model import (
     block_ports,
     dtype_str,
     in_domain,
+    wire_end,
 )
 
 _RE_MODEL = re.compile(r"^model\s+(\w+)$")
 _RE_TYPE = re.compile(r"^type\s+(\w+)\s*=\s*enum\s*\{([^}]*)\}$")
 _RE_PORT = re.compile(r"^(in|out)\s+(\w+)\s*:\s*([^=]+?)\s*(?:=\s*(\S.*))?$")
 _RE_BLOCK = re.compile(r"^block\s+(\w+)\s*:\s*(\w+)\s*(?:\((.*)\))?\s*(\{)?$")
-_RE_WIRE = re.compile(r"^wire\s+(\w+(?:\.\w+)?)\s*->\s*(\w+(?:\.\w+)?)$")
+# a wire end is a block and an optional port
+_RE_WIRE = re.compile(r"^wire\s+(\w+)(?:\.(\w+))?\s*->\s*(\w+)(?:\.(\w+))?$")
 _RE_INT_TYPE = re.compile(r"^int\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
 _RE_SIGNS = re.compile(r"^[+-]+$")
 
@@ -70,8 +73,16 @@ def _split_params(text: str) -> list[str]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+        lines = text.splitlines()
+        self.end = len(lines)
+        # (line number, text without comment) of each line that is not
+        # blank, consumed once: a subsystem's level reads on from where its
+        # parent's left off
+        self.lines = iter([
+            (i, code) for i, raw in enumerate(lines, 1)
+            if (code := (raw.split("#", 1)[0] if "#" in raw else raw).strip())
+        ])
+        self.pos = 0  # line number of the last line read
         self.model: Model | None = None
 
     def error(self, msg: str, cls=DslSyntaxError):
@@ -79,58 +90,55 @@ class _Parser:
 
     # ------------------------------------------------------------------
     def parse(self) -> Model:
-        name = None
-        while self.pos < len(self.lines):
-            line = self._next_meaningful()
-            if line is None:
-                break
-            m = _RE_MODEL.match(line)
-            if not m:
-                self.error(f"expected 'model <name>', got {line!r}")
-            name = sys.intern(m.group(1))
-            break
-        if name is None:
+        first = next(self.lines, None)
+        if first is None:
             raise DslSyntaxError("empty model text", 0)
-        self.model = Model(name=name)
+        self.pos, line = first
+        m = _RE_MODEL.match(line)
+        if not m:
+            self.error(f"expected 'model <name>', got {line!r}")
+        self.model = Model(name=sys.intern(m.group(1)))
         self._parse_level(self.model.diagram, top=True)
         return self.model
 
-    def _next_meaningful(self) -> str | None:
-        while self.pos < len(self.lines):
-            raw = self.lines[self.pos]
-            self.pos += 1
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                return line
-        return None
-
     # ------------------------------------------------------------------
     def _parse_level(self, diagram: Diagram, top: bool) -> None:
-        pending_wires: list[tuple[str, str, int]] = []
-        while True:
-            line = self._next_meaningful()
-            if line is None:
-                if not top:
-                    self.error("unterminated subsystem: missing '}'")
-                break
+        diagram.port_tables = {}
+        wires: list[tuple[str, str | None, str, str | None, int]] = []
+        for self.pos, line in self.lines:
             if line == "}":
                 if top:
                     self.error("unmatched '}'")
                 break
-            # wires are the most common lines, and no other form matches one
+            # wires are the most common lines, then blocks; the forms start
+            # with distinct keywords, so at most one matches
             m = _RE_WIRE.match(line)
             if m:
-                pending_wires.append((m.group(1), m.group(2), self.pos))
+                wires.append((*m.groups(), self.pos))
                 continue
-            if self._try_type(line, top):
+            m = _RE_BLOCK.match(line)
+            if m:
+                self._block(m, diagram)
                 continue
             if self._try_port(line, diagram):
                 continue
-            if self._try_block(line, diagram):
+            if self._try_type(line, top):
                 continue
             self.error(f"cannot parse line {line!r}")
-        for src, dst, ln in pending_wires:
-            diagram.connections.append(self._resolve_wire(diagram, src, dst, ln))
+        else:  # the end of the text
+            self.pos = self.end
+            if not top:
+                self.error("unterminated subsystem: missing '}'")
+        # each end names a port of a block of this level: checked here, once,
+        # against the port tables the diagram carries
+        tables, conns = diagram.port_tables, diagram.connections
+        for sb, sp, db, dp, ln in wires:
+            try:
+                sp = wire_end(tables, sb, sp, True)
+                dp = wire_end(tables, db, dp, False)
+            except ModelValidationError as e:
+                raise DslSyntaxError(str(e), ln) from None
+            conns.append(Connection(sb, sp, db, dp, line=ln))
 
     def _try_type(self, line: str, top: bool) -> bool:
         m = _RE_TYPE.match(line)
@@ -168,13 +176,16 @@ class _Parser:
         port = Port(name, direction, dtype, init)
         kind = "Inport" if direction == "in" else "Outport"
         (diagram.inputs if direction == "in" else diagram.outputs).append(port)
-        diagram.blocks[name] = Block(name, kind, {}, line=self.pos)
+        self._add(diagram, Block(name, kind, {}, line=self.pos))
         return True
 
-    def _try_block(self, line: str, diagram: Diagram) -> bool:
-        m = _RE_BLOCK.match(line)
-        if not m:
-            return False
+    @staticmethod
+    def _add(diagram: Diagram, blk: Block) -> None:
+        """Add a block, and its port table, computed here once."""
+        diagram.blocks[blk.name] = blk
+        diagram.port_tables[blk.name] = block_ports(blk)
+
+    def _block(self, m: re.Match, diagram: Diagram) -> None:
         name, kind, params_text, brace = m.groups()
         if name in diagram.blocks:
             self.error(f"name {name!r} already used", DuplicateName)
@@ -187,13 +198,12 @@ class _Parser:
                 self.error(f"{kind} takes no parameters")
             child = Diagram()
             self._parse_level(child, top=False)
-            diagram.blocks[name] = Block(name, kind, {}, child, line=self.pos)
-            return True
+            self._add(diagram, Block(name, kind, {}, child, line=self.pos))
+            return
         if brace:
             self.error(f"{kind} does not open a scope")
         params = self._parse_params(kind, params_text or "")
-        diagram.blocks[name] = Block(name, kind, params, line=self.pos)
-        return True
+        self._add(diagram, Block(name, kind, params, line=self.pos))
 
     # ------------------------------------------------------------------
     def _parse_type(self, text: str) -> DataType:
@@ -233,6 +243,8 @@ class _Parser:
         self.error(f"cannot parse literal {text!r}")
 
     def _parse_params(self, kind: str, text: str) -> dict:
+        if kind == "Logic" and text in _LOGIC_OPS:  # the most common block
+            return {"op": text}
         parts = _split_params(text)
 
         def arity(n_lo: int, n_hi: int | None = None):
@@ -309,37 +321,6 @@ class _Parser:
                 self.error(f"{kind} expects a store name")
             return {"store": parts[0]}
         raise AssertionError(kind)
-
-    # ------------------------------------------------------------------
-    def _resolve_wire(self, diagram: Diagram, src: str, dst: str, line: int) -> Connection:
-        sb, sp = self._endpoint(diagram, src, want_out=True, line=line)
-        db, dp = self._endpoint(diagram, dst, want_out=False, line=line)
-        return Connection(sb, sp, db, dp, line=line)
-
-    def _endpoint(self, diagram: Diagram, text: str, want_out: bool, line: int):
-        if "." in text:
-            bname, pname = text.split(".", 1)
-        else:
-            bname, pname = text, None
-        blk = diagram.blocks.get(bname)
-        if blk is None:
-            raise DslSyntaxError(f"wire references unknown block {bname!r}", line)
-        ins, outs = block_ports(blk)
-        ports = outs if want_out else ins
-        if pname is None:
-            if len(ports) != 1:
-                side = "output" if want_out else "input"
-                raise DslSyntaxError(
-                    f"block {bname!r} has {len(ports)} {side} ports; name one", line
-                )
-            pname = ports[0]
-        elif pname not in ports:
-            side = "output" if want_out else "input"
-            raise DslSyntaxError(
-                f"block {bname!r} has no {side} port {pname!r}", line
-            )
-        return bname, pname
-
 
 def parse_model(text: str) -> Model:
     """Parse model text; raises :class:`DslSyntaxError` subclasses on errors."""

@@ -177,6 +177,25 @@ class _Side:
             self._out_fns[key] = compile_expr(self.ts.outputs[s][port], names)
         return self._out_fns[key]
 
+    def raises(self, s: int, port: str, names: tuple[str, ...],
+               rows: tuple[tuple[Value, ...], ...]) -> bool:
+        """Whether state s's output on port raises on some row of rows, per
+        name its values; evaluated once per system (``Ts.raising``), so both
+        directions of a check share the answers."""
+        key = (s, port, names, rows)
+        hit = self.ts.raising.get(key)
+        if hit is None:
+            f = self.output_fn(s, port, names)
+            try:
+                for combo in itertools.product(*rows):
+                    f(combo)
+            except Exception:
+                hit = True
+            else:
+                hit = False
+            self.ts.raising[key] = hit
+        return hit
+
     def targets(self, s: int) -> list[int]:
         if self.ts.rows:
             return self.ts.rows[s].targets
@@ -325,21 +344,15 @@ def simulates(
         consulted: list[bool] = []
 
         def raising(names, values, split):
-            # per interval, whether an output raises at its greatest value
+            # per interval, whether an output raises at its greatest value;
+            # each side's answer depends on its state and port only
             consulted.append(True)
-            fns = (a.output_fn(ai, port, names), b.output_fn(bi, port, names))
             ((at, ranges),) = split.items()
             rows, wide = list(map(values, range(len(names)))), []
             for _, hi in ranges:
                 rows[at] = (hi,)
-                try:
-                    for combo in itertools.product(*rows):
-                        for f in fns:
-                            f(combo)
-                except Exception:
-                    wide.append(True)
-                else:
-                    wide.append(False)
+                top = tuple(rows)
+                wide.append(a.raises(ai, port, names, top) or b.raises(bi, port, names, top))
             return {at: wide}
 
         grid = space(pair, parts, Split(affine, 2, True, raising))

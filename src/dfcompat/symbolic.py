@@ -31,7 +31,6 @@ from .exprs import (
     postorder,
     render,
     rewrite,
-    substitute,
 )
 from .cfg import BranchEl, Cfg, Straight
 from .model import DataType, EnumType
@@ -58,6 +57,43 @@ class SymbolicStep:
         return {v: init for v, (_, init) in self.vars.items()}
 
 
+def _read(n: Expr, sigs: Mapping[str, Expr], varenv: Mapping[str, Expr]) -> Expr | None:
+    """A leaf with its read replaced by the current expression; None for
+    an operator node."""
+    kind = type(n)
+    if kind is SignalRef:
+        return sigs.get(n.name, n)
+    if kind is VarRef:
+        return varenv.get(n.name, n)
+    return n if kind is Const or kind is InputRef else None
+
+
+def _current(rhs: Expr, sigs: Mapping[str, Expr], varenv: Mapping[str, Expr]) -> Expr:
+    """``substitute(rhs, signals=sigs, variables=varenv)``: built directly
+    when rhs is a leaf or one operator over leaves, as a block's
+    assignment is; a deeper rhs goes through ``rewrite``."""
+    kind = type(rhs)
+    if kind is Binary:
+        a, b = _read(rhs.left, sigs, varenv), _read(rhs.right, sigs, varenv)
+        if a is not None and b is not None:
+            return rhs if a is rhs.left and b is rhs.right else Binary(rhs.op, a, b)
+    elif kind is Unary:
+        a = _read(rhs.arg, sigs, varenv)
+        if a is not None:
+            return rhs if a is rhs.arg else Unary(rhs.op, a)
+    elif kind is Ite:
+        c = _read(rhs.cond, sigs, varenv)
+        t = _read(rhs.then, sigs, varenv)
+        o = _read(rhs.other, sigs, varenv)
+        if c is not None and t is not None and o is not None:
+            if c is rhs.cond and t is rhs.then and o is rhs.other:
+                return rhs
+            return Ite(c, t, o)
+    else:
+        return _read(rhs, sigs, varenv)
+    return rewrite([rhs], signals=sigs, variables=varenv)[0]
+
+
 def summarize(cfg: Cfg) -> SymbolicStep:
     flat = cfg.flat
 
@@ -65,13 +101,13 @@ def summarize(cfg: Cfg) -> SymbolicStep:
         for el in elems:
             if isinstance(el, Straight):
                 for space, target, rhs in cfg.nodes[el.node]:
-                    val = substitute(rhs, signals=sigs, variables=varenv)
+                    val = _current(rhs, sigs, varenv)
                     if space == "var":
                         varenv[target] = val
                     else:
                         sigs[target] = val
             else:
-                guard = substitute(el.guard, signals=sigs, variables=varenv)
+                guard = _current(el.guard, sigs, varenv)
                 t_sigs, t_vars = dict(sigs), dict(varenv)
                 process(el.then, t_sigs, t_vars)
                 e_sigs, e_vars = dict(sigs), dict(varenv)
@@ -97,7 +133,7 @@ def summarize(cfg: Cfg) -> SymbolicStep:
         for port, (tag, name) in flat.output_sources.items()
     }
     updates: dict[str, Expr] = {
-        var: substitute(rhs, signals=sigs, variables=varenv)
+        var: _current(rhs, sigs, varenv)
         for var, rhs in cfg.update_assigns
     }
     # stores are updated in place during the walk, not via the exit node

@@ -191,6 +191,9 @@ class Ts:
     inputs: dict[str, DataType]
     enums: dict[str, EnumType] = field(default_factory=dict)
     rows: list[StateRows] = field(default_factory=list)
+    # per (state, port, row names, rows): whether the state's output on port
+    # raises on some of those rows; filled by every simulation of the system
+    raising: dict[tuple, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def input_domain(self) -> Domain:
         return Domain(dict(self.inputs))

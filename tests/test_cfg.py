@@ -7,7 +7,7 @@ import pytest
 from dfcompat import Interpreter, extract_cfg, flatten_and_validate, parse_model, sorted_order
 from dfcompat.cfg import cfg_to_dot, count_paths, run_cfg_step
 from dfcompat.model import domain_values
-from helpers import NESTED_ENABLED, NESTED_REWIRED, load_model
+from helpers import NESTED_ENABLED, NESTED_REWIRED, chain_text, load_model
 
 EXPECTED_PATHS = {
     "flipflop": 4,
@@ -28,6 +28,12 @@ EXPECTED_PATHS = {
 def test_path_counts(name, expected):
     cfg = extract_cfg(flatten_and_validate(load_model(name)))
     assert count_paths(cfg) == expected
+
+
+def test_path_count_of_a_chain_thousands_of_blocks_deep():
+    cfg = extract_cfg(flatten_and_validate(parse_model(chain_text(1000, restyled=True))))
+    assert len(cfg.nodes) > 3000
+    assert count_paths(cfg) == 1
 
 
 def _state_space(flat):
