@@ -11,7 +11,14 @@ end-to-end metric the table gives, for each side, the median and the
 quartiles [q1, q3] over the seeds, the change of the medians, and in how
 many seed pairs the new checkout was better (ties count for neither).
 Which direction is better comes from ``BENCHMARK.json`` in NEW_DIR.  The
-failed share is the share of attempted operations that failed.  Each
+failed share is the share of attempted operations that failed.
+
+The ``bound`` column reads each end-to-end metric against its bound in
+``BENCHMARK.json``, a fraction of the old median: ``worse`` when the new
+median is worse by more than the bound; ``unresolved`` when the old
+quartiles [q1, q3] span more than the bound and not every new run beats
+every old run; ``ok`` otherwise.  Metrics without a bound show ``-``.  The
+column only reports; the exit code does not depend on it.  Each
 checkout runs its own ``dfbench/run.py`` with its own sources; nothing is
 written into either checkout except what the benchmark itself writes.
 Standard library only.
@@ -65,11 +72,26 @@ def fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
+def against_bound(old: list[float], new: list[float], sign: int, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok``: the new runs against the old
+    ones under a bound relative to the old median; sign is 1 when higher
+    is better and -1 when lower is."""
+    (mo, lo, ho), (mn, _, _) = summary(old), summary(new)
+    if sign * (mn - mo) < -bound * abs(mo):
+        return "worse"
+    all_beat = min(sign * n for n in new) > max(sign * o for o in old)
+    if ho - lo > bound * abs(mo) and not all_beat:
+        return "unresolved"
+    return "ok"
+
+
 def table(
-    runs: list[tuple[dict[str, float], dict[str, float]]], better: dict[str, str]
+    runs: list[tuple[dict[str, float], dict[str, float]]],
+    better: dict[str, str],
+    bounds: dict[str, float],
 ) -> list[str]:
     lines = [f"{'metric':<16} {'old median [q1, q3]':<28} {'new median [q1, q3]':<28} "
-             f"{'change':>8} {'wins':>6}"]
+             f"{'change':>8} {'wins':>6} {'bound':>10}"]
     for name in runs[0][0]:
         old = [r[0][name] for r in runs]
         new = [r[1][name] for r in runs]
@@ -77,10 +99,11 @@ def table(
         sign = -1 if better.get(name, "higher") == "lower" else 1
         wins = sum(1 for o, n in zip(old, new) if sign * (n - o) > 0)
         change = f"{100 * (mn - mo) / mo:+.1f}%" if mo else "-"
+        verdict = against_bound(old, new, sign, bounds[name]) if name in bounds else "-"
         lines.append(
             f"{name:<16} {fmt(mo) + ' [' + fmt(lo) + ', ' + fmt(ho) + ']':<28} "
             f"{fmt(mn) + ' [' + fmt(ln) + ', ' + fmt(hn) + ']':<28} "
-            f"{change:>8} {f'{wins}/{len(runs)}':>6}"
+            f"{change:>8} {f'{wins}/{len(runs)}':>6} {verdict:>10}"
         )
     return lines
 
@@ -97,6 +120,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((args.new / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     better["failed_share"] = "lower"
     better["correct"] = "higher"
     seeds = parse_seeds(args.seeds)
@@ -112,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{got[args.new]['checks_per_s']:.1f}", file=sys.stderr, flush=True)
         raw[workload] = [{"seed": s, "old": o, "new": n} for s, (o, n) in zip(seeds, runs)]
         print(f"## {workload} (seeds {args.seeds}, {args.seconds:g} s per run)")
-        print("\n".join(table(runs, better)))
+        print("\n".join(table(runs, better, bounds)))
         print(flush=True)
     if args.out:
         args.out.write_text(json.dumps(raw, indent=1) + "\n")

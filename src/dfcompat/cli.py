@@ -88,26 +88,18 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> CheckConfig:
-    cfg = CheckConfig(
+    # an integer flag left unset keeps CheckConfig's default
+    return CheckConfig(
         clone_pruning=not args.no_clone_pruning,
         output_split=not args.no_output_split,
         datastore=args.datastore,
         datastore_order=args.datastore_order,
+        **{
+            k: v for k, v in vars(args).items()
+            if k in ("solver_budget", "state_budget", "split_cap", "fix_iterations")
+            and v is not None
+        },
     )
-    overrides = {}
-    if args.solver_budget is not None:
-        overrides["solver_budget"] = args.solver_budget
-    if args.state_budget is not None:
-        overrides["state_budget"] = args.state_budget
-    if args.split_cap is not None:
-        overrides["split_cap"] = args.split_cap
-    if getattr(args, "fix_iterations", None) is not None:
-        overrides["fix_iterations"] = args.fix_iterations
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
 
 
 def _load_model(path: str):

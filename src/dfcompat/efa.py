@@ -4,8 +4,8 @@ Case-splitting every output and update definition and taking the product
 of the alternatives yields a flat list of transitions, each with an
 ite-free guard over inputs and pre-state plus ite-free right-hand sides.
 Unsatisfiable combinations are pruned as the product is built, and the
-result can be verified to be deterministic (pairwise disjoint guards) and
-total (guards cover the whole domain).  ``image_map`` takes each state's
+result is checked to be deterministic (pairwise disjoint guards) and total
+(guards cover the whole domain).  ``image_map`` takes each state's
 successors under one transition from unfolding's row primitive
 (``unfold._Image``), so it shares unfolding's per-state budget and errors;
 like every row count, its budget over all states is ``rows.plan``'s.
@@ -62,15 +62,11 @@ class Efa:
     step: SymbolicStep
     transitions: list[EfaTransition]
 
-    def domain(self) -> Domain:
-        return full_domain(self.step)
-
 
 def build_efa(
     step: SymbolicStep,
     cap: int = DEFAULT_SPLIT_CAP,
     budget: int = DEFAULT_BUDGET,
-    verify: bool = True,
 ) -> Efa:
     out_ports = sorted(step.outputs)
     var_names = sorted(step.updates)
@@ -110,23 +106,20 @@ def build_efa(
 
     product(0, (), [])
 
-    if verify:
-        union = disjoin([t.guard for t in transitions])
-        hole = sat_witness(Unary("not", union), dom, budget, stage)
-        if hole is not None:
-            raise AssertionError(f"transition guards miss assignment {hole}")
-        for i in range(len(transitions)):
-            for j in range(i + 1, len(transitions)):
-                overlap = sat_witness(
-                    Binary("and", transitions[i].guard, transitions[j].guard),
-                    dom,
-                    budget,
-                    stage,
-                )
-                if overlap is not None:
-                    raise AssertionError(
-                        f"transitions {i} and {j} overlap on {overlap}"
-                    )
+    union = disjoin([t.guard for t in transitions])
+    hole = sat_witness(Unary("not", union), dom, budget, stage)
+    if hole is not None:
+        raise AssertionError(f"transition guards miss assignment {hole}")
+    for i in range(len(transitions)):
+        for j in range(i + 1, len(transitions)):
+            overlap = sat_witness(
+                Binary("and", transitions[i].guard, transitions[j].guard),
+                dom,
+                budget,
+                stage,
+            )
+            if overlap is not None:
+                raise AssertionError(f"transitions {i} and {j} overlap on {overlap}")
     return Efa(step, transitions)
 
 

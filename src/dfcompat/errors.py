@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolchain.
 
 Every error raised on a user-visible path derives from :class:`DfcError` so the
-CLI can attribute it to a pipeline stage and exit with a stable code.
+CLI can catch it and exit with a stable code per error class.
 """
 
 from __future__ import annotations
@@ -9,9 +9,6 @@ from __future__ import annotations
 
 class DfcError(Exception):
     """Base class for all toolchain errors."""
-
-    #: pipeline stage the error is attributed to; filled in by the driver
-    stage: str = ""
 
 
 class DslSyntaxError(DfcError):

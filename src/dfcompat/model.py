@@ -273,15 +273,6 @@ class FlatModel:
     # schedule_units of the blocks as flattening left them, or None
     order: tuple[str, ...] | None = None
 
-    @property
-    def connections(self) -> list[Connection]:
-        """Derived wire list over flat block paths (diagnostic view)."""
-        out = []
-        for blk in self.blocks.values():
-            for port, (_tag, name) in sorted(blk.inputs.items()):
-                out.append(Connection(name, "out", blk.path, port))
-        return out
-
     def input_domains(self) -> dict[str, DataType]:
         return {p.name: p.dtype for p in self.inputs}
 

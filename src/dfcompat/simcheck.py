@@ -6,9 +6,11 @@ every mapped port and answer every reference transition, over the
 reference side's input domain.  Checking both directions classifies a pair
 as fully compatible, safe only for existing callers, safe only for new
 callers, or incompatible, and every refusal comes with a replayable input
-trace.  Extra candidate inputs can be searched for constant settings that
-restore compatibility.  Every query's rows come from ``rows.plan``; an
-output comparison gives it the affine two-point split rule.
+trace; an output mismatch also carries the two outputs the simulation
+compared on the trace's last row.  Extra candidate inputs can be searched
+for constant settings that restore compatibility.  Every query's rows come
+from ``rows.plan``; an output comparison gives it the affine two-point
+split rule.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .rows import (
     Grid,
     Split,
     box_reads,
-    compile_all,
     compile_expr,
     input_uses,
     plan,
@@ -93,6 +94,10 @@ class SimFailure:
     rows: list[dict[str, Value]]
     cand_state: str
     ref_state: str
+    # on an output mismatch, the reference's and the candidate's output on
+    # port at the last row; None otherwise
+    expected: Value | None = None
+    actual: Value | None = None
 
 
 @dataclass
@@ -180,21 +185,14 @@ class _Side:
     def raises(self, s: int, port: str, names: tuple[str, ...],
                rows: tuple[tuple[Value, ...], ...]) -> bool:
         """Whether state s's output on port raises on some row of rows, per
-        name its values; evaluated once per system (``Ts.raising``), so both
-        directions of a check share the answers."""
-        key = (s, port, names, rows)
-        hit = self.ts.raising.get(key)
-        if hit is None:
-            f = self.output_fn(s, port, names)
-            try:
-                for combo in itertools.product(*rows):
-                    f(combo)
-            except Exception:
-                hit = True
-            else:
-                hit = False
-            self.ts.raising[key] = hit
-        return hit
+        name its values."""
+        f = self.output_fn(s, port, names)
+        try:
+            for combo in itertools.product(*rows):
+                f(combo)
+        except Exception:
+            return True
+        return False
 
     def targets(self, s: int) -> list[int]:
         if self.ts.rows:
@@ -344,8 +342,7 @@ def simulates(
         consulted: list[bool] = []
 
         def raising(names, values, split):
-            # per interval, whether an output raises at its greatest value;
-            # each side's answer depends on its state and port only
+            # per interval, whether an output raises at its greatest value
             consulted.append(True)
             ((at, ranges),) = split.items()
             rows, wide = list(map(values, range(len(names)))), []
@@ -360,16 +357,17 @@ def simulates(
             spaces[parts] = grid
         return grid
 
-    def output_diff(ai: int, bi: int, port: str) -> dict[str, Value] | None:
+    def output_diff(ai: int, bi: int, port: str) -> tuple[dict[str, Value], Value, Value] | None:
         # rows in order, the candidate's output evaluated first: the least
         # differing row, and an overflow only where enumeration reaches it
-        # first, as sat_witness over the two outputs' inequality
+        # first, as sat_witness over the two outputs' inequality; with the
+        # reference's and the candidate's output there
         grid = output_space((ai, bi), port)
         fa = a.output_fn(ai, port, grid.names)
         fb = b.output_fn(bi, port, grid.names)
         for i, combo in enumerate(itertools.product(*grid.values)):
             if fa(combo) != fb(combo):
-                return first | grid.row(i)
+                return first | grid.row(i), fb(combo), fa(combo)
         return None
 
     def pair_bits(pair: tuple[int, int]) -> tuple[Grid, list[int], list[int]]:
@@ -396,7 +394,7 @@ def simulates(
             queries += 1
             diff = output_diff(ai, bi, port)
             if diff is not None:
-                reason[i] = ("output", port, diff)
+                reason[i] = ("output", port, *diff)
                 alive[i] = False
                 break
         if alive[i]:
@@ -489,8 +487,9 @@ def simulates(
     tail = reason[cur]
     ca, cb = cand.label(order[cur][0]), ref.label(order[cur][1])
     if tail[0] == "output":
-        trace.append(tail[2])
-        failure = SimFailure("output-mismatch", tail[1], trace, ca, cb)
+        _, port, row, expected, actual = tail
+        trace.append(row)
+        failure = SimFailure("output-mismatch", port, trace, ca, cb, expected, actual)
     else:
         trace.append(tail[1])
         failure = SimFailure("uncovered-input", None, trace, ca, cb)
@@ -772,36 +771,28 @@ def _to_counterexample(
     prep: _Prepared,
     failure: SimFailure,
     direction: str,
-    ref_step: SymbolicStep,
-    cand_step: SymbolicStep,
-    bound: Mapping[str, Value] | None,
     shared: dict[tuple, dict[str, Value]],
 ) -> Counterexample:
-    """Lift witness rows into replayable traces for both concrete models.
+    """Lift witness rows into replayable traces for both concrete models,
+    with the two outputs the simulation compared on the last row.
 
     Equal rows, keys in the same order, are kept as one object, the one in
     shared: a report often repeats a row across steps, between both
     namespaces and between both directions.
     """
     a_names = [p.name for p in prep.flat_a.inputs]
-    a_to_b = {a: b for b, a in prep.mapping.pairs}
-    bound = dict(bound or {})
+    a_to_b = prep.mapping.a_to_b()
 
     def share(row: dict[str, Value]) -> dict[str, Value]:
         return shared.setdefault(tuple((k, type(v), v) for k, v in row.items()), row)
 
-    rows_a = []
-    rows_b = []
-    for row in failure.rows:
-        full = dict(row) | bound
-        rows_a.append(share({n: full[n] for n in a_names if n in full}))
-        rows_b.append(
-            share({a_to_b[n]: v for n, v in full.items() if n in a_to_b})
-        )
+    rows_a = [share({n: row[n] for n in a_names if n in row}) for row in failure.rows]
+    rows_b = [
+        share({a_to_b[n]: v for n, v in row.items() if n in a_to_b}) for row in failure.rows
+    ]
     expected = actual = None
-    if failure.kind == "output-mismatch" and failure.port:
-        expected = {failure.port: _trace_output(ref_step, failure.rows, bound, failure.port)}
-        actual = {failure.port: _trace_output(cand_step, failure.rows, bound, failure.port)}
+    if failure.kind == "output-mismatch":
+        expected, actual = {failure.port: failure.expected}, {failure.port: failure.actual}
     return Counterexample(
         direction=direction,
         kind=failure.kind,
@@ -813,30 +804,6 @@ def _to_counterexample(
         cand_state=failure.cand_state,
         ref_state=failure.ref_state,
     )
-
-
-def _trace_output(
-    step: SymbolicStep,
-    rows: Sequence[Mapping[str, Value]],
-    bound: Mapping[str, Value],
-    port: str,
-) -> Value:
-    """The output on port after the rows, the output and the updates
-    compiled once per set of names the rows give values."""
-    state = step.initial_state()
-    val: Value | None = None
-    compiled: dict[tuple[str, ...], list[Callable]] = {}
-    for i, row in enumerate(rows):
-        env = dict(row) | dict(bound) | state
-        names = tuple(env)
-        if names not in compiled:
-            compiled[names] = compile_all([step.outputs[port], *step.updates.values()], names)
-        out, *updates = compiled[names]
-        values = tuple(env.values())
-        val = out(values)
-        if i + 1 < len(rows):
-            state = {v: f(values) for v, f in zip(step.updates, updates)}
-    return val
 
 
 def fix_free_ports(
@@ -933,46 +900,26 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
     unfold_a = _unfolder(step_a, config, prep.systems["A"])
     unfold_b = _unfolder(step_b, config, prep.systems["B"])
 
-    t0 = time.perf_counter()
-    holds, per_port, failure, pairs, queries = _check_direction(
-        unfold_a, unfold_b, ports, dom_backward, config
-    )
-    back = DirectionResult(
-        holds, per_port=per_port, pairs=pairs, queries=queries,
-        elapsed=time.perf_counter() - t0,
-    )
-    if not holds and failure is not None:
-        back.counterexample = _to_counterexample(
-            prep, failure, "backward", step_b, step_a, None, shared_rows
+    def direction(name: str, cand: Unfolder, ref: Unfolder, dom: Domain) -> DirectionResult:
+        # a refuted backward direction keeps its counterexample when a
+        # constant fix of A's extra inputs makes it hold
+        t0 = time.perf_counter()
+        holds, per_port, failure, pairs, queries = _check_direction(
+            cand, ref, ports, dom, config
         )
-    if not holds and prep.mapping.extra_inputs_a:
-        fixed = fix_free_ports(prep, dom_backward, ports, config, unfold_b)
-        if fixed is not None:
-            binding, per_port_f, pairs_f, queries_f = fixed
-            back = DirectionResult(
-                True,
-                fixed_inputs=binding,
-                per_port=per_port_f,
-                pairs=pairs + pairs_f,
-                queries=queries + queries_f,
-                elapsed=time.perf_counter() - t0,
-                counterexample=back.counterexample,
-            )
-    report.backward = back
+        cx = None if failure is None else _to_counterexample(prep, failure, name, shared_rows)
+        binding = None
+        if not holds and name == "backward" and prep.mapping.extra_inputs_a:
+            fixed = fix_free_ports(prep, dom, ports, config, ref)
+            if fixed is not None:
+                binding, per_port, pairs_f, queries_f = fixed
+                holds, pairs, queries = True, pairs + pairs_f, queries + queries_f
+        return DirectionResult(
+            holds, cx, binding, per_port, pairs, queries, time.perf_counter() - t0
+        )
 
-    t1 = time.perf_counter()
-    holds, per_port, failure, pairs, queries = _check_direction(
-        unfold_b, unfold_a, ports, dom_upward, config
-    )
-    up = DirectionResult(
-        holds, per_port=per_port, pairs=pairs, queries=queries,
-        elapsed=time.perf_counter() - t1,
-    )
-    if not holds and failure is not None:
-        up.counterexample = _to_counterexample(
-            prep, failure, "upward", step_a, step_b, None, shared_rows
-        )
-    report.upward = up
+    report.backward = direction("backward", unfold_a, unfold_b, dom_backward)
+    report.upward = direction("upward", unfold_b, unfold_a, dom_upward)
 
     report.stats = {
         "a": _step_stats(prep.flat_a, step_a),

@@ -40,7 +40,7 @@ from .exprs import (
     render,
     specialise,
 )
-from .model import DataType, EnumType, IntType, in_domain
+from .model import DataType, IntType, in_domain
 from .rows import Grid, Split, box_reads, compile_all, input_uses, plan, row_bitsets
 from .solver import DEFAULT_BUDGET, Domain
 from .symbolic import SymbolicStep
@@ -189,11 +189,7 @@ class Ts:
     outputs: list[dict[str, Expr]]
     transitions: Sequence[list[tuple[Expr, int]]]
     inputs: dict[str, DataType]
-    enums: dict[str, EnumType] = field(default_factory=dict)
     rows: list[StateRows] = field(default_factory=list)
-    # per (state, port, row names, rows): whether the state's output on port
-    # raises on some of those rows; filled by every simulation of the system
-    raising: dict[tuple, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def input_domain(self) -> Domain:
         return Domain(dict(self.inputs))
@@ -343,7 +339,6 @@ def unfold_to_ts(
         outputs=outputs,
         transitions=_LazyTransitions(state_rows, dict(step.inputs)),
         inputs=dict(step.inputs),
-        enums=dict(step.enums),
         rows=state_rows,
     )
 

@@ -85,12 +85,6 @@ def test_latch_efa_partitions_inputs():
         assert eval_expr(t.outputs["Q"], row) == eval_expr(t.updates["Delay"], row)
 
 
-def test_verify_flag_changes_nothing_on_valid_input():
-    a = build_efa(pump_step(), verify=True)
-    b = build_efa(pump_step(), verify=False)
-    assert [t.guard for t in a.transitions] == [t.guard for t in b.transitions]
-
-
 def test_transition_semantics_match_step():
     step = model_step("bands_v1")
     efa = build_efa(step)

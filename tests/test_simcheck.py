@@ -16,6 +16,7 @@ from dfcompat import (
     unfold_to_ts,
 )
 from dfcompat import simcheck
+from dfcompat.errors import UnmappedPort
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, eval_expr
 from dfcompat.model import IntType
 from dfcompat.simcheck import fix_free_ports, prepare
@@ -28,6 +29,7 @@ from helpers import (
     NESTED_ENABLED,
     NESTED_REWIRED,
     load_model,
+    random_model_pair,
 )
 
 
@@ -208,6 +210,45 @@ def test_divergence_after_warmup_step():
     assert cx.kind == "output-mismatch"
     assert len(cx.rows_a) == 2
     assert cx.expected != cx.actual
+
+
+def _last_outputs(model, rows):
+    """The model's outputs on the last of the rows, as the interpreter, which
+    shares no stage with the check, runs them."""
+    return Interpreter(flatten_and_validate(model)).run(rows)[-1]
+
+
+def test_counterexample_values_are_the_interpreters():
+    """Every output-mismatch counterexample, also one kept on a direction a
+    constant fix made hold, reports as expected and actual the outputs the
+    interpreter gives on its trace's last row: the candidate (A backward, B
+    upward) gives actual.  Types are compared too, since True == 1.  Each
+    pair is also checked swapped, unless B has a port A lacks."""
+    pairs = [(load_model(a), load_model(b)) for a, b in FIXTURE_PAIRS]
+    pairs += [random_model_pair(seed) for seed in range(100)]
+    seen = 0
+    for model_a, model_b in pairs:
+        for a, b in ((model_a, model_b), (model_b, model_a)):
+            try:
+                report = check_compatibility(a, b)
+            except UnmappedPort:
+                continue
+            b_port = {pa: pb for pb, pa in report.mapping}
+            for res in (report.backward, report.upward):
+                cx = res and res.counterexample
+                if cx is None or cx.kind != "output-mismatch":
+                    continue
+                seen += 1
+                a_val = _last_outputs(a, cx.rows_a)[cx.port]
+                b_val = _last_outputs(b, cx.rows_b)[b_port[cx.port]]
+                if cx.direction == "upward":
+                    a_val, b_val = b_val, a_val
+                want = (a_val, b_val)
+                got = (cx.actual[cx.port], cx.expected[cx.port])
+                assert got == want and list(map(type, got)) == list(map(type, want)), (
+                    report.a_name, report.b_name, cx.direction
+                )
+    assert seen > 20
 
 
 # ---------------------------------------------------------------------------
