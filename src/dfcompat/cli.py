@@ -272,15 +272,34 @@ def _smt_queries(prep, config: CheckConfig) -> list[tuple[str, str, str]]:
     return queries
 
 
-def _cross_check(queries, cmd: str) -> list[str]:
+def _write_smt(prep, config: CheckConfig, outdir: Path, solver_cmd: str | None,
+               echo: bool) -> bool:
+    """Write each SMT query to outdir as <name>.smt2 under its expected
+    verdict and, given a solver command, check the verdicts against that
+    solver, printing each disagreement; with echo, also print each file
+    written and the solver's agreement.  False when the solver disagreed
+    or answered unknown."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    queries = _smt_queries(prep, config)
+    for name, script, expected in queries:
+        path = outdir / f"{name}.smt2"
+        path.write_text(f"; expected: {expected}\n{script}")
+        if echo:
+            print(f"wrote {path} (expected {expected})")
+    if not solver_cmd:
+        return True
     problems = []
     for name, script, expected in queries:
-        got = run_solver_cmd(cmd, script)
+        got = run_solver_cmd(solver_cmd, script)
         if got == "unknown":
             problems.append(f"{name}: external solver answered unknown")
         elif got != expected:
             problems.append(f"{name}: enumeration says {expected}, solver says {got}")
-    return problems
+    for p in problems:
+        print(f"solver cross-check: {p}", file=sys.stderr)
+    if echo and not problems:
+        print(f"external solver agrees on {len(queries)} queries")
+    return not problems
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -322,20 +341,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         step, config.state_budget, config.solver_budget
                     )
                     (outdir / f"ts.{tag}.dot").write_text(ts_to_dot(ts))
-            if args.emit_smt:
-                smtdir = outdir / "smt"
-                smtdir.mkdir(exist_ok=True)
-                queries = _smt_queries(prep, config)
-                for name, script, expected in queries:
-                    (smtdir / f"{name}.smt2").write_text(
-                        f"; expected: {expected}\n{script}"
-                    )
-                if args.solver_cmd:
-                    problems = _cross_check(queries, args.solver_cmd)
-                    for p in problems:
-                        print(f"solver cross-check: {p}", file=sys.stderr)
-                    if problems:
-                        return 4
+            if args.emit_smt and not _write_smt(
+                prep, config, outdir / "smt", args.solver_cmd, echo=False
+            ):
+                return 4
 
     if args.format == "json":
         print(report.to_json())
@@ -430,21 +439,7 @@ def _cmd_emit_smt(args: argparse.Namespace) -> int:
         for port, reason in prep.iface.violations:
             print(f"interface: {port}: {reason}", file=sys.stderr)
         return 2
-    outdir = Path(args.artifacts)
-    outdir.mkdir(parents=True, exist_ok=True)
-    queries = _smt_queries(prep, config)
-    for name, script, expected in queries:
-        path = outdir / f"{name}.smt2"
-        path.write_text(f"; expected: {expected}\n{script}")
-        print(f"wrote {path} (expected {expected})")
-    if args.solver_cmd:
-        problems = _cross_check(queries, args.solver_cmd)
-        for p in problems:
-            print(f"solver cross-check: {p}", file=sys.stderr)
-        if problems:
-            return 4
-        print(f"external solver agrees on {len(queries)} queries")
-    return 0
+    return 0 if _write_smt(prep, config, Path(args.artifacts), args.solver_cmd, echo=True) else 4
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -135,15 +135,13 @@ def _part(exprs: Iterable[Expr]) -> Part:
 class _Side:
     """One transition system seen through the rows of the simulation domain.
 
-    A state's transitions share one part: the names its guards mention,
-    with their cut points; a stored state's are its names and row values,
+    A state's transitions share one part: its stored names and row values,
     the interval starts of an input split into intervals and None for one
     with a row per value.
     Per query space a state has a row bitset per transition: the
-    unfolding's bitsets serve the space with the state's own rows, on any
-    other space each row is placed in the stored row holding its values,
-    and a hand-built state's guards are compiled and evaluated once per
-    row.  A stored state whose rows all take one transition has the guard
+    unfolding's bitsets serve the space with the state's own rows, and on
+    any other space each row is placed in the stored row holding its
+    values.  A state whose rows all take one transition has the guard
     TRUE, with no names, which holds on every row of the domain, also
     outside the system's declared input range.  Each state's outputs are
     compiled once per query space.
@@ -194,54 +192,36 @@ class _Side:
             return True
         return False
 
-    def targets(self, s: int) -> list[int]:
-        if self.ts.rows:
-            return self.ts.rows[s].targets
-        return [t for _, t in self.ts.transitions[s]]
-
     def part(self, s: int) -> Part:
         """The part of state s's guards."""
         if s not in self._parts:
-            if self.ts.rows:
-                stored = self.ts.rows[s]
-                self._parts[s] = () if len(stored.targets) == 1 else tuple(
-                    (n, None if len(vals) == domain_size(self.ts.inputs[n]) else vals)
-                    for n, vals in zip(stored.names, stored.values)
-                )
-            else:
-                self._parts[s] = _part(g for g, _ in self.ts.transitions[s])
+            stored = self.ts.rows[s]
+            self._parts[s] = () if len(stored.targets) == 1 else tuple(
+                (n, None if len(vals) == domain_size(self.ts.inputs[n]) else vals)
+                for n, vals in zip(stored.names, stored.values)
+            )
         return self._parts[s]
 
     def bits(self, s: int, space: Grid) -> list[int]:
         """Per transition of state s, its row bitset over space, which
         spans the names of the state's part."""
         key = (s, space)
-        if key not in self._bits:
-            self._bits[key] = (
-                self._stored_bits(s, space) if self.ts.rows else self._guard_bits(s, space)
-            )
-        return self._bits[key]
-
-    def _guard_bits(self, s: int, space: Grid) -> list[int]:
-        guards = [compile_expr(g, space.names) for g, _ in self.ts.transitions[s]]
-        fires = (
-            (i, j) for i, combo in enumerate(itertools.product(*space.values))
-            for j, guard in enumerate(guards) if guard(combo)
-        )
-        return row_bitsets(fires, len(guards), space.size)
-
-    def _stored_bits(self, s: int, space: Grid) -> list[int]:
+        if key in self._bits:
+            return self._bits[key]
         stored = self.ts.rows[s]
         count = len(stored.targets)
         if count == 1:
-            return [(1 << space.size) - 1]
-        if stored.names == space.names and stored.values == space.values:
-            return stored.bits
-        # a row outside the declared ranges takes no transition
-        edges = stored.edges
-        slots = stored.place(space, self.ts.inputs)
-        placed = ((i, edges[k]) for i, k in enumerate(slots) if k is not None)
-        return row_bitsets(placed, count, space.size)
+            bits = [(1 << space.size) - 1]
+        elif stored.names == space.names and stored.values == space.values:
+            bits = stored.bits
+        else:
+            # a row outside the declared ranges takes no transition
+            edges = stored.edges
+            slots = stored.place(space, self.ts.inputs)
+            placed = ((i, edges[k]) for i, k in enumerate(slots) if k is not None)
+            bits = row_bitsets(placed, count, space.size)
+        self._bits[key] = bits
+        return bits
 
 
 def simulates(
@@ -261,7 +241,8 @@ def simulates(
     every expression the query reads is constant, and its values are the
     least ones, so every witness is the one enumerating each value would
     find.  The joint moves and the residuals of a product pair share one
-    space, over both states' parts.  A query whose rows exceed the budget
+    space, over both states' parts; each state has a transition, as each
+    of its stored rows takes one.  A query whose rows exceed the budget
     raises DomainTooLarge.  ``queries`` counts the joint, residual and
     output checks answered.
     """
@@ -398,12 +379,10 @@ def simulates(
                 alive[i] = False
                 break
         if alive[i]:
-            targets_a, targets_b = a.targets(ai), b.targets(bi)
-            if targets_a and targets_b:
-                _, bits_a, bits_b = pair_bits(order[i])
-            for jb, bj in enumerate(targets_b):
+            _, bits_a, bits_b = pair_bits(order[i])
+            for jb, bj in enumerate(ref.rows[bi].targets):
                 hits = []
-                for ja, aj in enumerate(targets_a):
+                for ja, aj in enumerate(cand.rows[ai].targets):
                     queries += 1
                     if bits_a[ja] & bits_b[jb]:
                         pair = (aj, bj)
@@ -423,8 +402,6 @@ def simulates(
         """The least reference row no live candidate move answers, with the
         successor pair the candidate move it takes leads to."""
         nonlocal queries
-        if not moves[i]:
-            return None
         grid, bits_a, bits_b = pair_bits(order[i])
         for jb, hits in enumerate(moves[i]):
             queries += 1

@@ -22,8 +22,8 @@ over that list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, StateBudgetExceeded
@@ -177,9 +177,8 @@ class StateRows(Grid):
 class Ts:
     """Explicit transition system over enumerated reachable states.
 
-    ``rows`` holds one StateRows per state when the system was unfolded and
-    is empty for a system built by hand, whose guards are then the only
-    description of its transitions.
+    ``rows`` holds one StateRows per state, the one description of its
+    transitions; every row takes exactly one, so every state has one.
     """
 
     name: str
@@ -187,9 +186,14 @@ class Ts:
     states: list[StateVec]
     init: int
     outputs: list[dict[str, Expr]]
-    transitions: Sequence[list[tuple[Expr, int]]]
     inputs: dict[str, DataType]
-    rows: list[StateRows] = field(default_factory=list)
+    rows: list[StateRows]
+
+    @cached_property
+    def transitions(self) -> list[list[tuple[Expr, int]]]:
+        """Per state, its ``(guard, target)`` list, a view built from the
+        rows when first read."""
+        return [list(zip(_guards(r, self.inputs), r.targets)) for r in self.rows]
 
     def input_domain(self) -> Domain:
         return Domain(dict(self.inputs))
@@ -250,30 +254,6 @@ def _cells(ref: InputRef, vals: tuple[Value, ...], dt: DataType) -> list[Expr]:
                 "and", Binary("le", Const(lo), ref), Binary("le", ref, Const(nxt - 1))
             ))
     return out
-
-
-class _LazyTransitions(Sequence):
-    """Transition lists of an unfolded system.
-
-    The simulation check, ``run_ts`` and ``stats`` read the stored rows,
-    so a state's guards are only built when something asks for its
-    transition list (DOT output, ``--emit-ts``).
-    """
-
-    def __init__(self, rows: list[StateRows], inputs: Mapping[str, DataType]):
-        self._rows = rows
-        self._inputs = inputs
-        self._built: dict[int, list[tuple[Expr, int]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, s: int) -> list[tuple[Expr, int]]:
-        rows = self._rows[s]
-        if s not in self._built:
-            guards = _guards(rows, self._inputs)
-            self._built[s] = list(zip(guards, rows.targets))
-        return self._built[s]
 
 
 def unfold_to_ts(
@@ -337,7 +317,6 @@ def unfold_to_ts(
         states=states,
         init=0,
         outputs=outputs,
-        transitions=_LazyTransitions(state_rows, dict(step.inputs)),
         inputs=dict(step.inputs),
         rows=state_rows,
     )

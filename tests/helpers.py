@@ -22,7 +22,7 @@ from dfcompat.exprs import Binary, Const, InputRef, Ite, Unary, Value, VarRef, e
 from dfcompat.interp import Interpreter
 from dfcompat.model import BoolType, IntType, flatten_and_validate
 from dfcompat.solver import Domain
-from dfcompat.unfold import Ts
+from dfcompat.unfold import StateRows, Ts
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -219,6 +219,13 @@ def all_rows(dom: Domain) -> list[dict[str, Value]]:
         dict(zip(names, combo))
         for combo in itertools.product(*(dom.values(n) for n in names))
     ]
+
+
+def state_rows(names, values, edges, targets) -> StateRows:
+    """One state's rows written by hand: row i takes transition
+    ``edges[i]``, which leads to state ``targets[edges[i]]``."""
+    bits = [sum(1 << i for i, e in enumerate(edges) if e == j) for j in range(len(targets))]
+    return StateRows(names, values, edges, targets, bits)
 
 
 def ts_step(ts: Ts, state: int, row: dict[str, Value]) -> int | None:

@@ -33,13 +33,13 @@ from dfcompat import (
     unfold_to_ts,
 )
 from dfcompat.errors import ArithmeticOverflow
-from dfcompat.exprs import Binary, Const, InputRef, Unary, VarRef
+from dfcompat.exprs import Binary, Const, InputRef, VarRef
 from dfcompat.model import BoolType, IntType, domain_size, domain_values
 from dfcompat.rows import box_reads
 from dfcompat.simcheck import simulates
 from dfcompat.symbolic import SymbolicStep
 from dfcompat.unfold import Ts
-from helpers import load_model, model_path, random_model_pair
+from helpers import load_model, model_path, random_model_pair, state_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -284,11 +284,12 @@ def wide_step(name, outputs, updates):
 
 
 def hand_built(name):
-    """One state whose two transitions read u by value."""
+    """One state whose two transitions each take one value of a declared
+    u : int[0, 1], so a wider domain reads u by value."""
     return Ts(
         name=name, var_names=(), states=[()], init=0, outputs=[{"y": Const(0)}],
-        transitions=[[(SQUARE_SMALL, 0), (Unary("not", SQUARE_SMALL), 0)]],
-        inputs={"u": WIDE},
+        inputs={"u": IntType(0, 1)},
+        rows=[state_rows(("u",), ((0, 1),), [0, 1], [0, 0])],
     )
 
 

@@ -1,31 +1,34 @@
 """The extensional simulation kernel against the guards it stands for.
 
-An unfolded transition system keeps the rows each state enumerated; a copy
-without them has only its expression guards, which the kernel evaluates
-once per row.  Both must give the same result, and the stored rows must
-agree with the guards row by row.
+An unfolded transition system keeps the rows each state enumerated, the
+one description of its transitions; ``Ts.transitions`` derives a guard per
+transition from them.  The stored rows must agree with the guards on every
+declared input, and every row bitset the kernel answers during a
+simulation must be the rows of the query space whose guard holds there,
+each guard evaluated row by row.
 """
 
 import bisect
-import dataclasses
+import contextlib
 import itertools
 import math
 
 import pytest
 
-from dfcompat import ArithmeticOverflow, Domain, check_compatibility, parse_model, simulates, unfold_to_ts
+from dfcompat import ArithmeticOverflow, DfcError, Domain, check_compatibility, parse_model, simulates, unfold_to_ts
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType, domain_values
 from dfcompat.simcheck import (
     CheckConfig,
     _mapped_input_domains,
     _mapped_output_ports,
+    _Side,
     prepare,
 )
 from dfcompat.solver import sat_witness
 from dfcompat.symbolic import SymbolicStep, restrict_to_outputs
 from dfcompat.unfold import Ts
-from helpers import FIXTURE_PAIRS, LATE_WRAP, MOD12, load_model, random_model_pair
+from helpers import FIXTURE_PAIRS, LATE_WRAP, MOD12, load_model, random_model_pair, state_rows
 
 
 def direction_cases(model_a, model_b):
@@ -50,15 +53,38 @@ def direction_cases(model_a, model_b):
     return out
 
 
-def outcome(cand, ref, dom):
-    try:
-        return dataclasses.replace(simulates(cand, ref, dom), queries=0)
-    except Exception as exc:  # the same error must come out of both
-        return type(exc).__name__, str(exc)
+def guard_bits(ts, s, space):
+    """Per transition of state s, the rows of space its guard holds on,
+    the guard evaluated row by row."""
+    out = [0] * len(ts.transitions[s])
+    for i, combo in enumerate(itertools.product(*space.values)):
+        env = dict(zip(space.names, combo))
+        for j, (g, _) in enumerate(ts.transitions[s]):
+            if eval_expr(g, env):
+                out[j] |= 1 << i
+    return out
 
 
-def without_rows(ts):
-    return dataclasses.replace(ts, rows=[])
+def record_bits(monkeypatch):
+    """Every (system, state, space) ``_Side.bits`` answers from now on,
+    with its answer."""
+    answered = {}
+    bits = _Side.bits
+
+    def recorded(side, s, space):
+        got = bits(side, s, space)
+        answered[id(side.ts), s, space] = (side.ts, s, space, got)
+        return got
+
+    monkeypatch.setattr(_Side, "bits", recorded)
+    return answered
+
+
+def assert_bits_match_guards(answered):
+    """Each recorded answer is the one the guards give; forgets them."""
+    for ts, s, space, got in answered.values():
+        assert got == guard_bits(ts, s, space), (ts.name, ts.label(s), space.names)
+    answered.clear()
 
 
 def stored_row(stored, combo):
@@ -84,25 +110,31 @@ def assert_rows_match_guards(ts):
             assert fired == [stored.edges[stored_row(stored, combo)]]
 
 
-def _check_pair(model_a, model_b):
+def _check_pair(model_a, model_b, answered):
+    """Simulates each direction case, refused or not, and checks the
+    bitsets it answered against the guards; returns how many."""
     for cand, ref, dom in direction_cases(model_a, model_b):
         assert_rows_match_guards(cand)
         assert_rows_match_guards(ref)
-        assert outcome(cand, ref, dom) == outcome(without_rows(cand), without_rows(ref), dom)
+        with contextlib.suppress(DfcError):
+            simulates(cand, ref, dom)
+    count = len(answered)
+    assert_bits_match_guards(answered)
+    return count
 
 
 @pytest.mark.parametrize("cand,ref", FIXTURE_PAIRS)
-def test_stored_rows_equal_guards_on_bundled_pairs(cand, ref):
-    _check_pair(load_model(cand), load_model(ref))
+def test_stored_rows_equal_guards_on_bundled_pairs(cand, ref, monkeypatch):
+    _check_pair(load_model(cand), load_model(ref), record_bits(monkeypatch))
 
 
-def test_stored_rows_equal_guards_on_random_pairs():
-    for seed in range(200):
-        _check_pair(*random_model_pair(seed))
+def test_stored_rows_equal_guards_on_random_pairs(monkeypatch):
+    answered = record_bits(monkeypatch)
+    assert sum(_check_pair(*random_model_pair(seed), answered) for seed in range(200))
 
 
-def test_stored_rows_equal_guards_through_the_fixpoint():
-    _check_pair(parse_model(LATE_WRAP), parse_model(MOD12))
+def test_stored_rows_equal_guards_through_the_fixpoint(monkeypatch):
+    assert _check_pair(parse_model(LATE_WRAP), parse_model(MOD12), record_bits(monkeypatch))
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +153,36 @@ def _latch_step(name, lo, hi, threshold):
     )
 
 
-def test_true_guard_holds_outside_declared_range():
+def test_true_guard_holds_outside_declared_range(monkeypatch):
     dom = Domain.of(u=IntType(0, 5))
     wide = unfold_to_ts(_latch_step("Wide", 0, 5, 10))
     # every row of [0, 3] reaches m = true, so the guard is TRUE and also
     # answers u = 4 and 5, which the narrow system never declared
     narrow = unfold_to_ts(_latch_step("Narrow", 0, 3, 10))
     assert narrow.transitions[0] == [(TRUE, 1)]
-    for cand in (narrow, without_rows(narrow)):
-        assert simulates(cand, wide, dom).holds
+    answered = record_bits(monkeypatch)
+    assert simulates(narrow, wide, dom).holds
+    assert_bits_match_guards(answered)
 
 
-def test_listed_guard_fails_outside_declared_range():
+def test_listed_guard_fails_outside_declared_range(monkeypatch):
     dom = Domain.of(u=IntType(0, 5))
     wide = unfold_to_ts(_latch_step("Wide", 0, 5, 2))
     narrow = unfold_to_ts(_latch_step("Narrow", 0, 3, 2))
     assert len(narrow.transitions[0]) == 2
-    for cand in (narrow, without_rows(narrow)):
-        res = simulates(cand, wide, dom)
-        assert not res.holds
-        assert res.failure.kind == "uncovered-input"
-        assert res.failure.rows == [{"u": 4}]
+    answered = record_bits(monkeypatch)
+    res = simulates(narrow, wide, dom)
+    assert not res.holds
+    assert res.failure.kind == "uncovered-input"
+    assert res.failure.rows == [{"u": 4}]
+    assert_bits_match_guards(answered)
 
 
 def _single_state(name, out):
-    return Ts(
-        name=name,
-        var_names=(),
-        states=[()],
-        init=0,
-        outputs=[{"y": out}],
-        transitions=[[(TRUE, 0)]],
-        inputs={"u": IntType(0, 5)},
-    )
+    """No state, y = out, over u : int[0, 5]."""
+    return unfold_to_ts(SymbolicStep(
+        name=name, inputs={"u": IntType(0, 5)}, vars={}, outputs={"y": out}, updates={},
+    ))
 
 
 BIG = Const(1 << 62)
@@ -183,50 +212,36 @@ def test_output_overflow_before_first_difference_is_raised():
         simulates(cand, ref, dom)
 
 
-def test_hand_built_guards_over_different_names():
-    """A guard over p alone and one over p and q meet in the space of both."""
-    p, q = InputRef("p"), InputRef("q")
+def test_hand_built_guards_over_different_names(monkeypatch):
+    """Rows over p alone and rows over p and q meet in the space of both.
+
+    The reference's rows are written by hand: its first transition, the
+    one row p & q == 2 takes, leads to m=1, while an unfolding numbers
+    transitions by their least row, (p, q) = (false, 0), which stays."""
+    p = InputRef("p")
     dom = Domain.of(p=BoolType(), q=IntType(0, 2))
-    both = Binary("and", p, Binary("eq", q, Const(2)))
     ref = Ts(
         name="Ref", var_names=("m",), states=[(0,), (1,)], init=0,
         outputs=[{"y": Const(0)}, {"y": Const(0)}],
-        transitions=[[(both, 1), (Ite(both, Const(False), Const(True)), 0)], [(TRUE, 1)]],
         inputs={"p": BoolType(), "q": IntType(0, 2)},
+        rows=[
+            state_rows(("p", "q"), ((False, True), (0, 1, 2)), [1, 1, 1, 1, 1, 0], [1, 0]),
+            state_rows((), (), [0], [1]),
+        ],
     )
-    cand = Ts(
-        name="Cand", var_names=("m",), states=[(0,), (1,)], init=0,
-        outputs=[{"y": Const(0)}, {"y": Const(1)}],
-        transitions=[[(p, 1), (Binary("eq", p, Const(False)), 0)], [(TRUE, 1)]],
-        inputs={"p": BoolType()},
-    )
+    cand = unfold_to_ts(SymbolicStep(
+        name="Cand", inputs={"p": BoolType()}, vars={"m": (IntType(0, 1), 0)},
+        outputs={"y": VarRef("m")},
+        updates={"m": Ite(p, Const(1), VarRef("m"))},
+    ))
+    assert cand.states == [(0,), (1,)] and len(cand.rows[0].targets) == 2
+    answered = record_bits(monkeypatch)
     res = simulates(cand, ref, dom)
     assert not res.holds
     # the least reference row of p & q == 2 leads the candidate into m=1
     assert res.failure.rows == [{"p": True, "q": 2}, {"p": False, "q": 0}]
     assert res.failure.cand_state == "m=1" and res.failure.ref_state == "m=1"
-
-
-def test_state_without_transitions_leaves_the_least_reference_row_uncovered():
-    """A candidate state with no transition answers no reference move: the
-    first reference transition's least row, u = 2, is uncovered.  Backwards,
-    a reference state without moves asks for none."""
-    u = InputRef("u")
-    dom = Domain.of(u=IntType(0, 5))
-    stuck = Ts(
-        name="Stuck", var_names=(), states=[()], init=0,
-        outputs=[{"y": Const(0)}], transitions=[[]], inputs={"u": IntType(0, 5)},
-    )
-    ref = Ts(
-        name="Ref", var_names=(), states=[()], init=0, outputs=[{"y": Const(0)}],
-        transitions=[[(Binary("ge", u, Const(2)), 0), (Binary("lt", u, Const(2)), 0)]],
-        inputs={"u": IntType(0, 5)},
-    )
-    res = simulates(stuck, ref, dom)
-    assert not res.holds
-    assert res.failure.kind == "uncovered-input"
-    assert res.failure.rows == [{"u": 2}]
-    assert simulates(ref, stuck, dom).holds
+    assert_bits_match_guards(answered)
 
 
 def test_counterexample_rows_are_shared():
@@ -241,7 +256,7 @@ def test_counterexample_rows_are_shared():
     assert all(u is r for u, r in zip(up.rows_a, cx.rows_a))
 
 
-def test_stored_rows_placed_in_a_wider_space():
+def test_stored_rows_placed_in_a_wider_space(monkeypatch):
     """A candidate state enumerating p alone meets a reference state
     enumerating p and q: its rows are placed by their value of p."""
     p, q = InputRef("p"), InputRef("q")
@@ -259,8 +274,9 @@ def test_stored_rows_placed_in_a_wider_space():
     ))
     assert cand.rows[0].names == ("p",) and ref.rows[0].names == ("p", "q")
     dom = Domain.of(p=BoolType(), q=IntType(0, 2))
+    answered = record_bits(monkeypatch)
     res = simulates(cand, ref, dom)
-    assert dataclasses.replace(res, queries=0) == outcome(without_rows(cand), without_rows(ref), dom)
+    assert_bits_match_guards(answered)
     # p with q != 2 keeps the reference low but raises the candidate
     assert res.failure.kind == "output-mismatch"
     assert res.failure.rows == [{"p": True, "q": 0}, {"p": False, "q": 0}]

@@ -17,10 +17,10 @@ from dfcompat import (
 )
 from dfcompat import simcheck
 from dfcompat.errors import UnmappedPort
-from dfcompat.exprs import TRUE, Binary, Const, InputRef, eval_expr
-from dfcompat.model import IntType
+from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
+from dfcompat.model import BoolType, IntType
 from dfcompat.simcheck import fix_free_ports, prepare
-from dfcompat.unfold import Ts
+from dfcompat.symbolic import SymbolicStep
 from helpers import (
     DRIFTER,
     EXPECTED_VERDICTS,
@@ -146,16 +146,15 @@ def test_simulation_transitive_over_shared_domain():
     assert simulates(v2, v0, dom).holds
 
 
-def _plain_ts(outputs, transitions, states=1, inputs=None):
-    return Ts(
+def _plain_ts(outputs, updates=None, inputs=None):
+    """Output y = outputs, with m : bool when updates gives m's update."""
+    return unfold_to_ts(SymbolicStep(
         name="hand",
-        var_names=("m",) if states > 1 else (),
-        states=[(i,) for i in range(states)] if states > 1 else [()],
-        init=0,
-        outputs=outputs,
-        transitions=transitions,
         inputs=inputs or {"u": IntType(0, 5)},
-    )
+        vars={"m": (BoolType(), False)} if updates else {},
+        outputs={"y": outputs},
+        updates={"m": updates} if updates else {},
+    ))
 
 
 def lt(k):
@@ -164,12 +163,10 @@ def lt(k):
 
 def test_different_guard_partitions_still_equivalent():
     u = InputRef("u")
-    ref = _plain_ts(
-        outputs=[{"y": u}, {"y": u}],
-        transitions=[[(lt(3), 0), (Binary("ge", u, Const(3)), 1)], [(TRUE, 0)]],
-        states=2,
-    )
-    cand = _plain_ts(outputs=[{"y": u}], transitions=[[(TRUE, 0)]])
+    # m=0 goes to m=1 on u >= 3 and stays on u < 3; m=1 returns to m=0
+    ref = _plain_ts(u, updates=Ite(VarRef("m"), Const(False), Binary("ge", u, Const(3))))
+    assert [[t for _, t in ts] for ts in ref.transitions] == [[0, 1], [0]]
+    cand = _plain_ts(u)
     dom = Domain.of(u=IntType(0, 5))
     assert simulates(cand, ref, dom).holds
     assert simulates(ref, cand, dom).holds
@@ -178,9 +175,8 @@ def test_different_guard_partitions_still_equivalent():
 def test_outputs_compared_only_inside_domain():
     u = InputRef("u")
     clamped = Binary("min", u, Const(5))
-    cand = _plain_ts(outputs=[{"y": u}], transitions=[[(TRUE, 0)]],
-                     inputs={"u": IntType(0, 9)})
-    ref = _plain_ts(outputs=[{"y": clamped}], transitions=[[(TRUE, 0)]])
+    cand = _plain_ts(u, inputs={"u": IntType(0, 9)})
+    ref = _plain_ts(clamped)
     dom = Domain.of(u=IntType(0, 5))
     assert simulates(cand, ref, dom).holds
     # beyond the clamp point they disagree
@@ -192,9 +188,12 @@ def test_outputs_compared_only_inside_domain():
 
 
 def test_partial_guard_coverage_reported_as_uncovered():
+    """The candidate declares u : int[0, 3], and its rows, which m's
+    update splits, take no transition on u = 4 or 5."""
     u = InputRef("u")
-    cand = _plain_ts(outputs=[{"y": u}], transitions=[[(lt(4), 0)]])
-    ref = _plain_ts(outputs=[{"y": u}], transitions=[[(TRUE, 0)]])
+    cand = _plain_ts(u, updates=lt(2), inputs={"u": IntType(0, 3)})
+    assert len(cand.transitions[0]) == 2
+    ref = _plain_ts(u)
     dom = Domain.of(u=IntType(0, 5))
     res = simulates(cand, ref, dom)
     assert not res.holds

@@ -15,6 +15,7 @@ from dfcompat import (
     Interpreter,
     StateBudgetExceeded,
     build_efa,
+    check_compatibility,
     compute_image,
     extract_cfg,
     flatten_and_validate,
@@ -29,7 +30,16 @@ from dfcompat.symbolic import SymbolicStep
 from dfcompat.rows import input_uses
 from dfcompat import rows, unfold
 from dfcompat.unfold import run_ts, ts_to_dot
-from helpers import MODELS_DIR, all_rows, load_model, run_cli, ts_outputs, ts_step
+from helpers import (
+    FIXTURE_PAIRS,
+    MODELS_DIR,
+    all_rows,
+    load_model,
+    random_model_pair,
+    run_cli,
+    ts_outputs,
+    ts_step,
+)
 from test_efa import model_step, pump_step
 
 
@@ -132,6 +142,35 @@ def test_witnesses_replay_to_their_successor():
             assert succ == ts.states[t]
 
 
+def _bundled_and_random_models():
+    for pair in FIXTURE_PAIRS:
+        yield from map(load_model, pair)
+    for seed in range(200):
+        yield from random_model_pair(seed)
+
+
+def test_every_state_has_a_transition_and_its_bitsets_partition_its_rows():
+    """What the simulation relies on: each state has a target, each row's
+    edge indexes a transition, and the transitions' bitsets partition the
+    rows, bit i of ``bits[edges[i]]`` being row i's."""
+    states = 0
+    for model in _bundled_and_random_models():
+        ts = unfold_to_ts(build_step(flatten_and_validate(model)))
+        for stored in ts.rows:
+            count = len(stored.targets)
+            assert count >= 1 and len(stored.bits) == count
+            assert len(stored.edges) == stored.size
+            assert all(0 <= e < count for e in stored.edges)
+            union = 0
+            for bits in stored.bits:
+                assert bits and not bits & union
+                union |= bits
+            assert union == (1 << stored.size) - 1
+            assert all(stored.bits[e] >> i & 1 for i, e in enumerate(stored.edges))
+        states += len(ts.states)
+    assert states > 1000
+
+
 def test_stateless_system_has_single_total_state():
     ts = ts_of("cruise_v3")
     assert len(ts.states) == 1
@@ -154,13 +193,24 @@ def test_run_rejects_out_of_domain_input():
         run_ts(ts, [{"u": 70}])
 
 
+def _report_without_elapsed(model_a, model_b):
+    report = check_compatibility(model_a, model_b).to_dict()
+    for side in ("backward", "upward"):
+        del report[side]["elapsed"]
+    return report
+
+
 def test_run_ts_and_stats_read_rows_not_guards(monkeypatch):
-    """Running a trace and counting transitions build no guard."""
+    """Running a trace, counting transitions and checking a pair (both
+    directions and the constant-fix search) build no guard."""
     trace = [{"u": 69}, {"u": 10}, {"u": 35}, {"u": 0}]
     flat = flatten_and_validate(load_model("bands_v1"))
     built = unfold_to_ts(build_step(flat))
     outputs = run_ts(built, trace)
     transitions = sum(len(t) for t in built.transitions)
+    cruise = load_model("cruise_v4"), load_model("cruise_v3")
+    report = _report_without_elapsed(*cruise)
+    assert report["backward"]["fixed_inputs"] and not report["upward"]["holds"]
 
     def refuse(*_):
         raise AssertionError("a guard was built")
@@ -171,6 +221,7 @@ def test_run_ts_and_stats_read_rows_not_guards(monkeypatch):
     code, out, err = run_cli("stats", str(MODELS_DIR / "bands_v1.dfm"), "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["ts_transitions"] == transitions > len(ts.states)
+    assert _report_without_elapsed(*cruise) == report
     with pytest.raises(AssertionError, match="a guard was built"):
         ts.transitions[0]
 
