@@ -14,7 +14,7 @@ like every row count, its budget over all states is ``rows.plan``'s.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exprs import (
     Binary,
@@ -136,8 +136,7 @@ def image_map(
     mentions, an integer only compared with constants taking a row per
     interval.
     """
-    image = _Image(efa.step, budget)
-    var_names = image.var_names
+    var_names = tuple(sorted(efa.step.vars))
     var_dom = state_domain(efa.step)
     what = f"image of a transition of {efa.step.name}"
     maps: list[dict[tuple[Value, ...], frozenset[tuple[Value, ...]]]] = []
@@ -146,12 +145,14 @@ def image_map(
             maps.append({})
             continue
         roots = [tr.updates[v] for v in var_names] + [tr.guard]
+        order = postorder(roots)
+        # the transition's updates, compiled once for its states when that pays
+        image = _Image(replace(efa.step, updates=tr.updates), budget, len(order))
         uses = row_uses(roots, (InputRef, VarRef))
         plan(
             {n: c for n, c in uses.items() if n in image.dom}, image.dom.dtypes, budget,
             what, lambda _: " over its states", image.cache, times=var_dom.space(var_names),
         )
-        order = postorder(roots)
         entry: dict[tuple[Value, ...], frozenset[tuple[Value, ...]]] = {}
         for old in itertools.product(*(var_dom.values(v) for v in var_names)):
             binding = dict(zip(var_names, old))

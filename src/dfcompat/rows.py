@@ -276,7 +276,7 @@ def compile_all(roots: Sequence[Expr], names: Sequence[str]) -> list[Callable[[R
     pos = dict(zip(names, range(len(names))))
     shared: set[int] = set()
     order = postorder(roots, shared=shared)
-    if len(order) > _NESTED_MAX and _height(order) > _NESTED_MAX:
+    if not nests(order):
         return _looped(roots, order, pos)
     fns: dict[int, Callable[[Row], Value]] = {}
     # operands are bound as default arguments, one set per closure
@@ -324,6 +324,13 @@ def _unary(op: str) -> Callable[[Value], Value]:
 
 # the height up to which compiled closures nest
 _NESTED_MAX = 150
+
+
+def nests(order: list[Expr]) -> bool:
+    """Whether ``compile_all`` evaluates the nodes of order, a ``postorder``,
+    as nested closures: unless they are deeper than ``_NESTED_MAX``.  Its
+    loop for a deeper DAG costs about ten times as much per node."""
+    return len(order) <= _NESTED_MAX or _height(order) <= _NESTED_MAX
 
 
 def _height(order: list[Expr]) -> int:

@@ -54,7 +54,6 @@ from .rows import (
     Grid,
     Split,
     box_reads,
-    compile_expr,
     input_uses,
     plan,
     row_bitsets,
@@ -133,27 +132,33 @@ def _part(exprs: Iterable[Expr]) -> Part:
 
 
 class _Side:
-    """One transition system seen through the rows of the simulation domain.
+    """One transition system seen through the rows of one direction's
+    simulation domain.
 
     A state's transitions share one part: its stored names and row values,
     the interval starts of an input split into intervals and None for one
-    with a row per value.
-    Per query space a state has a row bitset per transition: the
-    unfolding's bitsets serve the space with the state's own rows, and on
-    any other space each row is placed in the stored row holding its
-    values.  A state whose rows all take one transition has the guard
-    TRUE, with no names, which holds on every row of the domain, also
-    outside the system's declared input range.  Each state's outputs are
-    compiled once per query space.
+    with a row per value.  A state whose rows all take one transition has
+    the guard TRUE, with no names, which holds on every row of the domain,
+    also outside the system's declared input range.  A state's part, its
+    outputs' parts, cut points and functions, and whether an output raises
+    on some rows depend on the system alone: they are kept with it
+    (``Ts.kept``), so both directions of a check, and every fix attempt
+    reading the system, answer each once.  The direction's own are the row
+    bitsets per query space: the unfolding's bitsets serve the space with
+    the state's own rows, and on any other space each row is placed in the
+    stored row holding its values.
     """
 
     def __init__(self, ts: Ts):
         self.ts = ts
-        self._parts: dict[int, Part] = {}
+        kept = ts.kept
+        self._parts: dict[int, Part] = kept.setdefault("part", {})
+        self._out_parts: dict[tuple[int, str], Part] = kept.setdefault("output_part", {})
+        self._affine: dict[tuple[int, str, str], tuple[int, ...] | None] = (
+            kept.setdefault("affine_cuts", {})
+        )
+        self._raising: dict[tuple, bool] = kept.setdefault("raises", {})
         self._bits: dict[tuple[int, Grid], list[int]] = {}
-        self._out_parts: dict[tuple[int, str], Part] = {}
-        self._out_fns: dict[tuple[int, str, tuple[str, ...]], Callable] = {}
-        self._affine: dict[tuple[int, str, str], tuple[int, ...] | None] = {}
 
     def output_part(self, s: int, port: str) -> Part:
         """The part of state s's output on port."""
@@ -173,24 +178,21 @@ class _Side:
             self._affine[key] = tuple(input_uses([out])[0].get(name, ())) if affine else None
         return self._affine[key]
 
-    def output_fn(self, s: int, port: str, names: tuple[str, ...]) -> Callable:
-        """State s's output on port as a function of a row over names."""
-        key = (s, port, names)
-        if key not in self._out_fns:
-            self._out_fns[key] = compile_expr(self.ts.outputs[s][port], names)
-        return self._out_fns[key]
-
     def raises(self, s: int, port: str, names: tuple[str, ...],
                rows: tuple[tuple[Value, ...], ...]) -> bool:
         """Whether state s's output on port raises on some row of rows, per
         name its values."""
-        f = self.output_fn(s, port, names)
-        try:
-            for combo in itertools.product(*rows):
-                f(combo)
-        except Exception:
-            return True
-        return False
+        key = (s, port, names, rows)
+        if key not in self._raising:
+            f = self.ts.output_fn(s, port, names)
+            try:
+                for combo in itertools.product(*rows):
+                    f(combo)
+            except Exception:
+                self._raising[key] = True
+            else:
+                self._raising[key] = False
+        return self._raising[key]
 
     def part(self, s: int) -> Part:
         """The part of state s's guards."""
@@ -344,8 +346,8 @@ def simulates(
         # first, as sat_witness over the two outputs' inequality; with the
         # reference's and the candidate's output there
         grid = output_space((ai, bi), port)
-        fa = a.output_fn(ai, port, grid.names)
-        fb = b.output_fn(bi, port, grid.names)
+        fa = cand.output_fn(ai, port, grid.names)
+        fb = ref.output_fn(bi, port, grid.names)
         for i, combo in enumerate(itertools.product(*grid.values)):
             if fa(combo) != fb(combo):
                 return first | grid.row(i), fb(combo), fa(combo)

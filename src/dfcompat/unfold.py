@@ -12,11 +12,14 @@ the text of DOT output and ``--emit-ts``.
 
 A state's rows are ``rows.plan``'s, split by the unfolding's rule
 (``_box_widen``).  ``_Image.rows`` walks them and the successor each
-reaches, evaluating the state's updates as closures compiled once per
-state; ``unfold_to_ts``, ``compute_image`` and ``efa.image_map`` keep only
-their own bookkeeping around it.  Each of them lists its expressions' nodes
-once (``postorder``) and specialises them to every state in one flat loop
-over that list.
+reaches, evaluating the step's updates as closures compiled once per
+system, a row being the state's values followed by the inputs', once the
+first states' specialised updates have cost as much to compile
+(``_Image._compiled``); ``unfold_to_ts``, ``compute_image`` and
+``efa.image_map`` keep only their own bookkeeping around it.  Each of them
+lists its expressions' nodes once (``postorder``) and specialises them to
+every state in one flat loop over that list: the specialised updates choose
+the state's rows, and the specialised outputs are stored.
 """
 
 from __future__ import annotations
@@ -28,20 +31,26 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, StateBudgetExceeded
 from .exprs import (
+    CMP_OPS,
     Binary,
     Const,
     Expr,
     InputRef,
+    Ite,
     TRUE,
+    Unary,
     Value,
+    VarRef,
     conjoin,
     disjoin,
     postorder,
     render,
     specialise,
 )
-from .model import DataType, IntType, in_domain
-from .rows import Grid, Split, box_reads, compile_all, input_uses, plan, row_bitsets
+from .model import DataType, IntType, first_value, in_domain
+from .rows import (
+    Grid, Split, box_reads, compile_all, compile_expr, input_uses, nests, plan, row_bitsets,
+)
 from .solver import DEFAULT_BUDGET, Domain
 from .symbolic import SymbolicStep
 
@@ -55,18 +64,34 @@ Row = tuple[tuple[Value, ...], StateVec]
 
 class _Image:
     """A step's successors, one state and one input row at a time: the one
-    loop that evaluates a step's updates per input row.  The row plans of
-    every state of one call share one cache of declared values and grids."""
+    loop that evaluates a step's updates per input row.
 
-    def __init__(self, step: SymbolicStep, budget: int):
+    The updates are compiled once, over ``names``, the state variables
+    followed by the inputs, each sorted, unless compiling each state's
+    specialised updates costs less (``_compiled``); a row is a state's value
+    vector followed by input values.  The row plans of every state of one
+    call share one cache of declared values and grids.
+    """
+
+    def __init__(self, step: SymbolicStep, budget: int, size: float = float("inf")):
         self.step = step
         self.budget = budget
         self.var_names = tuple(sorted(step.vars))
+        self.names = self.var_names + tuple(sorted(step.inputs))
         self.dom = Domain(dict(step.inputs))
+        self.first = self.dom.first_values()
         self.what = f"unfolding {step.name}"
         self.cache: dict = {}
         # the split rule reads integer inputs only
         self.ints = any(isinstance(dt, IntType) for dt in step.inputs.values())
+        self.var_types = [step.vars[v][0] for v in self.var_names]
+        self.roots = [step.updates[v] for v in self.var_names]
+        # see _compiled: the compiled updates, the nodes they have or more
+        # (infinite: never compiled once), and the nodes compiled for single
+        # states so far (None: the updates are never to be compiled once)
+        self.fns: list[Callable] | None = None
+        self.size = size
+        self.spent: int | None = 0
 
     def rows(
         self, binding: dict[str, Value], spec: list[Expr], guard: Expr | None = None,
@@ -74,49 +99,151 @@ class _Image:
         """A state's rows, and the rows themselves as they are walked.
 
         spec are the updates of ``var_names``, and guard the guard, both
-        specialised to the state; they are compiled once, together, and
-        only the inputs they still mention are enumerated, in
-        ``itertools.product`` order of the rows ``rows.plan`` gives them;
-        every other input sits at its first value.  An integer input they
-        compare with constants is split where those comparisons can change
-        truth: an interval is one row, at its least value, unless they also
-        read its value there (``_box_widen``), and then each value is a row.
-        Each row the guard admits (every row without one) yields its values
-        over the inputs and the successor vector.
+        specialised to the state; only the inputs they still mention are
+        enumerated, in ``itertools.product`` order of the rows ``rows.plan``
+        gives them; every other input sits at its first value.  An integer
+        input they compare with constants is split where those comparisons
+        can change truth: an interval is one row, at its least value, unless
+        they also read its value there (``_box_widen``), and then each value
+        is a row.  Without an integer input the split rule cannot apply, and
+        the rows of equal sets of mentioned inputs are planned once.  Each
+        row the guard admits (every row without one) yields its values over
+        ``names`` and the successor vector.
         """
         exprs = spec if guard is None else spec + [guard]
         cuts, reads = input_uses(exprs)
-        split = Split(cuts.get, 1, False, partial(_box_widen, exprs)) if self.ints else None
-        grid = plan(
-            {n: None if n in reads else c for n, c in cuts.items()}, self.dom.dtypes,
-            self.budget, self.what,
-            lambda _: f" in state {_label(self.var_names, [binding[v] for v in self.var_names])}",
-            self.cache, split=split,
-        )
+        key = None if self.ints else frozenset(cuts)
+        grid = self.cache.get(key)
+        if grid is None:
+            split = Split(cuts.get, 1, False, partial(_box_widen, exprs)) if self.ints else None
+            grid = plan(
+                {n: None if n in reads else c for n, c in cuts.items()}, self.dom.dtypes,
+                self.budget, self.what,
+                lambda _: f" in state {_label(self.var_names, [binding[v] for v in self.var_names])}",
+                self.cache, split=split,
+            )
+            if key is not None:
+                self.cache[key] = grid
         return grid, self._walk(binding, grid, spec, guard)
 
     def _walk(
         self, binding: dict[str, Value], grid: Grid, spec: list[Expr], guard: Expr | None,
     ) -> Iterator[Row]:
-        names = grid.names
-        fns = compile_all(spec if guard is None else spec + [guard], names)
-        checks = [
-            (v, self.step.vars[v][0], f) for v, f in zip(self.var_names, fns)
-        ]
-        admits = None if guard is None else fns[-1]
-        for combo in itertools.product(*grid.values):
-            if admits is not None and not admits(combo):
+        """The rows of grid, over ``names``, with their successors.
+
+        Each row's successor comes from the updates compiled once, when
+        they are.  Where they raise, or leave a variable's domain, or are
+        not compiled, the row is evaluated with spec, compiled for the state
+        when first needed, whose value or error decides: evaluating the
+        updates visits every node evaluating spec does, with the same values
+        (``_one_type``), and more, which may raise where spec, folded to the
+        state, raises nothing.
+        """
+        own = dict(zip(grid.names, grid.values))
+        at = len(self.var_names)
+        cols = [(binding[v],) for v in self.var_names]
+        cols += [own.get(n, (self.first[n],)) for n in self.names[at:]]
+        admits = None if guard is None else compile_all([guard], self.names)[0]
+        fns, dts = self._compiled(spec, grid.size), self.var_types
+        specialised = None
+        for row in itertools.product(*cols):
+            if admits is not None and not admits(row):
                 continue
+            if fns is not None:
+                try:
+                    succ = tuple([f(row) for f in fns])
+                except Exception:  # whatever it is, spec's evaluation decides
+                    succ = None
+                if succ is not None and all(map(in_domain, dts, succ)):
+                    yield row, succ
+                    continue
+            if specialised is None:
+                specialised = compile_all(spec, self.names)
             succ = []
-            for v, dt, f in checks:
-                val = f(combo)
+            for v, dt, f in zip(self.var_names, dts, specialised):
+                val = f(row)
                 if not in_domain(dt, val):
+                    read = {n: x for n, x in zip(self.names[at:], row[at:]) if n in own}
                     raise DomainError(
                         f"{self.step.name}: {v}={val!r} leaves {dt} from state "
-                        f"{binding} on inputs {dict(zip(names, combo))}"
+                        f"{binding} on inputs {read}"
                     )
                 succ.append(val)
-            yield combo, tuple(succ)
+            yield row, tuple(succ)
+
+    def _compiled(self, spec: list[Expr], rows: int) -> list[Callable] | None:
+        """The updates compiled once, for this state and every later one,
+        or None while the state's specialised updates spec are compiled.
+
+        A row evaluates every node of the updates, where spec's are fewer
+        but compiled per state, at about ``_COMPILE_COST`` evaluations a
+        node.  While, over the state's rows, the nodes spec folds away cost
+        no more than compiling spec's, the nodes compiled for single states
+        are counted; once they are as many as the updates have (``size``,
+        which may count more), compiling those has paid, and they are
+        compiled once.  They never are after a state folds away more, nor
+        when they do not nest (a deeper DAG is evaluated node by node, about
+        as slowly as it is specialised) or have no one type (``_one_type``).
+        """
+        if self.fns is not None or self.spent is None:
+            return self.fns
+        kept = len(postorder(spec))
+        if rows * (self.size - kept) > _COMPILE_COST * kept:
+            self.spent = None
+        elif self.spent + kept < self.size:
+            self.spent += kept
+        else:
+            order = postorder(self.roots)
+            if nests(order) and _one_type(order, self.step):
+                self.fns = compile_all(self.roots, self.names)
+            else:
+                self.spent = None
+        return self.fns
+
+
+# compiling a node costs about as much as evaluating its closure twenty times
+_COMPILE_COST = 20
+
+
+def _one_type(order: list[Expr], step: SymbolicStep) -> bool:
+    """Whether every node of order, a ``postorder``, gives values of one
+    Python type: a reference its declared type's, a constant its value's, a
+    comparison and ``and``, ``or``, ``xor`` and ``not`` of booleans bool,
+    arithmetic int, and ``ite``, ``min`` and ``max`` their operands' one
+    type.  Then no fold of ``exprs.specialise`` changes a value or its type
+    (dropping ``bool()`` from ``and(true, b)`` or from ``not(not b)`` keeps
+    a boolean b; ``ite`` arms equal as expressions give equal values of one
+    type), and evaluating the nodes, where they do not raise, gives what
+    their specialisation gives.  False also when a variable and an input
+    share a name, which one row cannot hold apart."""
+    if step.vars.keys() & step.inputs.keys():
+        return False
+    of: dict[int, type | None] = {}
+    for n in order:
+        kind = type(n)
+        if kind is Const:
+            t = type(n.value)
+        elif kind is Binary:
+            a, b = of[id(n.left)], of[id(n.right)]
+            if n.op in ("and", "or", "xor"):
+                t = bool if a is b is bool else None
+            elif n.op in ("min", "max"):
+                t = a if a is b else None
+            else:
+                t = bool if n.op in CMP_OPS else int if n.op in ("add", "sub", "mul") else None
+        elif kind is Ite:
+            t = of[id(n.then)] if of[id(n.then)] is of[id(n.other)] else None
+        elif kind is Unary:
+            t = int if n.op == "neg" else bool if n.op == "not" and of[id(n.arg)] is bool else None
+        else:
+            dt = step.inputs.get(n.name) if kind is InputRef else (
+                step.vars[n.name][0] if kind is VarRef and n.name in step.vars else None
+            )
+            t = None if dt is None else type(first_value(dt))
+        if t is None:
+            return False
+        of[id(n)] = t
+    return True
 
 
 def _box_widen(
@@ -147,12 +274,12 @@ def compute_image(
     """
     image = _Image(step, budget)
     spec = specialise([step.updates[v] for v in image.var_names], state)
-    grid, rows = image.rows(dict(state), spec)
-    first = image.dom.first_values()
+    _, rows = image.rows(dict(state), spec)
+    at = len(image.var_names)
     least: dict[StateVec, dict[str, Value]] = {}
-    for combo, succ in rows:
+    for row, succ in rows:
         if succ not in least:
-            least[succ] = first | dict(zip(grid.names, combo))
+            least[succ] = dict(zip(image.names[at:], row[at:]))
     return least
 
 
@@ -194,6 +321,26 @@ class Ts:
         """Per state, its ``(guard, target)`` list, a view built from the
         rows when first read."""
         return [list(zip(_guards(r, self.inputs), r.targets)) for r in self.rows]
+
+    @cached_property
+    def kept(self) -> dict[str, dict]:
+        """What readers work out about single states of this system, kept
+        with it and filled on first ask: per question, its answers by
+        argument.  ``output_fn`` keeps its functions here, and the
+        simulation (``simcheck._Side``) its parts, cut points and raise
+        checks, so both directions of a check, and every fix attempt that
+        reads the system, share them."""
+        return {}
+
+    def output_fn(self, s: int, port: str, names: tuple[str, ...]) -> Callable:
+        """State s's output on port as a function of a row over names,
+        compiled when first asked for."""
+        fns = self.kept.setdefault("output_fn", {})
+        key = (s, port, names)
+        f = fns.get(key)
+        if f is None:
+            f = fns[key] = compile_expr(self.outputs[s][port], names)
+        return f
 
     def input_domain(self) -> Domain:
         return Domain(dict(self.inputs))
@@ -262,8 +409,7 @@ def unfold_to_ts(
     budget: int = DEFAULT_BUDGET,
 ) -> Ts:
     """Breadth-first unfolding from the initial state."""
-    image = _Image(step, budget)
-    var_names = image.var_names
+    var_names = tuple(sorted(step.vars))
     init_binding = step.initial_state()
     init_vec = tuple(init_binding[v] for v in var_names)
     for v in var_names:
@@ -278,6 +424,7 @@ def unfold_to_ts(
     ports = sorted(step.outputs)
     roots = [step.outputs[p] for p in ports] + [step.updates[v] for v in var_names]
     nodes = postorder(roots)
+    image = _Image(step, budget, len(nodes))
 
     queue = 0
     while queue < len(states):
@@ -330,17 +477,14 @@ def run_ts(
 
     A state with one transition takes it on every row; in any other,
     an input outside the system's declared domain raises DomainError.  A
-    state's outputs are compiled once per set of names the rows give.
+    state's outputs are the system's own (``Ts.output_fn``), compiled once
+    per set of names the rows give.
     """
     state = ts.init
     out: list[dict[str, Value]] = []
-    compiled: dict[tuple, list] = {}
     for row in rows:
-        key = (state, tuple(row))
-        if key not in compiled:
-            compiled[key] = compile_all(list(ts.outputs[state].values()), key[1])
-        values = tuple(row.values())
-        out.append(dict(zip(ts.outputs[state], [f(values) for f in compiled[key]])))
+        names, values = tuple(row), tuple(row.values())
+        out.append({p: ts.output_fn(state, p, names)(values) for p in ts.outputs[state]})
         stored = ts.rows[state]
         i = stored.index(row, ts.inputs) if len(stored.targets) > 1 else 0
         if i is None:

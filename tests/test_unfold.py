@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +22,13 @@ from dfcompat import (
     extract_cfg,
     flatten_and_validate,
     image_map,
+    parse_model,
     summarize,
     unfold_to_ts,
 )
-from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr, to_str
+from dfcompat.exprs import (
+    TRUE, Binary, Const, InputRef, Ite, Unary, VarRef, eval_expr, postorder, specialise, to_str,
+)
 from dfcompat.model import BoolType, IntType
 from dfcompat.simcheck import build_step
 from dfcompat.symbolic import SymbolicStep
@@ -41,6 +46,10 @@ from helpers import (
     ts_step,
 )
 from test_efa import model_step, pump_step
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from dfbench import families  # noqa: E402
 
 
 def ts_of(name, **kw):
@@ -169,6 +178,172 @@ def test_every_state_has_a_transition_and_its_bitsets_partition_its_rows():
             assert all(stored.bits[e] >> i & 1 for i, e in enumerate(stored.edges))
         states += len(ts.states)
     assert states > 1000
+
+
+def _assert_rows_follow_specialisation(step, ts):
+    """Each state's stored rows against its specialised updates: a row's
+    successor is what ``eval_expr`` of them gives on the row, the other
+    inputs at their first value, Python type included, and the rows name
+    exactly the inputs those updates mention (``input_uses``)."""
+    first = ts.input_domain().first_values()
+    rows = 0
+    for s, stored in enumerate(ts.rows):
+        spec = specialise([step.updates[v] for v in ts.var_names], ts.state_binding(s))
+        assert stored.names == tuple(sorted(input_uses(spec)[0]))
+        for i, edge in enumerate(stored.edges):
+            env = first | stored.row(i)
+            expected = [eval_expr(e, env) for e in spec]
+            got = ts.states[stored.targets[edge]]
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in expected]
+        rows += len(stored.edges)
+    return rows
+
+
+def test_stored_rows_follow_each_states_specialised_updates():
+    """The updates are compiled once per system, but every row's successor
+    and every state's rows are those the state's specialisation gives."""
+    rows = 0
+    for model in _bundled_and_random_models():
+        step = build_step(flatten_and_validate(model))
+        rows += _assert_rows_follow_specialisation(step, unfold_to_ts(step))
+    assert rows > 1000
+
+
+# u * 2**62 > 0, which overflows from u = 2 on
+_BIG = Binary("gt", Binary("mul", InputRef("u"), Const(2**62)), Const(0))
+# 0 below u = 3 and 1 from it on: the rows take u = 0 and u = 3
+_STEP = Ite(Binary("lt", InputRef("u"), Const(3)), Const(0), Const(1))
+
+
+def _edge_step(updates, vars_, hi=3):
+    return SymbolicStep(
+        name="Edge",
+        inputs={"u": IntType(0, hi)},
+        vars=vars_,
+        outputs={"y": VarRef(next(iter(vars_)))},
+        updates=updates,
+    )
+
+
+@pytest.mark.parametrize("updates,vars_,states", [
+    # at c = 0 the conjunction folds to false, and its product is not
+    # evaluated; evaluated, it overflows at u = 3
+    (
+        {"c": Ite(Binary("and", Binary("eq", VarRef("c"), Const(5)), _BIG), Const(0), _STEP)},
+        {"c": (IntType(0, 5), 0)},
+        [(0,), (1,)],
+    ),
+    # both arms fold to 0, so the condition is not evaluated
+    (
+        {"c": Ite(_BIG, VarRef("c"), Const(0)), "d": _STEP},
+        {"c": (IntType(0, 3), 0), "d": (IntType(0, 1), 0)},
+        [(0, 0), (0, 1)],
+    ),
+])
+def test_compiled_updates_raise_only_where_specialised_ones_do(
+    updates, vars_, states, monkeypatch,
+):
+    """Whenever the cost rule compiles the updates once, here from the
+    first state on, a row they raise on is evaluated with the state's
+    specialised updates."""
+    step = _edge_step(updates, vars_)
+    roots = [step.updates[v] for v in sorted(step.vars)]
+    assert unfold._one_type(postorder(roots), step)
+
+    def at_once(image, spec, rows):
+        if image.fns is None:
+            image.fns = unfold.compile_all(image.roots, image.names)
+        return image.fns
+
+    monkeypatch.setattr(unfold._Image, "_compiled", at_once)
+    ts = unfold_to_ts(step)
+    assert ts.states == states
+    assert [stored.values for stored in ts.rows] == [((0, 3),)] * len(states)
+    _assert_rows_follow_specialisation(step, ts)
+
+
+@pytest.mark.parametrize("read", [
+    Unary("not", Unary("not", InputRef("u"))),
+    Binary("and", TRUE, InputRef("u")),
+])
+def test_folds_that_drop_a_bool_keep_the_specialised_value(read):
+    """``not(not u)`` and ``and(true, u)`` evaluate to ``bool(u)``, but
+    specialised they fold to u itself: the successors are u's values, and
+    a boolean variable given them leaves its type, as the specialised
+    updates have it."""
+    step = _edge_step({"c": Binary("add", read, Const(0))}, {"c": (IntType(0, 3), 0)})
+    ts = unfold_to_ts(step)
+    assert ts.states == [(0,), (1,), (2,), (3,)]
+    _assert_rows_follow_specialisation(step, ts)
+    with pytest.raises(DomainError, match=re.escape(
+        "Edge: b=0 leaves BoolType() from state {'b': False} on inputs {'u': 0}"
+    )):
+        unfold_to_ts(_edge_step({"b": read}, {"b": (BoolType(), False)}, hi=1))
+
+
+def _unfolded_compiling(monkeypatch, member):
+    """The unfolding of member's candidate, and the roots compile_all was
+    given meanwhile."""
+    compiled = []
+    compile_all = unfold.compile_all
+
+    def counted_all(roots, names):
+        compiled.append(roots)
+        return compile_all(roots, names)
+
+    monkeypatch.setattr(unfold, "compile_all", counted_all)
+    step = build_step(flatten_and_validate(parse_model(member.text_a)))
+    return step, unfold_to_ts(step), compiled
+
+
+def test_updates_compiled_once_and_outputs_once_per_state(monkeypatch):
+    """Unfolding compiles its updates once, however many states it
+    reaches, after the first states' specialised ones, and a check
+    compiles each state's output once per set of names, for both
+    directions and the constant-fix search together."""
+    counts = []
+    for k in (30, 400):
+        step, ts, compiled = _unfolded_compiling(monkeypatch, families.counter(k, 1))
+        assert len(ts.states) == k
+        assert compiled[-1] == [step.updates[v] for v in ts.var_names]
+        counts.append(len(compiled))
+    assert counts[0] == counts[1] <= 3
+    # a chain of gates specialises to a few nodes over its two inputs: each
+    # state's own are compiled, as evaluating the chain on every row would
+    # cost more
+    step, ts, compiled = _unfolded_compiling(monkeypatch, families.gate_chains(1, 50, 1))
+    assert len(compiled) == len(ts.states) == 2
+    assert [step.updates[v] for v in ts.var_names] not in compiled
+    monkeypatch.undo()
+
+    asked: list[tuple] = []
+    output_fn, compile_expr = unfold.Ts.output_fn, unfold.compile_expr
+
+    def recorded(ts, s, port, names):
+        asked.append((ts, s, port, names))
+        try:
+            return output_fn(ts, s, port, names)
+        finally:
+            asked.pop()
+
+    made = []
+
+    def counted(e, names):
+        made.append(asked[-1])
+        return compile_expr(e, names)
+
+    monkeypatch.setattr(unfold.Ts, "output_fn", recorded)
+    monkeypatch.setattr(unfold, "compile_expr", counted)
+    member = families.counter(30, 1)
+    pairs = [(parse_model(member.text_a), parse_model(member.text_b))]
+    pairs.append((load_model("cruise_v4"), load_model("cruise_v3")))
+    for a, b in pairs:
+        made.clear()
+        report = check_compatibility(a, b)
+        assert report.backward.holds
+        # made holds the systems, so no two of them share an id
+        keys = [(id(ts), s, port, names) for ts, s, port, names in made]
+        assert len(keys) == len(set(keys)) > 0
 
 
 def test_stateless_system_has_single_total_state():
