@@ -15,8 +15,8 @@ the exit code, the standard output and error, ``report.json`` without
 Each checkout collects its results in a process of its own, running this
 file with its own sources, tests and dfbench on the path; both run at once,
 and neither writes bytecode into its checkout.
-Every case whose results differ is printed; the exit code is 1 when any
-does.  Standard library only.
+Every path at which a case's results differ is printed, one line each;
+the exit code is 1 when any case differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -116,18 +116,21 @@ def collect(checkout: Path) -> dict[str, dict]:
 # comparing
 
 
-def first_difference(old, new, path: str = "") -> str:
-    """Where two JSON values first differ, and the two values there."""
+def differences(old, new, path: str = ""):
+    """Every path at which two JSON values differ, with the two values
+    there, in key and index order."""
     if isinstance(old, dict) and isinstance(new, dict):
         for k in list(old) + [k for k in new if k not in old]:
-            if old.get(k, "<absent>") != new.get(k, "<absent>"):
-                return first_difference(old.get(k, "<absent>"), new.get(k, "<absent>"),
-                                        f"{path}.{k}")
+            o, n = old.get(k, "<absent>"), new.get(k, "<absent>")
+            if o != n:
+                yield from differences(o, n, f"{path}.{k}")
+        return
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (o, n) in enumerate(zip(old, new)):
             if o != n:
-                return first_difference(o, n, f"{path}[{i}]")
-    return f"{path or '.'}: {json.dumps(old)[:300]} -> {json.dumps(new)[:300]}"
+                yield from differences(o, n, f"{path}[{i}]")
+        return
+    yield f"{path or '.'}: {json.dumps(old)[:300]} -> {json.dumps(new)[:300]}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     for key in list(old) + [k for k in new if k not in old]:
         if old.get(key) != new.get(key):
             differ += 1
-            print(f"DIFF {key} {first_difference(old.get(key), new.get(key))}")
+            for where in differences(old.get(key), new.get(key)):
+                print(f"DIFF {key} {where}")
     print(f"{len(old.keys() | new.keys())} cases, {differ} differ")
     return 1 if differ else 0
 

@@ -336,9 +336,16 @@ def nests(order: list[Expr]) -> bool:
 def _height(order: list[Expr]) -> int:
     """The most nodes on a path from a root of order to a leaf."""
     height: dict[int, int] = {}
+    top = 0
     for n in order:
-        height[id(n)] = 1 + max((height[id(c)] for c in _children(n)), default=0)
-    return max(height.values())
+        h = 0
+        for c in _children(n):
+            if height[id(c)] > h:
+                h = height[id(c)]
+        height[id(n)] = h = h + 1
+        if h > top:
+            top = h
+    return top
 
 
 def _looped(

@@ -3,19 +3,20 @@
 Two models are compared through a simulation preorder on their unfolded
 transition systems: the candidate must match the reference's outputs on
 every mapped port and answer every reference transition, over the
-reference side's input domain.  Checking both directions classifies a pair
-as fully compatible, safe only for existing callers, safe only for new
-callers, or incompatible, and every refusal comes with a replayable input
-trace; an output mismatch also carries the two outputs the simulation
-compared on the trace's last row.  Extra candidate inputs can be searched
-for constant settings that restore compatibility.  Every query's rows come
-from ``rows.plan``; an output comparison gives it the affine two-point
-split rule.
+reference side's input domain.  The systems are deterministic, so a
+breadth-first search of their product for a reachable pair that breaks
+this decides it.  Checking both directions classifies a pair as fully
+compatible, safe only for existing callers, safe only for new callers,
+or incompatible, and every refusal comes with a replayable input trace,
+a shortest one; an output mismatch also carries the two outputs the
+simulation compared on the trace's last row.  Extra candidate inputs can
+be searched for constant settings that restore compatibility.  Every
+query's rows come from ``rows.plan``; an output comparison gives it the
+affine two-point split rule.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import time
@@ -111,8 +112,8 @@ class SimResult:
 
     @property
     def visited(self) -> tuple[tuple[str, str], ...]:
-        """State labels of the product pairs explored, in discovery order;
-        formatted when read."""
+        """State labels of the product pairs discovered, in discovery
+        order; formatted when read."""
         return self._visited()
 
 
@@ -231,22 +232,35 @@ def simulates(
 ) -> SimResult:
     """Can the candidate mimic every behavior of the reference over dom?
 
-    Computed as the greatest simulation relation on the reachable product:
-    pairs failing output equality die immediately, then pairs whose
-    reference moves are no longer answerable by moves into live pairs are
-    removed until the relation stabilizes.
+    Both systems are deterministic: each stored row of a state takes
+    exactly one transition (``tests/test_unfold.py::
+    test_every_state_has_a_transition_and_its_bitsets_partition_its_rows``).
+    For deterministic systems simulation and trace inclusion coincide, so
+    the candidate simulates the reference exactly when no bad pair is
+    reachable in their product: a pair whose outputs differ on some row,
+    or with a reference row that no candidate transition takes.  A
+    breadth-first search from the initial pair decides it, and stops at
+    the first bad pair in discovery order.  Systems that may take two
+    transitions on one row, say under an environment model, would need the
+    greatest simulation fixpoint back.
+
+    The counterexample is the search tree's path to that pair, each step
+    the least row of the joint move that first reached the next pair,
+    then the pair's least row on which the output of the first differing
+    port, in sorted order, differs (with both outputs there), or else the
+    least uncovered row of its first reference transition, in order, that
+    has one.  ``pairs`` counts the pairs discovered when the search stops;
+    ``queries`` the output and joint checks answered.
 
     Guards are row bitsets over a query space (``rows.Grid``), so a joint
-    move is a nonzero ``ga & gb`` and the least uncovered row is the lowest
-    set bit of ``gb & ~live``; outputs compare row by row up to the first
+    move is a nonzero ``ga & gb`` and an uncovered row a set bit of ``gb``
+    outside every joint move; outputs compare row by row up to the first
     difference.  A row stands for an interval of each integer name on which
     every expression the query reads is constant, and its values are the
     least ones, so every witness is the one enumerating each value would
-    find.  The joint moves and the residuals of a product pair share one
-    space, over both states' parts; each state has a transition, as each
-    of its stored rows takes one.  A query whose rows exceed the budget
-    raises DomainTooLarge.  ``queries`` counts the joint, residual and
-    output checks answered.
+    find.  The joint moves of a product pair share one space, over both
+    states' parts.  A query whose rows exceed the budget raises
+    DomainTooLarge.
     """
     a, b = _Side(cand), _Side(ref)
     queries = 0
@@ -353,126 +367,65 @@ def simulates(
                 return first | grid.row(i), fb(combo), fa(combo)
         return None
 
-    def pair_bits(pair: tuple[int, int]) -> tuple[Grid, list[int], list[int]]:
-        """The pair's space and, per transition of each side, its bitset."""
-        ai, bi = pair
-        grid = space(pair, (a.part(ai), b.part(bi)))
-        return grid, a.bits(ai, grid), b.bits(bi, grid)
+    # breadth-first search of the product, in discovery order, up to the
+    # first bad pair; order grows while it is read.  Per pair after the
+    # first, its link: the pair that first reached it, and the space and
+    # bit of the least row of that joint move.
+    order = [(cand.init, ref.init)]
+    seen = set(order)
+    links: list[tuple[int, Grid, int] | None] = [None]
 
-    # breadth-first product exploration; index = discovery order
-    start = (cand.init, ref.init)
-    index = {start: 0}
-    order = [start]
-    alive: list[bool] = []
-    # per pair and reference transition: (candidate transition, successor
-    # pair) for every candidate move jointly enabled with it
-    moves: list[list[list[tuple[int, int]]]] = []
-    reason: dict[int, tuple] = {}
-    i = 0
-    while i < len(order):
+    def bad(i: int) -> SimFailure | None:
+        """Pair i's least differing output row, or its least reference row
+        no candidate transition takes, as a one-row failure; None once its
+        successors are discovered."""
+        nonlocal queries
         ai, bi = order[i]
-        moves.append([])
-        alive.append(True)
         for port in sorted(ref.outputs[bi]):
             queries += 1
             diff = output_diff(ai, bi, port)
             if diff is not None:
-                reason[i] = ("output", port, *diff)
-                alive[i] = False
-                break
-        if alive[i]:
-            _, bits_a, bits_b = pair_bits(order[i])
-            for jb, bj in enumerate(ref.rows[bi].targets):
-                hits = []
-                for ja, aj in enumerate(cand.rows[ai].targets):
-                    queries += 1
-                    if bits_a[ja] & bits_b[jb]:
-                        pair = (aj, bj)
-                        if pair not in index:
-                            index[pair] = len(order)
-                            order.append(pair)
-                        hits.append((ja, index[pair]))
-                moves[i].append(hits)
-        i += 1
-    preds: list[list[int]] = [[] for _ in order]
-    for i, per_ref in enumerate(moves):
-        for hits in per_ref:
-            for _, q in hits:
-                preds[q].append(i)
-
-    def residual(i: int) -> tuple[dict[str, Value], int] | None:
-        """The least reference row no live candidate move answers, with the
-        successor pair the candidate move it takes leads to."""
-        nonlocal queries
-        grid, bits_a, bits_b = pair_bits(order[i])
-        for jb, hits in enumerate(moves[i]):
-            queries += 1
+                row, expected, actual = diff
+                return SimFailure("output-mismatch", port, [row], cand.label(ai),
+                                  ref.label(bi), expected, actual)
+        grid = space((ai, bi), (a.part(ai), b.part(bi)))
+        bits_a, bits_b = a.bits(ai, grid), b.bits(bi, grid)
+        for jb, bj in enumerate(ref.rows[bi].targets):
             cover = 0
-            for ja, q in hits:
-                if alive[q]:
-                    cover |= bits_a[ja]
+            for ja, aj in enumerate(cand.rows[ai].targets):
+                queries += 1
+                joint = bits_a[ja] & bits_b[jb]
+                if joint:
+                    cover |= joint
+                    if (aj, bj) not in seen:
+                        seen.add((aj, bj))
+                        order.append((aj, bj))
+                        links.append((i, grid, _low(joint)))
             rest = bits_b[jb] & ~cover
-            if not rest:
-                continue
-            low = (rest & -rest).bit_length() - 1
-            row = first | grid.row(low)
-            # the candidate move the row takes, into a dead pair
-            for ja, q in hits:
-                if bits_a[ja] >> low & 1:
-                    return row, q
-            return row, -1
+            if rest:
+                row = first | grid.row(_low(rest))
+                return SimFailure("uncovered-input", None, [row], cand.label(ai), ref.label(bi))
         return None
 
-    # Worklist fixpoint with the visit order of a loop that rescans all
-    # pairs in discovery order until nothing changes: a pair is re-checked
-    # only after one of its successors died, later in this round when it
-    # comes after the dead pair and in the next round otherwise, so every
-    # death and witness is the one the rescanning loop finds.
-    current = [i for i in range(len(order)) if alive[i]]
-    while current:
-        queued = set(current)
-        later: set[int] = set()
-        while current:
-            i = heapq.heappop(current)
-            if not alive[i]:
-                continue
-            found = residual(i)
-            if found is None:
-                continue
-            row, nxt = found
-            reason[i] = ("step", row, nxt) if nxt >= 0 else ("uncovered", row)
-            alive[i] = False
-            for p in preds[i]:
-                if not alive[p]:
-                    continue
-                if p < i:
-                    later.add(p)
-                elif p not in queued:
-                    queued.add(p)
-                    heapq.heappush(current, p)
-        current = sorted(later)
+    for i, _ in enumerate(order):
+        failure = bad(i)
+        if failure is not None:
+            break
 
     def visited() -> tuple[tuple[str, str], ...]:
         return tuple((cand.label(x), ref.label(y)) for x, y in order)
 
-    if alive[0]:
+    if failure is None:
         return SimResult(True, None, len(order), queries, visited)
-
-    trace: list[dict[str, Value]] = []
-    cur = 0
-    while reason[cur][0] == "step":
-        trace.append(reason[cur][1])
-        cur = reason[cur][2]
-    tail = reason[cur]
-    ca, cb = cand.label(order[cur][0]), ref.label(order[cur][1])
-    if tail[0] == "output":
-        _, port, row, expected, actual = tail
-        trace.append(row)
-        failure = SimFailure("output-mismatch", port, trace, ca, cb, expected, actual)
-    else:
-        trace.append(tail[1])
-        failure = SimFailure("uncovered-input", None, trace, ca, cb)
+    while links[i] is not None:
+        i, grid, low = links[i]
+        failure.rows.insert(0, first | grid.row(low))
     return SimResult(False, failure, len(order), queries, visited)
+
+
+def _low(bits: int) -> int:
+    """The index of the lowest set bit."""
+    return (bits & -bits).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

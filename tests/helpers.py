@@ -125,8 +125,8 @@ def counter_text(name: str, top: int) -> str:
 
 
 # the late counter wraps one count after the mod-12 one: the states agree
-# for twelve increments, so refuting it takes a 13-step counterexample whose
-# deaths all come out of the simulation fixpoint
+# for twelve increments, so refuting it takes a 13-step counterexample, the
+# search's path through twelve good pairs to the first bad one
 LATE_WRAP = counter_text("LateWrap", 12)
 MOD12 = counter_text("Mod12", 11)
 

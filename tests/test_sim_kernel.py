@@ -133,7 +133,7 @@ def test_stored_rows_equal_guards_on_random_pairs(monkeypatch):
     assert sum(_check_pair(*random_model_pair(seed), answered) for seed in range(200))
 
 
-def test_stored_rows_equal_guards_through_the_fixpoint(monkeypatch):
+def test_stored_rows_equal_guards_on_a_thirteen_step_refutation(monkeypatch):
     assert _check_pair(parse_model(LATE_WRAP), parse_model(MOD12), record_bits(monkeypatch))
 
 

@@ -16,11 +16,12 @@ from dfcompat import (
     unfold_to_ts,
 )
 from dfcompat import simcheck
-from dfcompat.errors import UnmappedPort
+from dfcompat.errors import DomainError, UnmappedPort
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType
 from dfcompat.simcheck import fix_free_ports, prepare
 from dfcompat.symbolic import SymbolicStep
+from dfcompat.unfold import Ts
 from helpers import (
     DRIFTER,
     EXPECTED_VERDICTS,
@@ -28,8 +29,10 @@ from helpers import (
     MIRROR,
     NESTED_ENABLED,
     NESTED_REWIRED,
+    all_rows,
     load_model,
     random_model_pair,
+    state_rows,
 )
 
 
@@ -201,6 +204,33 @@ def test_partial_guard_coverage_reported_as_uncovered():
     assert res.failure.rows == [{"u": 4}]
 
 
+def test_search_stops_at_the_first_bad_pair():
+    """Two ten-state chains over u whose outputs differ at state 2 alone.
+    State 1 steps to 2 on u = false and to 3 on u = true; every other state
+    stays on u = false and steps on u = true.  The search discovers (2, 2)
+    as the third pair and (3, 3) as the fourth, and stops at (2, 2) before
+    the rest of the chain, which an exploration of the whole product
+    would go on to."""
+    def chain(name, outputs):
+        return Ts(
+            name=name, var_names=("k",), states=[(k,) for k in range(10)], init=0,
+            outputs=[{"y": Const(v)} for v in outputs], inputs={"u": BoolType()},
+            rows=[state_rows(("u",), ((False, True),), [0, 1],
+                             [2, 3] if k == 1 else [k, (k + 1) % 10])
+                  for k in range(10)],
+        )
+
+    ref = chain("Ref", range(10))
+    cand = chain("Cand", [12 if k == 2 else k for k in range(10)])
+    res = simulates(cand, ref, Domain.of(u=BoolType()))
+    assert not res.holds
+    assert res.pairs <= 4
+    assert res.failure.kind == "output-mismatch"
+    assert res.failure.rows == [{"u": True}, {"u": False}, {"u": False}]
+    assert (res.failure.cand_state, res.failure.ref_state) == ("k=2", "k=2")
+    assert (res.failure.expected, res.failure.actual) == (2, 12)
+
+
 def test_divergence_after_warmup_step():
     """First step agrees, the armed inverter differs from step two on."""
     report = check_compatibility(parse_model(DRIFTER), parse_model(MIRROR))
@@ -248,6 +278,102 @@ def test_counterexample_values_are_the_interpreters():
                     report.a_name, report.b_name, cx.direction
                 )
     assert seen > 20
+
+
+def _shortest_refutation(cand, ref, rows, ports, cap=2000):
+    """The length of a shortest input sequence on which the candidate
+    interpreter rejects a row or differs from the reference's on a mapped
+    output, found by breadth-first search over pairs of interpreter
+    states; 0 when there is none, None past cap pairs.  rows are
+    (candidate row, reference row) pairs, ports (candidate port, reference
+    port) pairs.  The models are deterministic, so the search is complete
+    once no new pair appears."""
+    def key(sa, sb):
+        return tuple(sorted(sa.items())), tuple(sorted(sb.items()))
+
+    level = [(cand.initial_state(), ref.initial_state())]
+    seen = {key(*level[0])}
+    depth = 0
+    while level:
+        depth += 1
+        nxt = []
+        for sa, sb in level:
+            for row_a, row_b in rows:
+                try:
+                    cand.validate_inputs(row_a)
+                except DomainError:
+                    return depth
+                out_a, na = cand.step(sa, row_a)
+                out_b, nb = ref.step(sb, row_b)
+                if any(out_a[pa] != out_b[pb] for pa, pb in ports):
+                    return depth
+                if key(na, nb) not in seen:
+                    seen.add(key(na, nb))
+                    nxt.append((na, nb))
+        if len(seen) > cap:
+            return None
+        level = nxt
+    return 0
+
+
+def test_counterexample_is_a_shortest_refutation():
+    """A direction is refuted exactly when the interpreters, which share no
+    stage with the check past flattening, can be driven apart, and its
+    trace is as long as the shortest input sequence that does it; over the
+    bundled pairs and 100 random ones, both ways, where the domain has at
+    most 256 rows.  Each direction's domain is built from the ports and the
+    mapping: B's declared mapped inputs (backward) or A's (upward), then
+    A's extra inputs.  A direction a fix made hold keeps the unfixed
+    counterexample, so the search runs without the fix."""
+    # charge_pump's self-check alone walks pairs for about 0.4 s
+    pairs = [(load_model(a), load_model(b)) for a, b in FIXTURE_PAIRS if a != "charge_pump"]
+    pairs += [random_model_pair(seed) for seed in range(100)]
+    covered = refuted = fixed = uncovered = 0
+    for model_a, model_b in pairs:
+        for a, b in ((model_a, model_b), (model_b, model_a)):
+            try:
+                report = check_compatibility(a, b)
+            except UnmappedPort:
+                continue
+            if not report.interface_ok:
+                continue
+            flat_a, flat_b = flatten_and_validate(a), flatten_and_validate(b)
+            a_in = {p.name: p.dtype for p in flat_a.inputs}
+            b_in = {p.name: p.dtype for p in flat_b.inputs}
+            b_outs = {p.name for p in flat_b.outputs}
+            mapped = [(pb, pa) for pb, pa in report.mapping if pb in b_in]
+            extras = {n: a_in[n] for n in report.extra_inputs_a}
+            ports = [(pa, pb) for pb, pa in report.mapping if pb in b_outs]
+            interp_a, interp_b = Interpreter(flat_a), Interpreter(flat_b)
+            for res, dtypes, cand, ref in (
+                (report.backward, {pa: b_in[pb] for pb, pa in mapped}, interp_a, interp_b),
+                (report.upward, {pa: a_in[pa] for pb, pa in mapped}, interp_b, interp_a),
+            ):
+                dom = Domain(dtypes | extras)
+                if dom.space() > 256:
+                    continue
+                # rows and ports as (A, B) pairs, turned round when B is the candidate
+                rows = [(row, {pb: row[pa] for pb, pa in mapped}) for row in all_rows(dom)]
+                compared = ports
+                if cand is interp_b:
+                    rows = [(rb, ra) for ra, rb in rows]
+                    compared = [(pb, pa) for pa, pb in ports]
+                try:
+                    depth = _shortest_refutation(cand, ref, rows, compared)
+                except DomainError:
+                    continue
+                if depth is None:
+                    continue
+                cx = res.counterexample
+                covered += 1
+                refuted += depth > 0
+                fixed += res.fixed_inputs is not None
+                uncovered += cx is not None and cx.kind == "uncovered-input"
+                where = (report.a_name, report.b_name, res is report.backward)
+                assert (cx is not None) == (depth > 0), where
+                assert cx is None or len(cx.rows_a) == depth, where
+    assert covered >= 280 and refuted >= 120, (covered, refuted)
+    assert fixed >= 2 and uncovered >= 3, (fixed, uncovered)
 
 
 # ---------------------------------------------------------------------------
