@@ -90,13 +90,19 @@ class Grid:
         one lies outside its type in dtypes."""
         return self.place(Grid(self.names, tuple((row[n],) for n in self.names)), dtypes)[0]
 
-    def place(self, other: "Grid", dtypes: Mapping[str, DataType]) -> list[int | None]:
+    def place(
+        self, other: "Grid", dtypes: Mapping[str, DataType],
+        held: Mapping[str, Value] | None = None,
+    ) -> list[int | None]:
         """Per row of other, the row standing for its values, None where
         one lies outside its type in dtypes.  other has every name of this
-        grid; its other names do not matter."""
+        grid but those held at one value; its other names do not matter."""
         slots: list[int | None] = [0]
         own = dict(zip(self.names, self.values))
-        for n, vals in zip(other.names, other.values):
+        cols: Iterable = zip(other.names, other.values)
+        if held:
+            cols = sorted([*cols, *((n, (v,)) for n, v in held.items() if n in own)])
+        for n, vals in cols:
             mine = own.get(n)
             if mine is None:
                 slots = [k for k in slots for _ in vals]
@@ -112,6 +118,60 @@ class Grid:
                 for k in slots for p in pos
             ]
         return slots
+
+    def narrow(
+        self, bits: Sequence[int], other: "Grid", dtypes: Mapping[str, DataType],
+        held: Mapping[str, Value],
+    ) -> Sequence[int] | None:
+        """Row bitsets over this grid carried onto other, as ``place``
+        carries rows, when other is this grid without the names held at one
+        value: the rows holding those values are a block of bits per
+        combination of the names before each run of held names.  None when
+        other is not such a grid, or a held value lies outside its type."""
+        names: list[str] = []
+        values: list[tuple[Value, ...]] = []
+        # per name, its width and, if held, its row holding the value; a run
+        # of held names is one name, their rows' positions in mixed radix
+        dims: list[list] = []
+        for n, vals in zip(self.names, self.values):
+            v = held.get(n)
+            if v is None:
+                names.append(n)
+                values.append(vals)
+                dims.append([len(vals), None])
+                continue
+            dt = dtypes[n]
+            if isinstance(dt, IntType):
+                if not dt.lo <= v <= dt.hi:
+                    return None
+                j = bisect.bisect_right(vals, v) - 1
+            elif v in vals:
+                j = vals.index(v)
+            else:
+                return None
+            if dims and dims[-1][1] is not None:
+                dims[-1][1] = dims[-1][1] * len(vals) + j
+                dims[-1][0] *= len(vals)
+            else:
+                dims.append([len(vals), j])
+        if other.names != tuple(names) or other.values != tuple(values):
+            return None
+        widths = [width for width, _ in dims]
+        for k, (width, j) in enumerate(dims):
+            if j is None:
+                continue
+            inner, outer = math.prod(widths[k + 1:]), math.prod(widths[:k])
+            mask = (1 << inner) - 1
+            if outer == 1:
+                bits = [(b >> (j * inner)) & mask for b in bits]
+            else:
+                bits = [
+                    sum(((b >> ((o * width + j) * inner)) & mask) << (o * inner)
+                        for o in range(outer))
+                    for b in bits
+                ]
+            widths[k] = 1
+        return bits
 
 
 class Split(NamedTuple):

@@ -10,7 +10,8 @@ compatible, safe only for existing callers, safe only for new callers,
 or incompatible, and every refusal comes with a replayable input trace,
 a shortest one; an output mismatch also carries the two outputs the
 simulation compared on the trace's last row.  Extra candidate inputs can
-be searched for constant settings that restore compatibility.  Every
+be searched for constant settings that restore compatibility, each
+setting verified by the same search with the inputs pinned to it.  Every
 query's rows come from ``rows.plan``; an output comparison gives it the
 affine two-point split rule.
 """
@@ -62,7 +63,7 @@ from .rows import (
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     SymbolicStep,
-    bind_inputs,
+    bind_inputs,  # noqa: F401 - dfbench/tracing.py wraps this module's bind_inputs
     prune_clones,
     rename_inputs,
     restrict_to_outputs,
@@ -148,10 +149,18 @@ class _Side:
     bitsets per query space: the unfolding's bitsets serve the space with
     the state's own rows, and on any other space each row is placed in the
     stored row holding its values.
+
+    Inputs pinned to a value are held: they are left out of every part, so
+    no query's rows name them, and a state's bitsets keep the stored rows
+    holding the pinned values, cut out of the unfolding's bitsets
+    (``Grid.narrow``) when the space has the state's other rows, else
+    placed.
     """
 
-    def __init__(self, ts: Ts):
+    def __init__(self, ts: Ts, pinned: Mapping[str, Value] | None):
         self.ts = ts
+        # the system's pinned inputs
+        self.held = {n: v for n, v in pinned.items() if n in ts.inputs} if pinned else None
         kept = ts.kept
         self._parts: dict[int, Part] = kept.setdefault("part", {})
         self._out_parts: dict[tuple[int, str], Part] = kept.setdefault("output_part", {})
@@ -162,11 +171,16 @@ class _Side:
         self._bits: dict[tuple[int, Grid], list[int]] = {}
 
     def output_part(self, s: int, port: str) -> Part:
-        """The part of state s's output on port."""
+        """The part of state s's output on port, pinned inputs left out."""
         key = (s, port)
         if key not in self._out_parts:
             self._out_parts[key] = _part([self.ts.outputs[s][port]])
-        return self._out_parts[key]
+        part = self._out_parts[key]
+        return self._free(part) if self.held else part
+
+    def _free(self, part: Part) -> Part:
+        """part without the pinned inputs."""
+        return tuple(use for use in part if use[0] not in self.held)
 
     def affine_cuts(self, s: int, port: str, name: str) -> tuple[int, ...] | None:
         """The cut points of name in state s's output on port when, within
@@ -196,14 +210,15 @@ class _Side:
         return self._raising[key]
 
     def part(self, s: int) -> Part:
-        """The part of state s's guards."""
+        """The part of state s's guards, pinned inputs left out."""
         if s not in self._parts:
             stored = self.ts.rows[s]
             self._parts[s] = () if len(stored.targets) == 1 else tuple(
                 (n, None if len(vals) == domain_size(self.ts.inputs[n]) else vals)
                 for n, vals in zip(stored.names, stored.values)
             )
-        return self._parts[s]
+        part = self._parts[s]
+        return self._free(part) if self.held else part
 
     def bits(self, s: int, space: Grid) -> list[int]:
         """Per transition of state s, its row bitset over space, which
@@ -217,10 +232,14 @@ class _Side:
             bits = [(1 << space.size) - 1]
         elif stored.names == space.names and stored.values == space.values:
             bits = stored.bits
+        elif self.held:
+            bits = stored.narrow(stored.bits, space, self.ts.inputs, self.held)
         else:
+            bits = None
+        if bits is None:
             # a row outside the declared ranges takes no transition
             edges = stored.edges
-            slots = stored.place(space, self.ts.inputs)
+            slots = stored.place(space, self.ts.inputs, self.held)
             placed = ((i, edges[k]) for i, k in enumerate(slots) if k is not None)
             bits = row_bitsets(placed, count, space.size)
         self._bits[key] = bits
@@ -228,7 +247,8 @@ class _Side:
 
 
 def simulates(
-    cand: Ts, ref: Ts, dom: Domain, budget: int = DEFAULT_BUDGET
+    cand: Ts, ref: Ts, dom: Domain, budget: int = DEFAULT_BUDGET,
+    pinned: Mapping[str, Value] | None = None,
 ) -> SimResult:
     """Can the candidate mimic every behavior of the reference over dom?
 
@@ -261,10 +281,31 @@ def simulates(
     find.  The joint moves of a product pair share one space, over both
     states' parts.  A query whose rows exceed the budget raises
     DomainTooLarge.
+
+    Each name of ``pinned`` holds its value throughout the search: no
+    query's rows name it, so the budget counts rows without it, a state's
+    transitions are those of its stored rows holding the value, and outputs
+    are evaluated at it, as is every failure row.  Since both systems are
+    deterministic, the search visits exactly the pairs reachable on the
+    pinned values; this is how a constant fix is verified on the systems
+    the check unfolded with those names as inputs (``fix_free_ports``).
     """
-    a, b = _Side(cand), _Side(ref)
+    a, b = _Side(cand, pinned), _Side(ref, pinned)
     queries = 0
-    first = dom.first_values()
+    # the pinned names as columns of one value, which follow a query's rows
+    # wherever outputs are evaluated
+    pinned = pinned or {}
+    pin_names = tuple(sorted(pinned))
+    pin_cols = tuple((pinned[n],) for n in pin_names)
+    first: dict[str, Value] = {}
+
+    def total(row: dict[str, Value]) -> dict[str, Value]:
+        """A failure row over some names, every other name at its first
+        value, or a pinned name at its pinned one."""
+        if not first:
+            first.update(dom.first_values() | pinned)
+        return first | row
+
     # the planner's cache, and the spaces planned per tuple of parts
     cache: dict = {}
     spaces: dict[tuple[Part, ...], Grid] = {}
@@ -343,9 +384,10 @@ def simulates(
             consulted.append(True)
             ((at, ranges),) = split.items()
             rows, wide = list(map(values, range(len(names)))), []
+            names += pin_names
             for _, hi in ranges:
                 rows[at] = (hi,)
-                top = tuple(rows)
+                top = (*rows, *pin_cols)
                 wide.append(a.raises(ai, port, names, top) or b.raises(bi, port, names, top))
             return {at: wide}
 
@@ -360,11 +402,11 @@ def simulates(
         # first, as sat_witness over the two outputs' inequality; with the
         # reference's and the candidate's output there
         grid = output_space((ai, bi), port)
-        fa = cand.output_fn(ai, port, grid.names)
-        fb = ref.output_fn(bi, port, grid.names)
-        for i, combo in enumerate(itertools.product(*grid.values)):
+        names = grid.names + pin_names
+        fa, fb = cand.output_fn(ai, port, names), ref.output_fn(bi, port, names)
+        for i, combo in enumerate(itertools.product(*grid.values, *pin_cols)):
             if fa(combo) != fb(combo):
-                return first | grid.row(i), fb(combo), fa(combo)
+                return total(grid.row(i)), fb(combo), fa(combo)
         return None
 
     # breadth-first search of the product, in discovery order, up to the
@@ -403,7 +445,7 @@ def simulates(
                         links.append((i, grid, _low(joint)))
             rest = bits_b[jb] & ~cover
             if rest:
-                row = first | grid.row(_low(rest))
+                row = total(grid.row(_low(rest)))
                 return SimFailure("uncovered-input", None, [row], cand.label(ai), ref.label(bi))
         return None
 
@@ -419,7 +461,7 @@ def simulates(
         return SimResult(True, None, len(order), queries, visited)
     while links[i] is not None:
         i, grid, low = links[i]
-        failure.rows.insert(0, first | grid.row(low))
+        failure.rows.insert(0, total(grid.row(low)))
     return SimResult(False, failure, len(order), queries, visited)
 
 
@@ -672,8 +714,10 @@ def _check_direction(
     ports: Sequence[str],
     dom: Domain,
     config: CheckConfig,
+    pinned: Mapping[str, Value] | None = None,
 ) -> tuple[bool, dict[str, bool], SimFailure | None, int, int]:
-    """Simulate per mapped output port (or jointly) and merge the results.
+    """Simulate per mapped output port (or jointly) and merge the results,
+    with the names of pinned held at their values (``simulates``).
 
     A group's systems are obtained, the candidate's first, only when its
     simulation starts, so errors from building and from simulating them
@@ -689,7 +733,7 @@ def _check_direction(
     failure: SimFailure | None = None
     pairs = queries = 0
     for group in groups:
-        res = simulates(cand(group), ref(group), dom, config.solver_budget)
+        res = simulates(cand(group), ref(group), dom, config.solver_budget, pinned)
         pairs += res.pairs
         queries += res.queries
         for p in group:
@@ -744,40 +788,47 @@ def fix_free_ports(
     ports: Sequence[str],
     config: CheckConfig,
     ref: Unfolder | None = None,
+    cand: Unfolder | None = None,
 ) -> tuple[dict[str, Value], dict[str, bool], int, int] | None:
     """Search constants for A's extra inputs restoring backward simulation.
 
     Candidates must at least equalize all mapped outputs at the initial
     state pair for every shared input; each survivor is then verified by a
-    full simulation run and excluded on failure.  Returns None when no
-    candidate exists; raises IterationCapExceeded when the verification
-    loop runs out of attempts.  ``ref`` gives B's unfolded systems, which
-    every attempt shares; by default they are built here.
+    full simulation run over dom_free, the backward domain, with the extra
+    inputs pinned to the candidate's values, and excluded on failure.
+    Returns None when no candidate exists; raises IterationCapExceeded when
+    the verification loop runs out of attempts.
+
+    ``cand`` and ``ref`` give A's and B's unfolded systems, with the extra
+    inputs as A's inputs, which every attempt shares; by default they are
+    built here.  Nothing is bound or unfolded per attempt: both systems are
+    deterministic, so the pinned search visits exactly the pairs reachable
+    on the candidate's rows, where each A state takes the transition of its
+    stored row holding the candidate's values, as A's step with the extra
+    inputs bound to them would.
     """
     extras = sorted(prep.mapping.extra_inputs_a)
-    step_a, step_b = prep.step_a, prep.step_b
-    assert step_a is not None and step_b is not None
+    assert prep.step_a is not None and prep.step_b is not None
     necessary = conjoin(_initial_agreement(prep, ports))
 
+    if cand is None:
+        cand = _unfolder(prep.step_a, config, {})
     if ref is None:
-        ref = _unfolder(step_b, config, {})
-    b_side, _ = _mapped_input_domains(prep)
-    dom_check = Domain(b_side)
+        ref = _unfolder(prep.step_b, config, {})
     exclude: list[dict[str, Value]] = []
     for _ in range(config.fix_iterations):
-        cand = exists_forall_constants(
+        vector = exists_forall_constants(
             necessary, extras, dom_free, config.solver_budget, exclude,
             stage=f"fix search for {prep.flat_a.name}",
         )
-        if cand is None:
+        if vector is None:
             return None
-        fixed_a = _unfolder(bind_inputs(step_a, cand), config)
         holds, per_port, _, pairs, queries = _check_direction(
-            fixed_a, ref, ports, dom_check, config
+            cand, ref, ports, dom_free, config, vector
         )
         if holds:
-            return cand, per_port, pairs, queries
-        exclude.append(cand)
+            return vector, per_port, pairs, queries
+        exclude.append(vector)
     raise IterationCapExceeded(
         f"fix search for {prep.flat_a.name}: no verified constant fix within "
         f"{config.fix_iterations} attempts"
@@ -826,8 +877,7 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
     shared_rows: dict[tuple, dict[str, Value]] = {}
     # each model's system per port group, built on first use and kept for
     # this check: both directions, every fix attempt and the emitted
-    # artifacts use the same ones.  A fix candidate's step is bound anew
-    # per attempt and not kept.
+    # artifacts use the same ones
     prep.systems = {"A": {}, "B": {}}
     unfold_a = _unfolder(step_a, config, prep.systems["A"])
     unfold_b = _unfolder(step_b, config, prep.systems["B"])
@@ -842,7 +892,7 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
         cx = None if failure is None else _to_counterexample(prep, failure, name, shared_rows)
         binding = None
         if not holds and name == "backward" and prep.mapping.extra_inputs_a:
-            fixed = fix_free_ports(prep, dom, ports, config, ref)
+            fixed = fix_free_ports(prep, dom, ports, config, ref, cand)
             if fixed is not None:
                 binding, per_port, pairs_f, queries_f = fixed
                 holds, pairs, queries = True, pairs + pairs_f, queries + queries_f

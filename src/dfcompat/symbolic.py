@@ -94,35 +94,60 @@ def _current(rhs: Expr, sigs: Mapping[str, Expr], varenv: Mapping[str, Expr]) ->
     return rewrite([rhs], signals=sigs, variables=varenv)[0]
 
 
+# a name that had no value before a branch arm
+_UNSET = object()
+
+
 def summarize(cfg: Cfg) -> SymbolicStep:
     flat = cfg.flat
 
-    def process(elems: list, sigs: dict[str, Expr], varenv: dict[str, Expr]):
+    def process(elems: list, sigs: dict[str, Expr], varenv: dict[str, Expr],
+                log: dict[tuple[str, str], Expr] | None = None):
+        """Walk elems, assigning in sigs and varenv in place.  Inside a
+        branch arm, log keeps per name assigned, by space, its value before
+        the arm (``_UNSET`` when it had none)."""
+        envs = {"var": varenv, "sig": sigs}
         for el in elems:
             if isinstance(el, Straight):
-                for space, target, rhs in cfg.nodes[el.node]:
+                assigns = cfg.nodes[el.node]
+                if log is not None:
+                    for space, target, _ in assigns:
+                        if (space, target) not in log:
+                            log[space, target] = envs[space].get(target, _UNSET)
+                for space, target, rhs in assigns:
                     val = _current(rhs, sigs, varenv)
                     if space == "var":
                         varenv[target] = val
                     else:
                         sigs[target] = val
-            else:
-                guard = _current(el.guard, sigs, varenv)
-                t_sigs, t_vars = dict(sigs), dict(varenv)
-                process(el.then, t_sigs, t_vars)
-                e_sigs, e_vars = dict(sigs), dict(varenv)
-                process(el.other, e_sigs, e_vars)
-                for key in t_sigs.keys() | e_sigs.keys():
-                    a, b = t_sigs.get(key), e_sigs.get(key)
-                    if a is None:
-                        sigs[key] = b
-                    elif b is None or equal(a, b):
-                        sigs[key] = a
+                continue
+            # each arm runs from the values before the branch, which are put
+            # back after it; only the names some arm assigned are merged
+            guard = _current(el.guard, sigs, varenv)
+            before: dict[tuple[str, str], Expr] = {}
+            arms = []
+            for body in (el.then, el.other):
+                arm: dict[tuple[str, str], Expr] = {}
+                process(body, sigs, varenv, arm)
+                arms.append({k: envs[k[0]][k[1]] for k in arm})
+                for (space, target), old in arm.items():
+                    if old is _UNSET:
+                        del envs[space][target]
                     else:
-                        sigs[key] = Ite(guard, a, b)
-                for key in varenv:
-                    a, b = t_vars[key], e_vars[key]
-                    varenv[key] = a if equal(a, b) else Ite(guard, a, b)
+                        envs[space][target] = old
+                before |= arm
+            then, other = arms
+            for key, old in before.items():
+                a, b = then.get(key, old), other.get(key, old)
+                if a is _UNSET:
+                    val = b
+                elif b is _UNSET or equal(a, b):
+                    val = a
+                else:
+                    val = Ite(guard, a, b)
+                if log is not None and key not in log:
+                    log[key] = old
+                envs[key[0]][key[1]] = val
 
     sigs: dict[str, Expr] = {}
     varenv: dict[str, Expr] = {v: VarRef(v) for v in flat.var_decls}

@@ -1,5 +1,10 @@
 """Simulation preorder, constant fixing, and the two-way compatibility check."""
 
+import itertools
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from dfcompat import (
@@ -16,11 +21,12 @@ from dfcompat import (
     unfold_to_ts,
 )
 from dfcompat import simcheck
-from dfcompat.errors import DomainError, UnmappedPort
+from dfcompat.errors import DomainError, DomainTooLarge, UnmappedPort
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
-from dfcompat.model import BoolType, IntType
+from dfcompat.model import BoolType, IntType, domain_values
+from dfcompat.rows import SPLIT_MIN_VALUES
 from dfcompat.simcheck import fix_free_ports, prepare
-from dfcompat.symbolic import SymbolicStep
+from dfcompat.symbolic import SymbolicStep, bind_inputs, restrict_to_outputs
 from dfcompat.unfold import Ts
 from helpers import (
     DRIFTER,
@@ -459,19 +465,34 @@ def test_rows_evaluated_by_compiled_code(monkeypatch):
 
 
 def test_fix_attempts_share_reference_systems(monkeypatch):
-    unfolds = _record_unfolds(monkeypatch)
-    binds = []
+    """Every fix attempt reads the systems both directions built: each model
+    is unfolded once per port group across the whole check, no step is
+    bound, and each attempt pins k in the simulation instead."""
+    unfolds = []
+    real_unfold = simcheck.unfold_to_ts
     monkeypatch.setattr(
-        simcheck, "bind_inputs",
-        lambda step, binding, real=simcheck.bind_inputs: binds.append(binding)
-        or real(step, binding),
+        simcheck, "unfold_to_ts",
+        lambda step, *args: unfolds.append((step.name, tuple(step.outputs)))
+        or real_unfold(step, *args),
+    )
+    monkeypatch.setattr(
+        simcheck, "bind_inputs", lambda *args: pytest.fail("a fix attempt bound a step")
+    )
+    pins = []
+    real_simulates = simcheck.simulates
+    monkeypatch.setattr(
+        simcheck, "simulates",
+        lambda *args: pins.append(args[4] if len(args) > 4 else None)
+        or real_simulates(*args),
     )
     report = check_compatibility(parse_model(DELAY_KEYED), parse_model(DELAY_REF))
     assert report.backward.fixed_inputs == {"k": True}
-    assert binds == [{"k": False}, {"k": True}]
-    # per port group: each model once, then the bound candidate per attempt
-    assert unfolds.count("Ref") == 2
-    assert unfolds.count("Keyed") == 2 + 2 * len(binds)
+    assert sorted(unfolds) == [
+        ("Keyed", ("y",)), ("Keyed", ("z",)), ("Ref", ("y",)), ("Ref", ("z",)),
+    ]
+    # two port groups per search: unpinned backward, k false, k true, upward
+    assert pins == [None, None, {"k": False}, {"k": False}, {"k": True}, {"k": True},
+                    None, None]
 
 
 def test_fix_free_ports_direct():
@@ -521,6 +542,137 @@ def test_fix_search_cap_can_be_raised():
     report = check_compatibility(a, b, config=CheckConfig(fix_iterations=22))
     assert report.verdict == "incompatible"
     assert report.backward.fixed_inputs is None
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from dfbench import families  # noqa: E402
+
+# an extra integer compared only with constants: each state's rows hold it
+# in two intervals, [0, 150] and [151, 300]
+THRESHOLD = (
+    "model Thresh\nin u : bool\nin k : int[0,300]\nout y : bool\n"
+    "block Lim : Constant(150)\nblock Low : Relational(<=)\nblock Inv : Logic(NOT)\n"
+    "block Pick : Switch\nblock D : UnitDelay(false)\n"
+    "wire k -> Low.in1\nwire Lim -> Low.in2\nwire u -> Inv.in1\nwire Low -> Pick.ctrl\n"
+    "wire u -> Pick.in1\nwire Inv -> Pick.in3\nwire Pick -> D.in\nwire D -> y\n"
+)
+THRESHOLD_REF = (
+    "model ThreshRef\nin u : bool\nout y : bool\nblock D : UnitDelay(false)\n"
+    "wire u -> D.in\nwire D -> y\n"
+)
+
+
+# the reference cuts u at 4 and 6 where the candidate cuts it at 6 and 8,
+# so each joint move's rows place the candidate's stored rows with k held
+CUTS = (
+    "model Cuts\nin u : int[0,9]\nin k : bool\nout y : bool\n"
+    "block C5 : Constant(5)\nblock C7 : Constant(7)\n"
+    "block Le5 : Relational(<=)\nblock Le7 : Relational(<=)\n"
+    "block Pick : Switch\nblock D : UnitDelay(false)\n"
+    "wire u -> Le5.in1\nwire C5 -> Le5.in2\nwire u -> Le7.in1\nwire C7 -> Le7.in2\n"
+    "wire k -> Pick.ctrl\nwire Le5 -> Pick.in1\nwire Le7 -> Pick.in3\n"
+    "wire Pick -> D.in\nwire D -> y\n"
+)
+CUTS_REF = (
+    "model CutsRef\nin u : int[0,9]\nout y : bool\n"
+    "block C5 : Constant(5)\nblock C3 : Constant(3)\n"
+    "block Le5 : Relational(<=)\nblock Le3 : Relational(<=)\n"
+    "block Or : Logic(OR)\nblock D : UnitDelay(false)\n"
+    "wire u -> Le5.in1\nwire C5 -> Le5.in2\nwire u -> Le3.in1\nwire C3 -> Le3.in2\n"
+    "wire Le5 -> Or.in1\nwire Le3 -> Or.in2\nwire Or -> D.in\nwire D -> y\n"
+)
+
+
+def _offset(extra: bool, budget_case: bool = False) -> str:
+    """y is u plus k (the candidate's extra input) or plus 5 once a delay
+    has switched on, 0 before; z is k == 5, or true."""
+    u_hi = 999 if budget_case else SPLIT_MIN_VALUES * 2
+    lines = [
+        f"model {'Late' if extra else 'LateRef'}", f"in u : int[0,{u_hi}]",
+        *(["in k : int[0,99]"] if extra else []),
+        f"out y : int[0,{u_hi + 200}]", "out z : bool",
+        "block On : Constant(true)", "block D : UnitDelay(false)", "block S : Sum(++)",
+        "block Zero : Constant(0)", "block Pick : Switch", "block Five : Constant(5)",
+        "wire On -> D.in", "wire u -> S.in1", "wire D -> Pick.ctrl", "wire S -> Pick.in1",
+        "wire Zero -> Pick.in3", "wire Pick -> y",
+    ]
+    if extra:
+        lines += ["block Is5 : Relational(==)", "wire k -> S.in2", "wire k -> Is5.in1",
+                  "wire Five -> Is5.in2", "wire Is5 -> z"]
+    else:
+        lines += ["wire Five -> S.in2", "wire On -> z"]
+    return "\n".join(lines) + "\n"
+
+
+def _pinned_against_bound(model_a, model_b) -> tuple[int, int]:
+    """For every vector c of A's extra inputs and every port group, the
+    search over A's own systems with the extra inputs pinned to c holds
+    exactly when A's step with them bound to c, restricted and unfolded
+    anew, simulates B over B's mapped inputs.  Returns how many (vector,
+    group) pairs held and how many did not."""
+    config = CheckConfig()
+    prep = prepare(model_a, model_b, None, config)
+    dom, _ = simcheck._direction_domains(prep)
+    b_side, _ = simcheck._mapped_input_domains(prep)
+    ports = simcheck._mapped_output_ports(prep)
+    groups = [(p,) for p in ports] if len(ports) > 1 else [tuple(ports)]
+    cand = simcheck._unfolder(prep.step_a, config, {})
+    ref = simcheck._unfolder(prep.step_b, config, {})
+    extras = sorted(prep.mapping.extra_inputs_a)
+    outcomes = [0, 0]
+    for combo in itertools.product(*(domain_values(prep.step_a.inputs[n]) for n in extras)):
+        c = dict(zip(extras, combo))
+        for group in groups:
+            bound = unfold_to_ts(restrict_to_outputs(bind_inputs(prep.step_a, c), group))
+            want = simulates(bound, ref(group), Domain(b_side)).holds
+            assert simulates(cand(group), ref(group), dom, pinned=c).holds == want, (c, group)
+            outcomes[not want] += 1
+    return outcomes[0], outcomes[1]
+
+
+@pytest.mark.parametrize("case,held,refuted", [
+    ("cruise", 1, 1),
+    ("delay_keyed", 3, 1),
+    ("gated_k10_g1", 1, 1),
+    ("gated_k10_g2", 1, 3),
+    ("gated_k10_g3", 1, 7),
+    ("gated_k10_g4", 1, 15),
+    ("threshold", 151, 150),
+    ("cuts", 1, 1),
+    ("offset", 2, 198),
+])
+def test_pinned_search_decides_what_the_bound_step_does(case, held, refuted):
+    if case == "cruise":
+        pair = load_model("cruise_v4"), load_model("cruise_v3")
+    elif case == "delay_keyed":
+        pair = parse_model(DELAY_KEYED), parse_model(DELAY_REF)
+    elif case.startswith("gated"):
+        member = families.gated_counter(10, int(case[-1]), seed=1)
+        pair = parse_model(member.text_a), parse_model(member.text_b)
+    elif case == "threshold":
+        pair = parse_model(THRESHOLD), parse_model(THRESHOLD_REF)
+    elif case == "cuts":
+        pair = parse_model(CUTS), parse_model(CUTS_REF)
+    else:  # y reads u and k by value: the pinned search splits u alone
+        pair = parse_model(_offset(True)), parse_model(_offset(False))
+    assert _pinned_against_bound(*pair) == (held, refuted)
+
+
+def test_fix_rows_are_counted_with_the_extra_inputs_pinned():
+    """The unpinned comparison of y reads u and k by value, 100,000 rows;
+    with k pinned it reads u alone, and u, read affinely, takes two rows of
+    each interval (with k at its pinned value where the split rule
+    evaluates y).  A budget under both 100,000 and u's 1,000 values refuses
+    the first, and the fix is still found, as the bound step's check finds
+    it.  Without port splitting the backward check stops at z, which
+    differs at the initial pair, before it compares y where the delay is
+    on."""
+    config = CheckConfig(solver_budget=500, output_split=False)
+    a, b = parse_model(_offset(True, True)), parse_model(_offset(False, True))
+    report = check_compatibility(a, b, config=config)
+    assert report.backward.fixed_inputs == {"k": 5}
+    with pytest.raises(DomainTooLarge, match="needs 100000 input rows"):
+        check_compatibility(a, b, config=replace(config, output_split=True))
 
 
 # ---------------------------------------------------------------------------

@@ -233,3 +233,37 @@ def test_step_text_dump():
     assert text.splitlines()[0] == "step FlipFlop"
     assert "  out Q = " in text
     assert "  Delay' = " in text
+
+
+def _switch_bank(n: int) -> str:
+    """n switches on one control, each choosing between u and its own
+    inverse, every switch and inverse an output."""
+    lines = ["model Bank", "in c : bool", "in u : bool"]
+    lines += [f"out y{i} : bool\nout z{i} : bool" for i in range(n)]
+    for i in range(n):
+        lines += [
+            f"block N{i} : Logic(NOT)", f"block S{i} : Switch",
+            f"wire u -> N{i}.in1", f"wire c -> S{i}.ctrl", f"wire u -> S{i}.in1",
+            f"wire N{i} -> S{i}.in3", f"wire S{i} -> y{i}", f"wire N{i} -> z{i}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_summarize_merges_only_what_a_branch_assigns(monkeypatch):
+    """A branch merges the names its arms assigned, not every signal
+    assigned before it: the equality checks grow linearly in the number of
+    branches."""
+    from dfcompat import symbolic
+
+    calls = []
+    monkeypatch.setattr(
+        symbolic, "equal", lambda a, b, real=symbolic.equal: calls.append(1) or real(a, b)
+    )
+    counts = {}
+    for n in (8, 16, 32):
+        calls.clear()
+        step = summarize(extract_cfg(flatten_and_validate(parse_model(_switch_bank(n)))))
+        counts[n] = len(calls)
+        assert len(step.outputs) == 2 * n
+    assert counts[8] <= 8
+    assert counts[32] == 2 * counts[16] == 4 * counts[8]
