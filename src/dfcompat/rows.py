@@ -119,60 +119,6 @@ class Grid:
             ]
         return slots
 
-    def narrow(
-        self, bits: Sequence[int], other: "Grid", dtypes: Mapping[str, DataType],
-        held: Mapping[str, Value],
-    ) -> Sequence[int] | None:
-        """Row bitsets over this grid carried onto other, as ``place``
-        carries rows, when other is this grid without the names held at one
-        value: the rows holding those values are a block of bits per
-        combination of the names before each run of held names.  None when
-        other is not such a grid, or a held value lies outside its type."""
-        names: list[str] = []
-        values: list[tuple[Value, ...]] = []
-        # per name, its width and, if held, its row holding the value; a run
-        # of held names is one name, their rows' positions in mixed radix
-        dims: list[list] = []
-        for n, vals in zip(self.names, self.values):
-            v = held.get(n)
-            if v is None:
-                names.append(n)
-                values.append(vals)
-                dims.append([len(vals), None])
-                continue
-            dt = dtypes[n]
-            if isinstance(dt, IntType):
-                if not dt.lo <= v <= dt.hi:
-                    return None
-                j = bisect.bisect_right(vals, v) - 1
-            elif v in vals:
-                j = vals.index(v)
-            else:
-                return None
-            if dims and dims[-1][1] is not None:
-                dims[-1][1] = dims[-1][1] * len(vals) + j
-                dims[-1][0] *= len(vals)
-            else:
-                dims.append([len(vals), j])
-        if other.names != tuple(names) or other.values != tuple(values):
-            return None
-        widths = [width for width, _ in dims]
-        for k, (width, j) in enumerate(dims):
-            if j is None:
-                continue
-            inner, outer = math.prod(widths[k + 1:]), math.prod(widths[:k])
-            mask = (1 << inner) - 1
-            if outer == 1:
-                bits = [(b >> (j * inner)) & mask for b in bits]
-            else:
-                bits = [
-                    sum(((b >> ((o * width + j) * inner)) & mask) << (o * inner)
-                        for o in range(outer))
-                    for b in bits
-                ]
-            widths[k] = 1
-        return bits
-
 
 class Split(NamedTuple):
     """How ``plan`` splits an integer it would read by value.

@@ -24,7 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import IterationCapExceeded
+from .errors import ArithmeticOverflow, DomainTooLarge, IterationCapExceeded
 from .exprs import (
     Binary,
     Expr,
@@ -63,7 +63,7 @@ from .rows import (
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
     SymbolicStep,
-    bind_inputs,  # noqa: F401 - dfbench/tracing.py wraps this module's bind_inputs
+    bind_inputs,
     prune_clones,
     rename_inputs,
     restrict_to_outputs,
@@ -151,10 +151,8 @@ class _Side:
     stored row holding its values.
 
     Inputs pinned to a value are held: they are left out of every part, so
-    no query's rows name them, and a state's bitsets keep the stored rows
-    holding the pinned values, cut out of the unfolding's bitsets
-    (``Grid.narrow``) when the space has the state's other rows, else
-    placed.
+    no query's rows name them, and each row of a space is placed in the
+    stored row holding its values and the pinned ones.
     """
 
     def __init__(self, ts: Ts, pinned: Mapping[str, Value] | None):
@@ -232,11 +230,7 @@ class _Side:
             bits = [(1 << space.size) - 1]
         elif stored.names == space.names and stored.values == space.values:
             bits = stored.bits
-        elif self.held:
-            bits = stored.narrow(stored.bits, space, self.ts.inputs, self.held)
         else:
-            bits = None
-        if bits is None:
             # a row outside the declared ranges takes no transition
             edges = stored.edges
             slots = stored.place(space, self.ts.inputs, self.held)
@@ -806,6 +800,13 @@ def fix_free_ports(
     on the candidate's rows, where each A state takes the transition of its
     stored row holding the candidate's values, as A's step with the extra
     inputs bound to them would.
+
+    A's unfolded states still read what binding would fold away: a name
+    read only in an arm the pinned values never take, or an operand of
+    ``and(false, ...)``.  A pinned search can so exceed the budget, or
+    overflow, where A's step with the values bound does not; only such an
+    attempt is decided on that step, restricted and unfolded anew, which
+    raises where it does.
     """
     extras = sorted(prep.mapping.extra_inputs_a)
     assert prep.step_a is not None and prep.step_b is not None
@@ -823,9 +824,15 @@ def fix_free_ports(
         )
         if vector is None:
             return None
-        holds, per_port, _, pairs, queries = _check_direction(
-            cand, ref, ports, dom_free, config, vector
-        )
+        try:
+            holds, per_port, _, pairs, queries = _check_direction(
+                cand, ref, ports, dom_free, config, vector
+            )
+        except (DomainTooLarge, ArithmeticOverflow):
+            bound = _unfolder(bind_inputs(prep.step_a, vector), config)
+            holds, per_port, _, pairs, queries = _check_direction(
+                bound, ref, ports, Domain(_mapped_input_domains(prep)[0]), config
+            )
         if holds:
             return vector, per_port, pairs, queries
         exclude.append(vector)

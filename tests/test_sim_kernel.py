@@ -283,57 +283,15 @@ def test_stored_rows_placed_in_a_wider_space(monkeypatch):
     assert (res.failure.cand_state, res.failure.ref_state) == ("m=1", "m=0")
 
 
-def test_narrowed_bitsets_equal_placed_rows():
-    """``Grid.narrow`` carries row bitsets onto the grid without some names
-    held at one value exactly as placing each row in the stored row holding
-    its values, and the held ones, does; it declines any other grid and a
-    held value outside its type."""
-    import random
+def test_place_reads_held_names_at_their_value():
+    """Placing a grid without some of the stored names, those held at one
+    value, picks per row the stored row holding its values and the held
+    ones; a held value outside its declared range places no row."""
+    from dfcompat.rows import Grid
 
-    from dfcompat.model import EnumType
-    from dfcompat.rows import Grid, row_bitsets
-
-    rng = random.Random(7)
-    types = {"b": BoolType(), "e": EnumType(("lo", "mid", "hi")), "i": IntType(0, 9),
-             "j": IntType(-3, 40), "x": BoolType()}
-    narrowed = 0
-    for _ in range(300):
-        names = sorted(rng.sample(["b", "e", "i", "j"], rng.randint(1, 4)))
-        values = []
-        for n in names:
-            dt = types[n]
-            if isinstance(dt, IntType):  # interval starts, the least value first
-                cuts = rng.sample(range(dt.lo + 1, dt.hi + 1), rng.randint(0, 3))
-                values.append((dt.lo, *sorted(cuts)))
-            else:
-                values.append(domain_values(dt))
-        stored = Grid(tuple(names), tuple(values))
-        count = rng.randint(1, 3)
-        edges = [rng.randrange(count) for _ in range(stored.size)]
-        bits = row_bitsets(enumerate(edges), count, stored.size)
-        held = {}
-        for n in names:
-            if rng.random() < 0.5:
-                dt = types[n]
-                held[n] = rng.randint(dt.lo, dt.hi) if isinstance(dt, IntType) else (
-                    rng.choice(domain_values(dt)))
-        cols = {n: v for n, v in zip(names, values) if n not in held}
-        widened = rng.random() < 0.2
-        if widened:  # a name the stored rows do not have
-            cols["x"] = (False, True)
-        order = tuple(sorted(cols))
-        other = Grid(order, tuple(cols[n] for n in order))
-        got = stored.narrow(bits, other, types, held)
-        if widened:
-            assert got is None
-            continue
-        slots = stored.place(other, types, held)
-        assert got == row_bitsets(
-            ((i, edges[k]) for i, k in enumerate(slots) if k is not None), count, other.size
-        )
-        narrowed += 1
-    assert narrowed > 200
-    # a held value outside its declared range is left to ``place``
-    grid = Grid(("i", "j"), ((0, 5), (-3,)))
-    assert grid.narrow([0b01, 0b10], Grid(("j",), ((-3,),)), types, {"i": 12}) is None
-    assert grid.place(Grid(("j",), ((-3,),)), types, {"i": 12}) == [None]
+    types = {"i": IntType(0, 9), "j": IntType(-3, 40)}
+    grid = Grid(("i", "j"), ((0, 5), (-3, 10)))
+    other = Grid(("j",), ((-3, 12),))
+    assert grid.place(other, types, {"i": 7}) == [2, 3]
+    assert grid.place(other, types, {"i": 4}) == [0, 1]
+    assert grid.place(other, types, {"i": 12}) == [None, None]

@@ -21,7 +21,7 @@ from dfcompat import (
     unfold_to_ts,
 )
 from dfcompat import simcheck
-from dfcompat.errors import DomainError, DomainTooLarge, UnmappedPort
+from dfcompat.errors import ArithmeticOverflow, DomainError, DomainTooLarge, UnmappedPort
 from dfcompat.exprs import Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType, domain_values
 from dfcompat.rows import SPLIT_MIN_VALUES
@@ -673,6 +673,73 @@ def test_fix_rows_are_counted_with_the_extra_inputs_pinned():
     assert report.backward.fixed_inputs == {"k": 5}
     with pytest.raises(DomainTooLarge, match="needs 100000 input rows"):
         check_compatibility(a, b, config=replace(config, output_split=True))
+
+
+# y is u * u where the extra input k is true, once a delay has switched on,
+# else 0; z is k.  A's unfolded state with the delay on reads u by value,
+# 1,000 rows, where A's step with k bound to false reads nothing.
+SQUARE = (
+    "model Square\nin u : int[0,999]\nin k : bool\nout y : int[0,998001]\nout z : bool\n"
+    "block On : Constant(true)\nblock D : UnitDelay(false)\nblock Sq : Product\n"
+    "block Zero : Constant(0)\nblock Arm : Switch\nblock Pick : Switch\n"
+    "wire On -> D.in\nwire u -> Sq.in1\nwire u -> Sq.in2\nwire k -> Arm.ctrl\n"
+    "wire Sq -> Arm.in1\nwire Zero -> Arm.in3\nwire D -> Pick.ctrl\nwire Arm -> Pick.in1\n"
+    "wire Zero -> Pick.in3\nwire Pick -> y\nwire k -> z\n"
+)
+SQUARE_REF = (
+    "model SquareRef\nin u : int[0,999]\nout y : int[0,998001]\nout z : bool\n"
+    "block Zero : Constant(0)\nblock Off : Constant(false)\nwire Zero -> y\nwire Off -> z\n"
+)
+# y is k and 4 * 2**62 > 5 once a delay has switched on, else false; z is
+# k.  Compiled ``and`` evaluates both operands, so A's unfolded state with
+# the delay on overflows, where A's step with k bound to false folds y to
+# false.
+OVERFLOW = (
+    "model Over\nin u : bool\nin k : bool\nout y : bool\nout z : bool\n"
+    "block On : Constant(true)\nblock Off : Constant(false)\nblock D : UnitDelay(false)\n"
+    "block Four : Constant(4)\nblock Big : Gain(4611686018427387904)\n"
+    "block Five : Constant(5)\nblock Gt : Relational(>)\nblock And : Logic(AND)\n"
+    "block Pick : Switch\n"
+    "wire On -> D.in\nwire Four -> Big\nwire Big -> Gt.in1\nwire Five -> Gt.in2\n"
+    "wire k -> And.in1\nwire Gt -> And.in2\nwire D -> Pick.ctrl\nwire And -> Pick.in1\n"
+    "wire Off -> Pick.in3\nwire Pick -> y\nwire k -> z\n"
+)
+OVERFLOW_REF = (
+    "model OverRef\nin u : bool\nout y : bool\nout z : bool\n"
+    "block Off : Constant(false)\nwire Off -> y\nwire Off -> z\n"
+)
+
+
+@pytest.mark.parametrize("text_a,text_b,error", [
+    (SQUARE, SQUARE_REF, DomainTooLarge),
+    (OVERFLOW, OVERFLOW_REF, ArithmeticOverflow),
+])
+def test_an_attempt_the_pinned_search_fails_is_decided_on_the_bound_step(
+    monkeypatch, text_a, text_b, error
+):
+    """The initial agreement on z leaves k = false alone.  Pinned to it, the
+    search over A's own systems reads what binding folds away, and exceeds
+    a budget of 500 rows, or overflows; the attempt is then decided on A's
+    step with k bound, unfolded anew, and the fix is found, as it is
+    without pinning.  Without port splitting the backward check stops at
+    z, which differs at the initial pair, before y reads anything."""
+    config = CheckConfig(solver_budget=500, output_split=False)
+    a, b = parse_model(text_a), parse_model(text_b)
+    prep = prepare(a, b, None, config)
+    dom, _ = simcheck._direction_domains(prep)
+    cand = simcheck._unfolder(prep.step_a, config, {})
+    ref = simcheck._unfolder(prep.step_b, config, {})
+    ports = simcheck._mapped_output_ports(prep)
+    with pytest.raises(error):
+        simcheck._check_direction(cand, ref, ports, dom, config, {"k": False})
+    binds = []
+    real_bind = simcheck.bind_inputs
+    monkeypatch.setattr(
+        simcheck, "bind_inputs", lambda step, c: binds.append(c) or real_bind(step, c)
+    )
+    report = check_compatibility(a, b, config=config)
+    assert report.backward.fixed_inputs == {"k": False}
+    assert binds == [{"k": False}]
 
 
 # ---------------------------------------------------------------------------
