@@ -18,9 +18,11 @@ The ``bound`` column reads each end-to-end metric against its bound in
 median is worse by more than the bound; ``unresolved`` when the old
 quartiles [q1, q3] span more than the bound and not every new run beats
 every old run; ``ok`` otherwise.  Metrics without a bound show ``-``.  The
-column only reports; the exit code does not depend on it.  Each
-checkout runs its own ``dfbench/run.py`` with its own sources; nothing is
-written into either checkout except what the benchmark itself writes.
+column only reports; the exit code does not depend on it.  Under the table,
+each ``unresolved`` metric is listed again with every seed's old and new
+value.  Each checkout runs its own ``dfbench/run.py`` with its own sources;
+nothing is written into either checkout except what the benchmark itself
+writes.
 Standard library only.
 """
 
@@ -86,10 +88,12 @@ def against_bound(old: list[float], new: list[float], sign: int, bound: float) -
 
 
 def table(
+    seeds: list[int],
     runs: list[tuple[dict[str, float], dict[str, float]]],
     better: dict[str, str],
     bounds: dict[str, float],
 ) -> list[str]:
+    unresolved = []
     lines = [f"{'metric':<16} {'old median [q1, q3]':<28} {'new median [q1, q3]':<28} "
              f"{'change':>8} {'wins':>6} {'bound':>10}"]
     for name in runs[0][0]:
@@ -105,6 +109,11 @@ def table(
             f"{fmt(mn) + ' [' + fmt(ln) + ', ' + fmt(hn) + ']':<28} "
             f"{change:>8} {f'{wins}/{len(runs)}':>6} {verdict:>10}"
         )
+        if verdict == "unresolved":
+            unresolved.append((name, old, new))
+    for name, old, new in unresolved:
+        per_seed = ", ".join(f"{s}: {fmt(o)}/{fmt(n)}" for s, o, n in zip(seeds, old, new))
+        lines.append(f"{name} per seed, old/new: {per_seed}")
     return lines
 
 
@@ -136,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{got[args.new]['checks_per_s']:.1f}", file=sys.stderr, flush=True)
         raw[workload] = [{"seed": s, "old": o, "new": n} for s, (o, n) in zip(seeds, runs)]
         print(f"## {workload} (seeds {args.seeds}, {args.seconds:g} s per run)")
-        print("\n".join(table(runs, better, bounds)))
+        print("\n".join(table(seeds, runs, better, bounds)))
         print(flush=True)
     if args.out:
         args.out.write_text(json.dumps(raw, indent=1) + "\n")

@@ -291,14 +291,11 @@ def simulates(
     pinned = pinned or {}
     pin_names = tuple(sorted(pinned))
     pin_cols = tuple((pinned[n],) for n in pin_names)
-    first: dict[str, Value] = {}
 
     def total(row: dict[str, Value]) -> dict[str, Value]:
         """A failure row over some names, every other name at its first
         value, or a pinned name at its pinned one."""
-        if not first:
-            first.update(dom.first_values() | pinned)
-        return first | row
+        return dom.first_values() | pinned | row
 
     # the planner's cache, and the spaces planned per tuple of parts
     cache: dict = {}
@@ -671,19 +668,16 @@ Unfolder = Callable[[tuple[str, ...]], Ts]
 
 
 def _unfolder(
-    step: SymbolicStep, config: CheckConfig,
-    systems: dict[tuple[str, ...], Ts] | None = None,
+    step: SymbolicStep, config: CheckConfig, systems: dict[tuple[str, ...], Ts]
 ) -> Unfolder:
     """Per port group, the step restricted to the group's outputs and
-    unfolded; built once and kept in systems when given."""
+    unfolded; built once and kept in systems."""
     def build(group: tuple[str, ...]) -> Ts:
-        ts = None if systems is None else systems.get(group)
+        ts = systems.get(group)
         if ts is None:
-            ts = unfold_to_ts(
+            ts = systems[group] = unfold_to_ts(
                 restrict_to_outputs(step, group), config.state_budget, config.solver_budget
             )
-            if systems is not None:
-                systems[group] = ts
         return ts
 
     return build
@@ -781,8 +775,8 @@ def fix_free_ports(
     dom_free: Domain,
     ports: Sequence[str],
     config: CheckConfig,
-    ref: Unfolder | None = None,
-    cand: Unfolder | None = None,
+    ref: Unfolder,
+    cand: Unfolder,
 ) -> tuple[dict[str, Value], dict[str, bool], int, int] | None:
     """Search constants for A's extra inputs restoring backward simulation.
 
@@ -793,9 +787,9 @@ def fix_free_ports(
     Returns None when no candidate exists; raises IterationCapExceeded when
     the verification loop runs out of attempts.
 
-    ``cand`` and ``ref`` give A's and B's unfolded systems, with the extra
-    inputs as A's inputs, which every attempt shares; by default they are
-    built here.  Nothing is bound or unfolded per attempt: both systems are
+    ``cand`` and ``ref`` give the systems the check unfolded for A and B,
+    with the extra inputs as A's inputs, which every attempt shares.
+    Nothing is bound or unfolded per attempt: both systems are
     deterministic, so the pinned search visits exactly the pairs reachable
     on the candidate's rows, where each A state takes the transition of its
     stored row holding the candidate's values, as A's step with the extra
@@ -805,17 +799,13 @@ def fix_free_ports(
     read only in an arm the pinned values never take, or an operand of
     ``and(false, ...)``.  A pinned search can so exceed the budget, or
     overflow, where A's step with the values bound does not; only such an
-    attempt is decided on that step, restricted and unfolded anew, which
-    raises where it does.
+    attempt is decided on that step, restricted and unfolded anew, against
+    the same ``ref`` over dom_free, which raises where it does.
     """
     extras = sorted(prep.mapping.extra_inputs_a)
     assert prep.step_a is not None and prep.step_b is not None
     necessary = conjoin(_initial_agreement(prep, ports))
 
-    if cand is None:
-        cand = _unfolder(prep.step_a, config, {})
-    if ref is None:
-        ref = _unfolder(prep.step_b, config, {})
     exclude: list[dict[str, Value]] = []
     for _ in range(config.fix_iterations):
         vector = exists_forall_constants(
@@ -829,9 +819,9 @@ def fix_free_ports(
                 cand, ref, ports, dom_free, config, vector
             )
         except (DomainTooLarge, ArithmeticOverflow):
-            bound = _unfolder(bind_inputs(prep.step_a, vector), config)
+            bound = _unfolder(bind_inputs(prep.step_a, vector), config, {})
             holds, per_port, _, pairs, queries = _check_direction(
-                bound, ref, ports, Domain(_mapped_input_domains(prep)[0]), config
+                bound, ref, ports, dom_free, config
             )
         if holds:
             return vector, per_port, pairs, queries

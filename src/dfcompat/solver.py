@@ -20,7 +20,6 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -79,12 +78,6 @@ class Domain:
     def first_values(self) -> dict[str, Value]:
         """Every name at its first value, which fills in the names a row
         leaves out."""
-        return dict(self._first_values)
-
-    @cached_property
-    def _first_values(self) -> dict[str, Value]:
-        # worked out once per domain: the failure rows of every refuted fix
-        # attempt, which share the backward domain, read the same
         return {n: self.first(n) for n in self.sorted_names()}
 
     def space(self, names: Iterable[str] | None = None) -> int:

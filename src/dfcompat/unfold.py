@@ -326,7 +326,7 @@ class Ts:
     def kept(self) -> dict[str, dict]:
         """What readers work out about single states of this system, kept
         with it and filled on first ask: per question, its answers by
-        argument.  ``output_fn`` and ``label`` keep theirs here, and the
+        argument.  ``output_fn`` keeps its functions here, and the
         simulation (``simcheck._Side``) its parts, cut points and raise
         checks, so both directions of a check, and every fix attempt that
         reads the system, share them."""
@@ -349,11 +349,7 @@ class Ts:
         return dict(zip(self.var_names, self.states[idx]))
 
     def label(self, idx: int) -> str:
-        labels = self.kept.setdefault("label", {})
-        text = labels.get(idx)
-        if text is None:
-            text = labels[idx] = _label(self.var_names, self.states[idx])
-        return text
+        return _label(self.var_names, self.states[idx])
 
     def witness(self, s: int, t: int) -> dict[str, Value]:
         """The least stored row taking state s to state t, as a total

@@ -604,18 +604,24 @@ def _mutate(spec: GenSpec, rng: random.Random) -> None:
             blk["params"][0] = 1 if blk["params"][0] == 0 else 0
 
 
+def _reference_spec(spec_a: GenSpec, rng: random.Random) -> GenSpec:
+    """A reference for spec_a on its interface: the same spec, a tweaked
+    copy, or a new one."""
+    roll = rng.random()
+    if roll < 0.25:
+        return spec_a
+    if roll < 0.6:
+        spec_b = copy.deepcopy(spec_a)
+        _mutate(spec_b, rng)
+        return spec_b
+    return _gen_spec(rng, inputs=spec_a.inputs, out_kind=spec_a.out_kind)
+
+
 def random_model_pair(seed: int) -> tuple[Model, Model]:
     """Two models sharing an interface: identical, tweaked, or regenerated."""
     rng = random.Random(seed)
     spec_a = _gen_spec(rng)
-    roll = rng.random()
-    if roll < 0.25:
-        spec_b = spec_a
-    elif roll < 0.6:
-        spec_b = copy.deepcopy(spec_a)
-        _mutate(spec_b, rng)
-    else:
-        spec_b = _gen_spec(rng, inputs=spec_a.inputs, out_kind=spec_a.out_kind)
+    spec_b = _reference_spec(spec_a, rng)
     if any(k[0] == "wide" for _, k in spec_a.inputs if k != "bool") and rng.random() < 0.5:
         # the candidate accepts a wider range, as a new release may
         spec_a = copy.copy(spec_a)
@@ -623,6 +629,26 @@ def random_model_pair(seed: int) -> tuple[Model, Model]:
             (n, ("wide", k[1] + rng.randint(1, 60)) if k != "bool" and k[0] == "wide" else k)
             for n, k in spec_a.inputs
         ]
+    return (
+        parse_model(render_spec(spec_a, "GenA")),
+        parse_model(render_spec(spec_b, "GenB")),
+    )
+
+
+def narrow_widened_pair(seed: int) -> tuple[Model, Model]:
+    """Two models sharing an interface, drawn as ``random_model_pair`` draws
+    them, where the candidate widens a narrow integer input, i0 of at most
+    five values, by one to three values.  The other one or two inputs are
+    booleans or integers of at most five values, so every direction's
+    domain has at most 8 * 5 * 5 = 200 rows."""
+    rng = random.Random(seed)
+    inputs = [("i0", ("int", rng.randint(1, 4)))]
+    for i in range(1, rng.randint(1, 2) + 1):
+        inputs.append((f"i{i}", "bool" if rng.random() < 0.5 else ("int", rng.randint(1, 4))))
+    spec_a = _gen_spec(rng, inputs=inputs)
+    spec_b = _reference_spec(spec_a, rng)
+    spec_a = copy.copy(spec_a)
+    spec_a.inputs = [("i0", ("int", inputs[0][1][1] + rng.randint(1, 3))), *inputs[1:]]
     return (
         parse_model(render_spec(spec_a, "GenA")),
         parse_model(render_spec(spec_b, "GenB")),

@@ -37,9 +37,13 @@ from helpers import (
     NESTED_REWIRED,
     all_rows,
     load_model,
+    narrow_widened_pair,
     random_model_pair,
     state_rows,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from dfbench import families  # noqa: E402
 
 
 def report_for(cand, ref, **kw):
@@ -286,14 +290,15 @@ def test_counterexample_values_are_the_interpreters():
     assert seen > 20
 
 
-def _shortest_refutation(cand, ref, rows, ports, cap=2000):
+def _shortest_refutation(cand, ref, rows, ports, cap=2000, ranged=True):
     """The length of a shortest input sequence on which the candidate
     interpreter rejects a row or differs from the reference's on a mapped
     output, found by breadth-first search over pairs of interpreter
     states; 0 when there is none, None past cap pairs.  rows are
     (candidate row, reference row) pairs, ports (candidate port, reference
-    port) pairs.  The models are deterministic, so the search is complete
-    once no new pair appears."""
+    port) pairs.  Unless ranged, the candidate steps on rows outside its
+    declared input ranges instead of rejecting them.  The models are
+    deterministic, so the search is complete once no new pair appears."""
     def key(sa, sb):
         return tuple(sorted(sa.items())), tuple(sorted(sb.items()))
 
@@ -305,10 +310,11 @@ def _shortest_refutation(cand, ref, rows, ports, cap=2000):
         nxt = []
         for sa, sb in level:
             for row_a, row_b in rows:
-                try:
-                    cand.validate_inputs(row_a)
-                except DomainError:
-                    return depth
+                if ranged:
+                    try:
+                        cand.validate_inputs(row_a)
+                    except DomainError:
+                        return depth
                 out_a, na = cand.step(sa, row_a)
                 out_b, nb = ref.step(sb, row_b)
                 if any(out_a[pa] != out_b[pb] for pa, pb in ports):
@@ -322,64 +328,138 @@ def _shortest_refutation(cand, ref, rows, ports, cap=2000):
     return 0
 
 
+def _oracle_directions(model_a, model_b):
+    """Per direction of the pair, both ways, whose domain has at most 256
+    rows: where it is, its result, the candidate's and the reference's
+    interpreter, its rows and compared ports as (candidate, reference)
+    pairs, and A's extra inputs' types.  Each direction's domain is built
+    from the ports and the mapping: B's declared mapped inputs (backward)
+    or A's (upward), then A's extra inputs."""
+    for a, b in ((model_a, model_b), (model_b, model_a)):
+        try:
+            report = check_compatibility(a, b)
+        except UnmappedPort:
+            continue
+        if not report.interface_ok:
+            continue
+        flat_a, flat_b = flatten_and_validate(a), flatten_and_validate(b)
+        a_in = {p.name: p.dtype for p in flat_a.inputs}
+        b_in = {p.name: p.dtype for p in flat_b.inputs}
+        b_outs = {p.name for p in flat_b.outputs}
+        mapped = [(pb, pa) for pb, pa in report.mapping if pb in b_in]
+        extras = {n: a_in[n] for n in report.extra_inputs_a}
+        ports = [(pa, pb) for pb, pa in report.mapping if pb in b_outs]
+        interp_a, interp_b = Interpreter(flat_a), Interpreter(flat_b)
+        for res, dtypes, cand, ref in (
+            (report.backward, {pa: b_in[pb] for pb, pa in mapped}, interp_a, interp_b),
+            (report.upward, {pa: a_in[pa] for pb, pa in mapped}, interp_b, interp_a),
+        ):
+            dom = Domain(dtypes | extras)
+            if dom.space() > 256:
+                continue
+            # rows and ports as (A, B) pairs, turned round when B is the candidate
+            rows = [(row, {pb: row[pa] for pb, pa in mapped}) for row in all_rows(dom)]
+            compared = ports
+            if cand is interp_b:
+                rows = [(rb, ra) for ra, rb in rows]
+                compared = [(pb, pa) for pa, pb in ports]
+            where = (report.a_name, report.b_name, res is report.backward)
+            yield where, res, cand, ref, rows, compared, extras
+
+
+def _smaller_vectors_refute(res, cand, ref, rows, compared, extras) -> int:
+    """For a backward direction a fix made hold: the interpreters, with A's
+    extra inputs held at the fixed binding, cannot be driven apart, and
+    with them held at any lexicographically smaller vector whose one-step
+    outputs agree on every row they can.  Returns how many smaller vectors
+    were searched."""
+    def held(c):
+        return [(ra, rb) for ra, rb in rows if all(ra[n] == v for n, v in c.items())]
+
+    def agrees_at_first_step(c):
+        init_a, init_b = cand.initial_state(), ref.initial_state()
+        return all(
+            cand.step(init_a, ra)[0][pa] == ref.step(init_b, rb)[0][pb]
+            for ra, rb in held(c) for pa, pb in compared
+        )
+
+    fixed = res.fixed_inputs
+    assert _shortest_refutation(cand, ref, held(fixed), compared) == 0, fixed
+    names = sorted(extras)
+    searched = 0
+    for combo in itertools.product(*(domain_values(extras[n]) for n in names)):
+        c = dict(zip(names, combo))
+        if c == fixed:
+            return searched
+        if agrees_at_first_step(c):
+            searched += 1
+            assert _shortest_refutation(cand, ref, held(c), compared) > 0, c
+    raise AssertionError(f"{fixed} is not a vector of {extras}")
+
+
 def test_counterexample_is_a_shortest_refutation():
     """A direction is refuted exactly when the interpreters, which share no
     stage with the check past flattening, can be driven apart, and its
     trace is as long as the shortest input sequence that does it; over the
-    bundled pairs and 100 random ones, both ways, where the domain has at
-    most 256 rows.  Each direction's domain is built from the ports and the
-    mapping: B's declared mapped inputs (backward) or A's (upward), then
-    A's extra inputs.  A direction a fix made hold keeps the unfixed
-    counterexample, so the search runs without the fix."""
+    bundled pairs, the constant-fix pairs, 100 random pairs and 100 random
+    pairs whose candidate widens a narrow integer input, both ways, where
+    the domain has at most 256 rows.  A direction a fix made hold keeps the
+    unfixed counterexample, so the search runs without the fix; with the
+    fix, the interpreters agree, and every smaller vector that passes the
+    one-step filter refutes (``_smaller_vectors_refute``).
+
+    One known divergence is counted, not failed: a candidate state whose
+    rows all take one transition answers rows outside the candidate's
+    declared range (``tests/test_sim_kernel.py::
+    test_true_guard_holds_outside_declared_range``), which its interpreter
+    rejects.  On such a direction the interpreter rejects a row before the
+    check refutes, or where it holds; the search with the candidate
+    stepping on rows outside its range then finds the check's trace length
+    (0 where it holds)."""
     # charge_pump's self-check alone walks pairs for about 0.4 s
     pairs = [(load_model(a), load_model(b)) for a, b in FIXTURE_PAIRS if a != "charge_pump"]
-    pairs += [random_model_pair(seed) for seed in range(100)]
-    covered = refuted = fixed = uncovered = 0
-    for model_a, model_b in pairs:
-        for a, b in ((model_a, model_b), (model_b, model_a)):
+    pairs.append((parse_model(DELAY_KEYED), parse_model(DELAY_REF)))
+    for gates in (1, 2):
+        member = families.gated_counter(10, gates, seed=1)
+        pairs.append((parse_model(member.text_a), parse_model(member.text_b)))
+    drawn = [random_model_pair(seed) for seed in range(100)]
+    drawn += [narrow_widened_pair(seed) for seed in range(100)]
+    covered = refuted = fixed = smaller = uncovered = drawn_uncovered = unranged = 0
+    for i, (model_a, model_b) in enumerate(pairs + drawn):
+        for where, res, cand, ref, rows, compared, extras in _oracle_directions(model_a, model_b):
             try:
-                report = check_compatibility(a, b)
-            except UnmappedPort:
+                depth = _shortest_refutation(cand, ref, rows, compared)
+            except DomainError:
                 continue
-            if not report.interface_ok:
+            if depth is None:
                 continue
-            flat_a, flat_b = flatten_and_validate(a), flatten_and_validate(b)
-            a_in = {p.name: p.dtype for p in flat_a.inputs}
-            b_in = {p.name: p.dtype for p in flat_b.inputs}
-            b_outs = {p.name for p in flat_b.outputs}
-            mapped = [(pb, pa) for pb, pa in report.mapping if pb in b_in]
-            extras = {n: a_in[n] for n in report.extra_inputs_a}
-            ports = [(pa, pb) for pb, pa in report.mapping if pb in b_outs]
-            interp_a, interp_b = Interpreter(flat_a), Interpreter(flat_b)
-            for res, dtypes, cand, ref in (
-                (report.backward, {pa: b_in[pb] for pb, pa in mapped}, interp_a, interp_b),
-                (report.upward, {pa: a_in[pa] for pb, pa in mapped}, interp_b, interp_a),
-            ):
-                dom = Domain(dtypes | extras)
-                if dom.space() > 256:
-                    continue
-                # rows and ports as (A, B) pairs, turned round when B is the candidate
-                rows = [(row, {pb: row[pa] for pb, pa in mapped}) for row in all_rows(dom)]
-                compared = ports
-                if cand is interp_b:
-                    rows = [(rb, ra) for ra, rb in rows]
-                    compared = [(pb, pa) for pa, pb in ports]
-                try:
-                    depth = _shortest_refutation(cand, ref, rows, compared)
-                except DomainError:
-                    continue
-                if depth is None:
-                    continue
-                cx = res.counterexample
-                covered += 1
-                refuted += depth > 0
-                fixed += res.fixed_inputs is not None
-                uncovered += cx is not None and cx.kind == "uncovered-input"
-                where = (report.a_name, report.b_name, res is report.backward)
-                assert (cx is not None) == (depth > 0), where
-                assert cx is None or len(cx.rows_a) == depth, where
-    assert covered >= 280 and refuted >= 120, (covered, refuted)
-    assert fixed >= 2 and uncovered >= 3, (fixed, uncovered)
+            cx = res.counterexample
+            got = len(cx.rows_a) if cx else 0
+            covered += 1
+            refuted += depth > 0
+            if res.fixed_inputs is not None:
+                fixed += 1
+                smaller += _smaller_vectors_refute(res, cand, ref, rows, compared, extras)
+            if got != depth:
+                # the known divergence: the interpreter rejects a row first,
+                # and the candidate stepping on such rows gives the check's
+                # result
+                assert 0 < depth and (got == 0 or depth < got), where
+                assert _shortest_refutation(cand, ref, rows, compared, ranged=False) == got, where
+                unranged += 1
+                continue
+            if cx is not None and cx.kind == "uncovered-input":
+                uncovered += 1
+                drawn_uncovered += i >= len(pairs)
+            assert (cx is not None) == (depth > 0), where
+            assert cx is None or len(cx.rows_a) == depth, where
+    assert covered >= 490 and refuted >= 265, (covered, refuted)
+    assert fixed >= 5 and smaller >= 5, (fixed, smaller)
+    assert uncovered >= 7 and drawn_uncovered >= 4, (uncovered, drawn_uncovered)
+    # every divergence comes from the widened pairs' upward directions; the
+    # count changes with the rule, or with any direction that starts to
+    # diverge (an uncovered row the check stops finding, say)
+    assert unranged == 58, unranged
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +581,9 @@ def test_fix_free_ports_direct():
     b_side = {p.name: p.dtype for p in prep.flat_b.inputs}
     extras = {n: prep.step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
     dom = Domain(b_side | extras)
-    fixed = fix_free_ports(prep, dom, ["engaged"], config)
+    ref = simcheck._unfolder(prep.step_b, config, {})
+    cand = simcheck._unfolder(prep.step_a, config, {})
+    fixed = fix_free_ports(prep, dom, ["engaged"], config, ref, cand)
     assert fixed is not None
     binding, per_port, pairs, queries = fixed
     assert binding == {"F": False}
@@ -543,9 +625,6 @@ def test_fix_search_cap_can_be_raised():
     assert report.verdict == "incompatible"
     assert report.backward.fixed_inputs is None
 
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from dfbench import families  # noqa: E402
 
 # an extra integer compared only with constants: each state's rows hold it
 # in two intervals, [0, 150] and [151, 300]
