@@ -46,9 +46,7 @@ from .solver import (
 from .simcheck import (
     CheckConfig,
     CompatReport,
-    _direction_domains,
     _initial_agreement,
-    _mapped_output_ports,
     cfg_and_step,
     checked_system,
     check_compatibility,  # noqa: F401 - dfbench/tracing.py wraps this module's check_compatibility
@@ -237,14 +235,14 @@ def _write_counterexamples(report: CompatReport, outdir: Path, prep) -> None:
 
 def _smt_queries(prep, config: CheckConfig) -> list[tuple[str, str, str]]:
     """(name, script, expected verdict) for the three query shapes used."""
-    dom, _ = _direction_domains(prep)
+    dom = prep.dom_backward
     extras = sorted(prep.mapping.extra_inputs_a)
     enums = {**prep.step_a.enums, **prep.step_b.enums}
     queries: list[tuple[str, str, str]] = []
 
     stage = f"SMT queries of {prep.flat_a.name} and {prep.flat_b.name}"
-    ports = _mapped_output_ports(prep)
-    agreements = _initial_agreement(prep, ports)
+    ports = prep.ports
+    agreements = _initial_agreement(prep)
     for port, agree in zip(ports, agreements):
         diff = Binary("ne", agree.left, agree.right)
         verdict = "sat" if is_sat(diff, dom, config.solver_budget, stage) else "unsat"
@@ -321,7 +319,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 3
 
     prep = prepare(model_a, model_b, overrides, config)
-    report = check_prepared(prep, config)
+    report = check_prepared(prep)
 
     if outdir is not None:
         (outdir / "report.json").write_text(report.to_json() + "\n")

@@ -131,7 +131,7 @@ class Port:
     init: Value | None = None  # hold seed when owned by a conditioned subsystem
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Connection:
     src_block: str
     src_port: str
@@ -160,8 +160,10 @@ class Diagram:
     connections: list[Connection] = field(default_factory=list)
     # each block's ``block_ports``, as the parser computed it once and
     # checked every wire against it; None for a diagram built through the
-    # API, whose tables and wires flattening computes and checks.  A parsed
-    # diagram changed afterwards needs it set to None.
+    # API, whose tables and wires flattening computes and checks, as it does
+    # when the tables name other blocks than the diagram.  A parsed diagram
+    # edited with every block name kept (rewired, parameters changed) needs
+    # it set to None.
     port_tables: dict[str, PortTable] | None = field(default=None, compare=False, repr=False)
 
 
@@ -313,11 +315,11 @@ def _build_level(diagram: Diagram, prefix: str, parent: _Level | None, name_in_p
                  group: tuple[str, ...], enabled: bool) -> _Level:
     """The level of a diagram, and below it those of its subsystems.  One
     pass over its blocks checks their kinds, one over its wires indexes
-    the ports they drive.  A diagram built through the API has its port
-    tables computed and each wire's ends checked here; a parsed one
-    carries both done."""
+    the ports they drive.  A diagram built through the API, or whose port
+    tables name other blocks, has its tables computed and each wire's ends
+    checked here; a parsed one carries both done."""
     lvl = _Level(diagram, prefix, parent, name_in_parent, group, enabled)
-    built = diagram.port_tables is None
+    built = diagram.port_tables is None or diagram.port_tables.keys() != diagram.blocks.keys()
     if not built:
         lvl.tables = diagram.port_tables
     tables, sigs, subs = lvl.tables, lvl.sigs, []
@@ -735,11 +737,18 @@ def _infer_kinds(flat: FlatModel, order: list[str]) -> None:
 @dataclass(frozen=True)
 class PortMapping:
     """Pairs every port of the model under replacement (B) with one of the
-    candidate (A); candidate inputs without a counterpart are listed as free.
+    candidate (A), inputs and outputs apart; candidate inputs without a
+    counterpart are listed as free.
     """
 
-    pairs: tuple[tuple[str, str], ...]  # (b port, a port)
+    inputs: tuple[tuple[str, str], ...]  # (b port, a port)
+    outputs: tuple[tuple[str, str], ...]  # (b port, a port)
     extra_inputs_a: tuple[str, ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """Every (b port, a port) pair, inputs first."""
+        return self.inputs + self.outputs
 
     def a_to_b(self) -> dict[str, str]:
         return {a: b for b, a in self.pairs}
@@ -765,7 +774,7 @@ def derive_port_mapping(
                 f"override {bp} = {ap} crosses port directions"
             )
 
-    pairs: list[tuple[str, str]] = []
+    pairs: dict[str, list[tuple[str, str]]] = {"in": [], "out": []}
     used_a: dict[str, str] = {}
     for name, port in b_ports.items():
         target = overrides.get(name)
@@ -781,20 +790,18 @@ def derive_port_mapping(
                 f"A port {target!r} matched by both {used_a[target]!r} and {name!r}"
             )
         used_a[target] = name
-        pairs.append((name, target))
+        pairs[port.direction].append((name, target))
 
     extra = tuple(
         p.name for p in a.inputs if p.name not in used_a
     )
-    return PortMapping(tuple(pairs), extra)
+    return PortMapping(tuple(pairs["in"]), tuple(pairs["out"]), extra)
 
 
 @dataclass
 class InterfaceReport:
     compatible: bool
     violations: list[tuple[str, str]]
-    dom_b: dict[str, DataType]
-    extra_inputs_a: tuple[str, ...]
 
 
 def check_interface(
@@ -830,5 +837,4 @@ def check_interface(
             if bp.dtype != ap.dtype:
                 violations.append((bname, "output types differ"))
 
-    dom_b = {p.name: p.dtype for p in b.inputs}
-    return InterfaceReport(not violations, violations, dom_b, mapping.extra_inputs_a)
+    return InterfaceReport(not violations, violations)

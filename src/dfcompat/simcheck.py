@@ -583,25 +583,37 @@ def cfg_and_step(
     return cfg, step
 
 
+Unfolder = Callable[[tuple[str, ...]], Ts]
+
+
 @dataclass
 class _Prepared:
+    """A pair worked out once, under its config, for the check, the fix
+    search and the emitters; the fields after config are filled in only
+    when the interface holds."""
+
     flat_a: FlatModel
     flat_b: FlatModel
     mapping: PortMapping
     iface: InterfaceReport
+    config: CheckConfig
     cfg_a: Cfg | None = None
     cfg_b: Cfg | None = None
     step_a: SymbolicStep | None = None
     step_b: SymbolicStep | None = None  # ports renamed onto A's names
-    # per side ("A", "B"), the systems the last check unfolded, by port group
-    systems: dict[str, dict[tuple[str, ...], Ts]] = field(default_factory=dict)
-
-
-def _rename_outputs(step: SymbolicStep, name_map: Mapping[str, str]) -> SymbolicStep:
-    return replace(
-        step,
-        outputs={name_map.get(p, p): e for p, e in step.outputs.items()},
+    # the mapped output ports by A's names, sorted
+    ports: list[str] = field(default_factory=list)
+    # the backward and the upward check's input domains by A's names: B's
+    # or A's declared mapped inputs, then A's extra inputs
+    dom_backward: Domain | None = None
+    dom_upward: Domain | None = None
+    # per side ("A", "B"), the systems unfolded so far, by port group, and
+    # each side's unfolder, which keeps what it builds there
+    systems: dict[str, dict[tuple[str, ...], Ts]] = field(
+        default_factory=lambda: {"A": {}, "B": {}}
     )
+    unfold_a: Unfolder | None = None
+    unfold_b: Unfolder | None = None
 
 
 def prepare(
@@ -614,43 +626,27 @@ def prepare(
     flat_b = flatten_and_validate(model_b, datastore=config.datastore)
     mapping = derive_port_mapping(flat_a, flat_b, overrides or {})
     iface = check_interface(flat_a, flat_b, mapping)
-    prep = _Prepared(flat_a, flat_b, mapping, iface)
+    prep = _Prepared(flat_a, flat_b, mapping, iface, config)
     if not iface.compatible:
         return prep
-    prep.cfg_a, prep.step_a = cfg_and_step(flat_a, config)
+    prep.cfg_a, step_a = cfg_and_step(flat_a, config)
     prep.cfg_b, step_b = cfg_and_step(flat_b, config)
-    b_to_a = {b: a for b, a in mapping.pairs}
-    prep.step_b = _rename_outputs(rename_inputs(step_b, b_to_a), b_to_a)
+    b_to_a = dict(mapping.pairs)
+    step_b = rename_inputs(step_b, b_to_a)
+    step_b = replace(step_b, outputs={b_to_a.get(p, p): e for p, e in step_b.outputs.items()})
+    prep.step_a, prep.step_b = step_a, step_b
+    prep.ports = sorted(a for _, a in mapping.outputs)
+    a_in = {p.name: p.dtype for p in flat_a.inputs}
+    b_in = {p.name: p.dtype for p in flat_b.inputs}
+    extras = {n: step_a.inputs[n] for n in mapping.extra_inputs_a}
+    prep.dom_backward = Domain({a: b_in[b] for b, a in mapping.inputs} | extras)
+    prep.dom_upward = Domain({a: a_in[a] for _, a in mapping.inputs} | extras)
+    prep.unfold_a = _unfolder(step_a, config, prep.systems["A"])
+    prep.unfold_b = _unfolder(step_b, config, prep.systems["B"])
     return prep
 
 
-def _mapped_input_domains(prep: _Prepared) -> tuple[dict, dict]:
-    """Input dtypes keyed by A-side names: (B's declared, A's declared)."""
-    a_in = {p.name: p.dtype for p in prep.flat_a.inputs}
-    b_in = {p.name: p.dtype for p in prep.flat_b.inputs}
-    b_side = {}
-    a_side = {}
-    for b, a in prep.mapping.pairs:
-        if b in b_in:
-            b_side[a] = b_in[b]
-            a_side[a] = a_in[a]
-    return b_side, a_side
-
-
-def _direction_domains(prep: _Prepared) -> tuple[Domain, Domain]:
-    """Input domains of the backward and the upward check, keyed by A-side
-    names: B's or A's declared mapped inputs, then A's extra inputs."""
-    b_side, a_side = _mapped_input_domains(prep)
-    extras = {n: prep.step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
-    return Domain(b_side | extras), Domain(a_side | extras)
-
-
-def _mapped_output_ports(prep: _Prepared) -> list[str]:
-    b_out = {p.name for p in prep.flat_b.outputs}
-    return sorted(a for b, a in prep.mapping.pairs if b in b_out)
-
-
-def _initial_agreement(prep: _Prepared, ports: Sequence[str]) -> list[Binary]:
+def _initial_agreement(prep: _Prepared) -> list[Binary]:
     """Per port, both models' outputs at their initial states set equal."""
     init_a = prep.step_a.initial_state()
     init_b = prep.step_b.initial_state()
@@ -660,11 +656,8 @@ def _initial_agreement(prep: _Prepared, ports: Sequence[str]) -> list[Binary]:
             partial_eval(prep.step_a.outputs[p], init_a),
             partial_eval(prep.step_b.outputs[p], init_b),
         )
-        for p in ports
+        for p in prep.ports
     ]
-
-
-Unfolder = Callable[[tuple[str, ...]], Ts]
 
 
 def _unfolder(
@@ -684,12 +677,12 @@ def _unfolder(
 
 
 def checked_system(prep: _Prepared, tag: str) -> Ts | None:
-    """Side tag's ("A" or "B") system over all its outputs as the last
-    check unfolded it, when restricting the step to them kept every
+    """Side tag's ("A" or "B") system over all its outputs as a check of
+    the pair unfolded it, when restricting the step to them kept every
     variable and input; else None."""
     step = prep.step_a if tag == "A" else prep.step_b
     group = tuple(sorted(step.outputs))
-    ts = prep.systems.get(tag, {}).get(group)
+    ts = prep.systems[tag].get(group)
     if ts is None:
         return None
     whole = set(ts.var_names) == step.vars.keys() and ts.inputs.keys() == step.inputs.keys()
@@ -709,7 +702,8 @@ def _check_direction(
 
     A group's systems are obtained, the candidate's first, only when its
     simulation starts, so errors from building and from simulating them
-    come in group order.
+    come in group order.  Every group runs; the failure kept is a shortest
+    one, the first in group order among those of fewest rows.
     """
     groups: list[tuple[str, ...]]
     if config.output_split and len(ports) > 1:
@@ -726,7 +720,7 @@ def _check_direction(
         queries += res.queries
         for p in group:
             per_port[p] = res.holds
-        if not res.holds and failure is None:
+        if not res.holds and (failure is None or len(res.failure.rows) < len(failure.rows)):
             failure = res.failure
     return all(per_port.values()) if per_port else True, per_port, failure, pairs, queries
 
@@ -770,58 +764,51 @@ def _to_counterexample(
     )
 
 
-def fix_free_ports(
-    prep: _Prepared,
-    dom_free: Domain,
-    ports: Sequence[str],
-    config: CheckConfig,
-    ref: Unfolder,
-    cand: Unfolder,
-) -> tuple[dict[str, Value], dict[str, bool], int, int] | None:
+def fix_free_ports(prep: _Prepared) -> tuple[dict[str, Value], dict[str, bool], int, int] | None:
     """Search constants for A's extra inputs restoring backward simulation.
 
     Candidates must at least equalize all mapped outputs at the initial
     state pair for every shared input; each survivor is then verified by a
-    full simulation run over dom_free, the backward domain, with the extra
-    inputs pinned to the candidate's values, and excluded on failure.
-    Returns None when no candidate exists; raises IterationCapExceeded when
-    the verification loop runs out of attempts.
+    full simulation run over the backward domain, with the extra inputs
+    pinned to the candidate's values, and excluded on failure.  Returns
+    None when no candidate exists; raises IterationCapExceeded when the
+    verification loop runs out of attempts.
 
-    ``cand`` and ``ref`` give the systems the check unfolded for A and B,
-    with the extra inputs as A's inputs, which every attempt shares.
-    Nothing is bound or unfolded per attempt: both systems are
-    deterministic, so the pinned search visits exactly the pairs reachable
-    on the candidate's rows, where each A state takes the transition of its
-    stored row holding the candidate's values, as A's step with the extra
-    inputs bound to them would.
+    Every attempt reads the pair's systems (``prep.unfold_a`` and
+    ``prep.unfold_b``), with the extra inputs as A's inputs, which the
+    check's own directions read too.  Nothing is bound or unfolded per
+    attempt: both systems are deterministic, so the pinned search visits
+    exactly the pairs reachable on the candidate's rows, where each A
+    state takes the transition of its stored row holding the candidate's
+    values, as A's step with the extra inputs bound to them would.
 
     A's unfolded states still read what binding would fold away: a name
     read only in an arm the pinned values never take, or an operand of
     ``and(false, ...)``.  A pinned search can so exceed the budget, or
     overflow, where A's step with the values bound does not; only such an
     attempt is decided on that step, restricted and unfolded anew, against
-    the same ``ref`` over dom_free, which raises where it does.
+    B's same systems over the backward domain, which raises where it does.
     """
+    config, dom, ports, ref = prep.config, prep.dom_backward, prep.ports, prep.unfold_b
     extras = sorted(prep.mapping.extra_inputs_a)
-    assert prep.step_a is not None and prep.step_b is not None
-    necessary = conjoin(_initial_agreement(prep, ports))
+    necessary = conjoin(_initial_agreement(prep))
 
     exclude: list[dict[str, Value]] = []
     for _ in range(config.fix_iterations):
         vector = exists_forall_constants(
-            necessary, extras, dom_free, config.solver_budget, exclude,
+            necessary, extras, dom, config.solver_budget, exclude,
             stage=f"fix search for {prep.flat_a.name}",
         )
         if vector is None:
             return None
         try:
             holds, per_port, _, pairs, queries = _check_direction(
-                cand, ref, ports, dom_free, config, vector
+                prep.unfold_a, ref, ports, dom, config, vector
             )
         except (DomainTooLarge, ArithmeticOverflow):
             bound = _unfolder(bind_inputs(prep.step_a, vector), config, {})
             holds, per_port, _, pairs, queries = _check_direction(
-                bound, ref, ports, dom_free, config
+                bound, ref, ports, dom, config
             )
         if holds:
             return vector, per_port, pairs, queries
@@ -843,21 +830,21 @@ def check_compatibility(
     config: CheckConfig = CheckConfig(),
 ) -> CompatReport:
     """Full pipeline: flatten, align interfaces, unfold, simulate both ways."""
-    return check_prepared(prepare(model_a, model_b, overrides, config), config)
+    return check_prepared(prepare(model_a, model_b, overrides, config))
 
 
-def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
+def check_prepared(prep: _Prepared) -> CompatReport:
     """The check on a pair prepare() built: the interface verdict, then
-    simulation both ways and the constant-fix search."""
-    b_outs = {p.name for p in prep.flat_b.outputs}
+    simulation both ways and the constant-fix search.  Both directions,
+    every fix attempt and the emitted artifacts read the pair's systems,
+    each built on first use."""
     report = CompatReport(
         a_name=prep.flat_a.name,
         b_name=prep.flat_b.name,
         mapping=list(prep.mapping.pairs),
         extra_inputs_a=sorted(prep.mapping.extra_inputs_a),
         extra_outputs_a=sorted(
-            {p.name for p in prep.flat_a.outputs}
-            - {a for b, a in prep.mapping.pairs if b in b_outs}
+            {p.name for p in prep.flat_a.outputs} - {a for _, a in prep.mapping.outputs}
         ),
         interface_ok=prep.iface.compatible,
         interface_violations=list(prep.iface.violations),
@@ -867,29 +854,19 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
     if not prep.iface.compatible:
         return report
 
-    step_a, step_b = prep.step_a, prep.step_b
-    assert step_a is not None and step_b is not None
-    ports = _mapped_output_ports(prep)
-    dom_backward, dom_upward = _direction_domains(prep)
     shared_rows: dict[tuple, dict[str, Value]] = {}
-    # each model's system per port group, built on first use and kept for
-    # this check: both directions, every fix attempt and the emitted
-    # artifacts use the same ones
-    prep.systems = {"A": {}, "B": {}}
-    unfold_a = _unfolder(step_a, config, prep.systems["A"])
-    unfold_b = _unfolder(step_b, config, prep.systems["B"])
 
     def direction(name: str, cand: Unfolder, ref: Unfolder, dom: Domain) -> DirectionResult:
         # a refuted backward direction keeps its counterexample when a
         # constant fix of A's extra inputs makes it hold
         t0 = time.perf_counter()
         holds, per_port, failure, pairs, queries = _check_direction(
-            cand, ref, ports, dom, config
+            cand, ref, prep.ports, dom, prep.config
         )
         cx = None if failure is None else _to_counterexample(prep, failure, name, shared_rows)
         binding = None
         if not holds and name == "backward" and prep.mapping.extra_inputs_a:
-            fixed = fix_free_ports(prep, dom, ports, config, ref, cand)
+            fixed = fix_free_ports(prep)
             if fixed is not None:
                 binding, per_port, pairs_f, queries_f = fixed
                 holds, pairs, queries = True, pairs + pairs_f, queries + queries_f
@@ -897,13 +874,13 @@ def check_prepared(prep: _Prepared, config: CheckConfig) -> CompatReport:
             holds, cx, binding, per_port, pairs, queries, time.perf_counter() - t0
         )
 
-    report.backward = direction("backward", unfold_a, unfold_b, dom_backward)
-    report.upward = direction("upward", unfold_b, unfold_a, dom_upward)
+    report.backward = direction("backward", prep.unfold_a, prep.unfold_b, prep.dom_backward)
+    report.upward = direction("upward", prep.unfold_b, prep.unfold_a, prep.dom_upward)
 
     report.stats = {
-        "a": _step_stats(prep.flat_a, step_a),
-        "b": _step_stats(prep.flat_b, step_b),
-        "mapped_output_ports": ports,
+        "a": _step_stats(prep.flat_a, prep.step_a),
+        "b": _step_stats(prep.flat_b, prep.step_b),
+        "mapped_output_ports": prep.ports,
     }
     return report
 

@@ -383,11 +383,15 @@ def _fmt_params(blk: dict) -> str:
     return str(p[0])
 
 
-def render_spec(spec: GenSpec, name: str) -> str:
+def render_spec(spec: GenSpec, name: str, outs=None) -> str:
+    """The model text of spec; outs, (name, kind, source) per output, is by
+    default the one output y of spec."""
+    outs = outs or [("y", spec.out_kind, spec.out_src)]
     lines = [f"model {name}"]
     for n, kind in spec.inputs:
         lines.append(f"in {n} : {_fmt_kind(kind)}")
-    lines.append(f"out y : {_fmt_kind(spec.out_kind)}")
+    for n, kind, _ in outs:
+        lines.append(f"out {n} : {_fmt_kind(kind)}")
     for blk in spec.blocks:
         params = _fmt_params(blk)
         suffix = f"({params})" if params else ""
@@ -395,7 +399,8 @@ def render_spec(spec: GenSpec, name: str) -> str:
     for blk in spec.blocks:
         for port in sorted(blk["wires"]):
             lines.append(f"wire {blk['wires'][port]} -> {blk['name']}.{port}")
-    lines.append(f"wire {spec.out_src} -> y")
+    for n, _, src in outs:
+        lines.append(f"wire {src} -> {n}")
     return "\n".join(lines) + "\n"
 
 
@@ -652,4 +657,83 @@ def narrow_widened_pair(seed: int) -> tuple[Model, Model]:
     return (
         parse_model(render_spec(spec_a, "GenA")),
         parse_model(render_spec(spec_b, "GenB")),
+    )
+
+
+def _prefixed(spec: GenSpec, prefix: str) -> GenSpec:
+    """spec with every block, and every wire from a block, renamed by
+    prefix."""
+    names = {b["name"] for b in spec.blocks}
+
+    def src(w: str) -> str:
+        return prefix + w if w in names else w
+
+    out = GenSpec(spec.inputs, spec.out_kind)
+    out.blocks = [
+        {"name": prefix + b["name"], "kind": b["kind"], "params": list(b["params"]),
+         "wires": {p: src(w) for p, w in b["wires"].items()}}
+        for b in spec.blocks
+    ]
+    out.out_src = src(spec.out_src)
+    return out
+
+
+def multi_output_pair(seed: int) -> tuple[Model, Model, dict[str, str]]:
+    """A candidate, a reference and the overrides mapping them, with two or
+    three mapped outputs.  Output k of each model is a circuit of its own
+    over the shared inputs, drawn as ``random_model_pair`` draws its one
+    output: the reference's is the candidate's, a tweaked copy or a new
+    one.  Both models delay output k by the same zero to two steps, so
+    ports differ after different numbers of steps.  The reference names
+    its first output r0, mapped onto the candidate's y0 by the override;
+    the candidate also has an output dbg of its own.  In about half the pairs the candidate has an extra input
+    e choosing y0 between the reference's circuit and a tweaked copy, so
+    that e = true may fix the pair.  The shared inputs are one or
+    two booleans or integers of at most five values, so every direction's
+    domain has at most 50 rows.  Drawn apart from ``random_model_pair``,
+    whose draws stay as they are."""
+    rng = random.Random(f"multi-{seed}")
+    inputs = [
+        (f"i{i}", "bool" if rng.random() < 0.5 else ("int", rng.randint(1, 4)))
+        for i in range(rng.randint(1, 2))
+    ]
+    extra = rng.random() < 0.5
+    outs_a, outs_b, blocks_a, blocks_b = [], [], [], []
+
+    def delayed(blocks, src, kind, lag, k):
+        for j in range(lag):
+            params = [False] if kind == "bool" else [0, kind[1]]
+            blocks.append({"name": f"o{k}_lag{j}", "kind": "UnitDelay", "params": params,
+                           "wires": {"in": src}})
+            src = f"o{k}_lag{j}"
+        return src
+
+    for k in range(rng.randint(2, 3)):
+        spec_a = _gen_spec(rng, inputs=inputs)
+        spec_b = spec_a if k == 0 and extra else _reference_spec(spec_a, rng)
+        circ_a, circ_b = _prefixed(spec_a, f"o{k}_"), _prefixed(spec_b, f"o{k}_")
+        blocks_a += circ_a.blocks
+        blocks_b += circ_b.blocks
+        src = circ_a.out_src
+        if k == 0 and extra:
+            alt = copy.deepcopy(spec_a)
+            _mutate(alt, rng)
+            alt = _prefixed(alt, "e_")
+            blocks_a += alt.blocks
+            blocks_a.append({"name": "Pick", "kind": "Switch", "params": [],
+                             "wires": {"ctrl": "e", "in1": src, "in3": alt.out_src}})
+            src = "Pick"
+        if k == 0:
+            outs_a.append(("dbg", spec_a.out_kind, src))
+        lag, kind = rng.randint(0, 2), spec_a.out_kind
+        outs_a.append((f"y{k}", kind, delayed(blocks_a, src, kind, lag, k)))
+        outs_b.append(("r0" if k == 0 else f"y{k}", kind,
+                       delayed(blocks_b, circ_b.out_src, kind, lag, k)))
+    body_a = GenSpec(inputs + [("e", "bool")] if extra else inputs, None)
+    body_b = GenSpec(inputs, None)
+    body_a.blocks, body_b.blocks = blocks_a, blocks_b
+    return (
+        parse_model(render_spec(body_a, "MultiA", outs_a)),
+        parse_model(render_spec(body_b, "MultiB", outs_b)),
+        {"r0": "y0"},
     )

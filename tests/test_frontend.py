@@ -203,6 +203,23 @@ def test_edited_parsed_diagram_is_checked_when_its_tables_are_dropped():
         flatten_and_validate(model)
 
 
+def test_parsed_diagram_with_a_block_added_flattens_as_one_built_through_the_api():
+    """The parser's port tables no longer name every block, so flattening
+    computes the tables and checks every wire itself."""
+    model = parse_model("model M\nin u : bool\nout y : bool\nwire u -> y\n")
+    tables = dict(model.diagram.port_tables)
+    model.diagram.blocks["N"] = Block("N", "Logic", {"op": "NOT"})
+    model.diagram.connections[:] = [
+        Connection("u", "out", "N", "in1"), Connection("N", "out", "y", "in")
+    ]
+    api = parse_model(
+        "model M\nin u : bool\nout y : bool\nblock N : Logic(NOT)\n"
+        "wire u -> N.in1\nwire N -> y.in\n"
+    )
+    assert flatten_and_validate(model) == flatten_and_validate(_rebuilt(api))
+    assert model.diagram.port_tables == tables
+
+
 def test_summarize_runs_generic_passes_a_fixed_number_of_times(monkeypatch):
     calls = []
     for n in (50, 400):

@@ -6,7 +6,6 @@ import pytest
 
 from dfcompat import (
     BoolType,
-    IntType,
     check_interface,
     derive_port_mapping,
     flatten_and_validate,
@@ -296,8 +295,6 @@ def test_interface_accepts_widened_input_range():
     fb = flatten_and_validate(load_model("bands_v0"))
     report = check_interface(fa, fb, derive_port_mapping(fa, fb))
     assert report.compatible
-    assert report.dom_b["u"] == IntType(0, 49)
-    assert report.extra_inputs_a == ()
 
 
 def test_interface_rejects_narrowed_input_range():

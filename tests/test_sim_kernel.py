@@ -20,8 +20,6 @@ from dfcompat.exprs import TRUE, Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType, domain_values
 from dfcompat.simcheck import (
     CheckConfig,
-    _mapped_input_domains,
-    _mapped_output_ports,
     _Side,
     prepare,
 )
@@ -37,18 +35,16 @@ def direction_cases(model_a, model_b):
     prep = prepare(model_a, model_b, None, CheckConfig())
     if not prep.iface.compatible:
         return []
-    b_side, a_side = _mapped_input_domains(prep)
-    extras = {n: prep.step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
     out = []
     for cand, ref, dom in (
-        (prep.step_a, prep.step_b, b_side | extras),
-        (prep.step_b, prep.step_a, a_side | extras),
+        (prep.step_a, prep.step_b, prep.dom_backward),
+        (prep.step_b, prep.step_a, prep.dom_upward),
     ):
-        for port in _mapped_output_ports(prep):
+        for port in prep.ports:
             out.append((
                 unfold_to_ts(restrict_to_outputs(cand, [port])),
                 unfold_to_ts(restrict_to_outputs(ref, [port])),
-                Domain(dom),
+                dom,
             ))
     return out
 

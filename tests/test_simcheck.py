@@ -37,6 +37,7 @@ from helpers import (
     NESTED_REWIRED,
     all_rows,
     load_model,
+    multi_output_pair,
     narrow_widened_pair,
     random_model_pair,
     state_rows,
@@ -328,16 +329,18 @@ def _shortest_refutation(cand, ref, rows, ports, cap=2000, ranged=True):
     return 0
 
 
-def _oracle_directions(model_a, model_b):
+def _oracle_directions(model_a, model_b, overrides=None, config=CheckConfig()):
     """Per direction of the pair, both ways, whose domain has at most 256
     rows: where it is, its result, the candidate's and the reference's
     interpreter, its rows and compared ports as (candidate, reference)
     pairs, and A's extra inputs' types.  Each direction's domain is built
     from the ports and the mapping: B's declared mapped inputs (backward)
-    or A's (upward), then A's extra inputs."""
-    for a, b in ((model_a, model_b), (model_b, model_a)):
+    or A's (upward), then A's extra inputs.  The pair is checked under
+    config, with overrides, turned round when the models are."""
+    turned = {a: b for b, a in (overrides or {}).items()}
+    for a, b, ov in ((model_a, model_b, overrides), (model_b, model_a, turned)):
         try:
-            report = check_compatibility(a, b)
+            report = check_compatibility(a, b, ov, config)
         except UnmappedPort:
             continue
         if not report.interface_ok:
@@ -462,6 +465,38 @@ def test_counterexample_is_a_shortest_refutation():
     assert unranged == 58, unranged
 
 
+def test_multi_output_counterexample_is_a_shortest_refutation():
+    """The oracle of ``test_counterexample_is_a_shortest_refutation`` on 50
+    pairs with two or three mapped outputs, one of them renamed, a
+    candidate-only output and sometimes an extra input
+    (``helpers.multi_output_pair``), with and without port splitting: each
+    direction is refuted exactly when the interpreters can be driven apart
+    on some mapped output, and its trace is as long as the shortest input
+    sequence that does it on any mapped output, whichever port's group
+    the check refutes first."""
+    covered = refuted = fixed = smaller = 0
+    for seed in range(50):
+        model_a, model_b, overrides = multi_output_pair(seed)
+        for split in (True, False):
+            config = CheckConfig(output_split=split)
+            for where, res, cand, ref, rows, compared, extras in _oracle_directions(
+                model_a, model_b, overrides, config
+            ):
+                depth = _shortest_refutation(cand, ref, rows, compared)
+                cx = res.counterexample
+                covered += 1
+                refuted += depth > 0
+                if res.fixed_inputs is not None:
+                    fixed += 1
+                    smaller += _smaller_vectors_refute(res, cand, ref, rows, compared, extras)
+                assert (cx is not None) == (depth > 0), (seed, split, where)
+                assert cx is None or len(cx.rows_a) == depth, (seed, split, where)
+    # both directions of A against B under both configs; B against A leaves
+    # dbg without a counterpart
+    assert covered >= 200 and refuted >= 110, (covered, refuted)
+    assert fixed >= 4 and smaller >= 4, (fixed, smaller)
+
+
 # ---------------------------------------------------------------------------
 # constant search for added ports
 
@@ -578,12 +613,7 @@ def test_fix_attempts_share_reference_systems(monkeypatch):
 def test_fix_free_ports_direct():
     config = CheckConfig()
     prep = prepare(load_model("cruise_v4"), load_model("cruise_v3"), None, config)
-    b_side = {p.name: p.dtype for p in prep.flat_b.inputs}
-    extras = {n: prep.step_a.inputs[n] for n in prep.mapping.extra_inputs_a}
-    dom = Domain(b_side | extras)
-    ref = simcheck._unfolder(prep.step_b, config, {})
-    cand = simcheck._unfolder(prep.step_a, config, {})
-    fixed = fix_free_ports(prep, dom, ["engaged"], config, ref, cand)
+    fixed = fix_free_ports(prep)
     assert fixed is not None
     binding, per_port, pairs, queries = fixed
     assert binding == {"F": False}
@@ -691,13 +721,11 @@ def _pinned_against_bound(model_a, model_b) -> tuple[int, int]:
     group) pairs held and how many did not."""
     config = CheckConfig()
     prep = prepare(model_a, model_b, None, config)
-    dom, _ = simcheck._direction_domains(prep)
-    b_side, _ = simcheck._mapped_input_domains(prep)
-    ports = simcheck._mapped_output_ports(prep)
-    groups = [(p,) for p in ports] if len(ports) > 1 else [tuple(ports)]
-    cand = simcheck._unfolder(prep.step_a, config, {})
-    ref = simcheck._unfolder(prep.step_b, config, {})
+    dom, ports = prep.dom_backward, prep.ports
     extras = sorted(prep.mapping.extra_inputs_a)
+    b_side = {n: t for n, t in dom.dtypes.items() if n not in extras}
+    groups = [(p,) for p in ports] if len(ports) > 1 else [tuple(ports)]
+    cand, ref = prep.unfold_a, prep.unfold_b
     outcomes = [0, 0]
     for combo in itertools.product(*(domain_values(prep.step_a.inputs[n]) for n in extras)):
         c = dict(zip(extras, combo))
@@ -805,12 +833,10 @@ def test_an_attempt_the_pinned_search_fails_is_decided_on_the_bound_step(
     config = CheckConfig(solver_budget=500, output_split=False)
     a, b = parse_model(text_a), parse_model(text_b)
     prep = prepare(a, b, None, config)
-    dom, _ = simcheck._direction_domains(prep)
-    cand = simcheck._unfolder(prep.step_a, config, {})
-    ref = simcheck._unfolder(prep.step_b, config, {})
-    ports = simcheck._mapped_output_ports(prep)
     with pytest.raises(error):
-        simcheck._check_direction(cand, ref, ports, dom, config, {"k": False})
+        simcheck._check_direction(
+            prep.unfold_a, prep.unfold_b, prep.ports, prep.dom_backward, config, {"k": False}
+        )
     binds = []
     real_bind = simcheck.bind_inputs
     monkeypatch.setattr(
@@ -833,6 +859,31 @@ def test_extra_candidate_outputs_ignored():
     )
     report = check_compatibility(a, load_model("limiter_plain"))
     assert report.extra_outputs_a == ["raw"]
+    assert report.verdict == "full"
+
+
+def test_prepare_maps_ports_and_builds_both_domains_once():
+    """Input u and output w are renamed through overrides; y and z are the
+    two mapped outputs, k is A's extra input and dbg A's own output."""
+    a = parse_model(
+        "model Cand\nin v : int[0,20]\nin k : bool\nout y : int[0,20]\nout z : bool\n"
+        "out dbg : bool\nblock Off : Constant(false)\n"
+        "wire v -> y\nwire Off -> z\nwire k -> dbg\n"
+    )
+    b = parse_model(
+        "model Ref\nin u : int[0,10]\nout w : int[0,20]\nout z : bool\n"
+        "block Off : Constant(false)\nwire u -> w\nwire Off -> z\n"
+    )
+    prep = prepare(a, b, {"u": "v", "w": "y"})
+    assert prep.mapping.inputs == (("u", "v"),)
+    assert prep.mapping.outputs == (("w", "y"), ("z", "z"))
+    assert prep.ports == ["y", "z"]
+    assert prep.dom_backward == Domain({"v": IntType(0, 10), "k": BoolType()})
+    assert prep.dom_upward == Domain({"v": IntType(0, 20), "k": BoolType()})
+    report = simcheck.check_prepared(prep)
+    assert report.mapping == [("u", "v"), ("w", "y"), ("z", "z")]
+    assert report.extra_inputs_a == ["k"]
+    assert report.extra_outputs_a == ["dbg"]
     assert report.verdict == "full"
 
 
@@ -898,6 +949,32 @@ def test_joint_output_check_same_verdict():
     assert set(split.backward.per_port) == set(joint.backward.per_port)
     # the joint product explores the full state space; split stays small
     assert joint.backward.pairs > split.backward.pairs
+
+
+# p toggles on a in Toggle and stays false in Steady, so it differs after
+# two steps; q is a in Toggle and not a in Steady, so it differs at once
+TOGGLE = (
+    "model Toggle\nin a : bool\nout p : bool\nout q : bool\n"
+    "block D : UnitDelay(false)\nblock X : Logic(XOR)\n"
+    "wire a -> X.in1\nwire D -> X.in2\nwire X -> D.in\nwire D -> p\nwire a -> q\n"
+)
+STEADY = (
+    "model Steady\nin a : bool\nout p : bool\nout q : bool\n"
+    "block Off : Constant(false)\nblock D : UnitDelay(false)\nblock Inv : Logic(NOT)\n"
+    "wire Off -> D.in\nwire D -> p\nwire a -> Inv.in1\nwire Inv -> q\n"
+)
+
+
+@pytest.mark.parametrize("output_split", [True, False])
+def test_a_refuted_direction_reports_its_shortest_trace(output_split):
+    """With port splitting, p's group is refuted first in port order but
+    after two steps; q's one-step refutation is the one reported, as
+    without splitting."""
+    config = CheckConfig(output_split=output_split)
+    report = check_compatibility(parse_model(TOGGLE), parse_model(STEADY), config=config)
+    for res in (report.backward, report.upward):
+        cx = res.counterexample
+        assert (cx.kind, cx.port, len(cx.rows_a)) == ("output-mismatch", "q", 1)
 
 
 # ---------------------------------------------------------------------------
