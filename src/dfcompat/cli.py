@@ -233,9 +233,9 @@ def _write_counterexamples(report: CompatReport, outdir: Path, prep) -> None:
             )
 
 
-def _smt_queries(prep, config: CheckConfig) -> list[tuple[str, str, str]]:
+def _smt_queries(prep) -> list[tuple[str, str, str]]:
     """(name, script, expected verdict) for the three query shapes used."""
-    dom = prep.dom_backward
+    config, dom = prep.config, prep.dom_backward
     extras = sorted(prep.mapping.extra_inputs_a)
     enums = {**prep.step_a.enums, **prep.step_b.enums}
     queries: list[tuple[str, str, str]] = []
@@ -270,15 +270,14 @@ def _smt_queries(prep, config: CheckConfig) -> list[tuple[str, str, str]]:
     return queries
 
 
-def _write_smt(prep, config: CheckConfig, outdir: Path, solver_cmd: str | None,
-               echo: bool) -> bool:
+def _write_smt(prep, outdir: Path, solver_cmd: str | None, echo: bool) -> bool:
     """Write each SMT query to outdir as <name>.smt2 under its expected
     verdict and, given a solver command, check the verdicts against that
     solver, printing each disagreement; with echo, also print each file
     written and the solver's agreement.  False when the solver disagreed
     or answered unknown."""
     outdir.mkdir(parents=True, exist_ok=True)
-    queries = _smt_queries(prep, config)
+    queries = _smt_queries(prep)
     for name, script, expected in queries:
         path = outdir / f"{name}.smt2"
         path.write_text(f"; expected: {expected}\n{script}")
@@ -340,7 +339,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     )
                     (outdir / f"ts.{tag}.dot").write_text(ts_to_dot(ts))
             if args.emit_smt and not _write_smt(
-                prep, config, outdir / "smt", args.solver_cmd, echo=False
+                prep, outdir / "smt", args.solver_cmd, echo=False
             ):
                 return 4
 
@@ -437,7 +436,7 @@ def _cmd_emit_smt(args: argparse.Namespace) -> int:
         for port, reason in prep.iface.violations:
             print(f"interface: {port}: {reason}", file=sys.stderr)
         return 2
-    return 0 if _write_smt(prep, config, Path(args.artifacts), args.solver_cmd, echo=True) else 4
+    return 0 if _write_smt(prep, Path(args.artifacts), args.solver_cmd, echo=True) else 4
 
 
 def main(argv: list[str] | None = None) -> int:

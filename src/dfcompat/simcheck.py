@@ -258,6 +258,12 @@ def simulates(
     transitions on one row, say under an environment model, would need the
     greatest simulation fixpoint back.
 
+    A pair's successors are discovered in order of their joint move's least
+    row; its joint moves are disjoint, so there are no ties.  Rows, not
+    transition numbers, decide the order: a search that meets no uncovered
+    row, its ``pairs``, ``queries`` and trace, depend neither on how the
+    systems number their transitions nor on which one is the candidate.
+
     The counterexample is the search tree's path to that pair, each step
     the least row of the joint move that first reached the next pair,
     then the pair's least row on which the output of the first differing
@@ -411,7 +417,7 @@ def simulates(
     def bad(i: int) -> SimFailure | None:
         """Pair i's least differing output row, or its least reference row
         no candidate transition takes, as a one-row failure; None once its
-        successors are discovered."""
+        successors are discovered, by their joint move's least row."""
         nonlocal queries
         ai, bi = order[i]
         for port in sorted(ref.outputs[bi]):
@@ -423,6 +429,7 @@ def simulates(
                                   ref.label(bi), expected, actual)
         grid = space((ai, bi), (a.part(ai), b.part(bi)))
         bits_a, bits_b = a.bits(ai, grid), b.bits(bi, grid)
+        found, uncovered = [], None  # (least joint row, successor) per new pair
         for jb, bj in enumerate(ref.rows[bi].targets):
             cover = 0
             for ja, aj in enumerate(cand.rows[ai].targets):
@@ -432,13 +439,16 @@ def simulates(
                     cover |= joint
                     if (aj, bj) not in seen:
                         seen.add((aj, bj))
-                        order.append((aj, bj))
-                        links.append((i, grid, _low(joint)))
+                        found.append((_low(joint), aj, bj))
             rest = bits_b[jb] & ~cover
             if rest:
                 row = total(grid.row(_low(rest)))
-                return SimFailure("uncovered-input", None, [row], cand.label(ai), ref.label(bi))
-        return None
+                uncovered = SimFailure("uncovered-input", None, [row], cand.label(ai), ref.label(bi))
+                break
+        for low, aj, bj in sorted(found):
+            order.append((aj, bj))
+            links.append((i, grid, low))
+        return uncovered
 
     for i, _ in enumerate(order):
         failure = bad(i)
@@ -515,6 +525,8 @@ class CompatReport:
         if back:
             return "backward-only"
         if up:
+            # reached by no input: dom_backward lies inside dom_upward, so a
+            # holding upward direction implies a holding backward one
             return "upward-only"
         return "incompatible"
 
@@ -837,7 +849,13 @@ def check_prepared(prep: _Prepared) -> CompatReport:
     """The check on a pair prepare() built: the interface verdict, then
     simulation both ways and the constant-fix search.  Both directions,
     every fix attempt and the emitted artifacts read the pair's systems,
-    each built on first use."""
+    each built on first use.
+
+    When both directions have one domain, one search serves both: each
+    side's rows cover its declared ranges, which are the domain, so no row
+    is uncovered, and the upward search would visit the backward one's
+    pairs mirrored (``simulates``).  The upward result is the backward
+    direction's unfixed one with the states and the outputs swapped."""
     report = CompatReport(
         a_name=prep.flat_a.name,
         b_name=prep.flat_b.name,
@@ -855,14 +873,22 @@ def check_prepared(prep: _Prepared) -> CompatReport:
         return report
 
     shared_rows: dict[tuple, dict[str, Value]] = {}
+    searched: dict[str, tuple] = {}  # per direction, its unfixed search
 
     def direction(name: str, cand: Unfolder, ref: Unfolder, dom: Domain) -> DirectionResult:
         # a refuted backward direction keeps its counterexample when a
         # constant fix of A's extra inputs makes it hold
         t0 = time.perf_counter()
-        holds, per_port, failure, pairs, queries = _check_direction(
-            cand, ref, prep.ports, dom, prep.config
-        )
+        if name == "upward" and dom == prep.dom_backward:
+            holds, per_port, failure, pairs, queries = searched["backward"]
+            per_port = dict(per_port)  # the backward result keeps its own
+            assert failure is None or failure.kind == "output-mismatch", failure
+            if failure is not None:
+                failure = replace(failure, cand_state=failure.ref_state, ref_state=failure.cand_state,
+                                  expected=failure.actual, actual=failure.expected)
+        else:
+            searched[name] = _check_direction(cand, ref, prep.ports, dom, prep.config)
+            holds, per_port, failure, pairs, queries = searched[name]
         cx = None if failure is None else _to_counterexample(prep, failure, name, shared_rows)
         binding = None
         if not holds and name == "backward" and prep.mapping.extra_inputs_a:

@@ -255,7 +255,7 @@ def test_criterion_10_external_solver_agreement():
     checked = 0
     for cand, ref in FIXTURE_PAIRS:
         prep = prepare(load_model(cand), load_model(ref), None, config)
-        for name, script, expected in _smt_queries(prep, config):
+        for name, script, expected in _smt_queries(prep):
             got = run_solver_cmd(cmd, script)
             assert got == expected, f"{cand} vs {ref}: {name}"
             checked += 1

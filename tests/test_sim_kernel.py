@@ -213,7 +213,10 @@ def test_hand_built_guards_over_different_names(monkeypatch):
 
     The reference's rows are written by hand: its first transition, the
     one row p & q == 2 takes, leads to m=1, while an unfolding numbers
-    transitions by their least row, (p, q) = (false, 0), which stays."""
+    transitions by their least row, (p, q) = (false, 0), which stays.
+    Successors are discovered by their joint move's least row, not by
+    transition number, so the candidate's move into m=1 with the reference
+    staying at m=0, first taken at (p, q) = (true, 0), comes first."""
     p = InputRef("p")
     dom = Domain.of(p=BoolType(), q=IntType(0, 2))
     ref = Ts(
@@ -234,10 +237,53 @@ def test_hand_built_guards_over_different_names(monkeypatch):
     answered = record_bits(monkeypatch)
     res = simulates(cand, ref, dom)
     assert not res.holds
-    # the least reference row of p & q == 2 leads the candidate into m=1
-    assert res.failure.rows == [{"p": True, "q": 2}, {"p": False, "q": 0}]
-    assert res.failure.cand_state == "m=1" and res.failure.ref_state == "m=1"
+    # the least row into a bad pair leads the candidate into m=1 alone
+    assert res.failure.rows == [{"p": True, "q": 0}, {"p": False, "q": 0}]
+    assert res.failure.cand_state == "m=1" and res.failure.ref_state == "m=0"
     assert_bits_match_guards(answered)
+
+
+def test_transition_numbering_leaves_the_search_unchanged():
+    """Numbering a hand-built state's transitions otherwise, its targets and
+    the edges naming them, changes nothing: successors are discovered by
+    their joint move's least row.  The candidate's m=1 differs from every
+    reference state, and p = true leads the reference from m=0 to m=2,
+    m=1 or m=0 as q is 0, 1 or 2, so the first bad pair is (m=1, m=2),
+    whichever reference transition is numbered first."""
+    names, values = ("p", "q"), ((False, True), (0, 1, 2))
+
+    def system(name, inputs, init_rows, outputs):
+        # state 0 takes init_rows; every other state returns to it
+        return Ts(
+            name=name, var_names=("m",), states=[(k,) for k in range(len(outputs))], init=0,
+            outputs=[{"y": Const(o)} for o in outputs], inputs=inputs,
+            rows=[init_rows, *(state_rows((), (), [0], [0]) for _ in outputs[1:])],
+        )
+
+    def renumbered(names, values, edges, targets, perm):
+        # transition j becomes transition perm[j]
+        moved = [0] * len(targets)
+        for j, t in enumerate(targets):
+            moved[perm[j]] = t
+        return state_rows(names, values, [perm[e] for e in edges], moved)
+
+    dom = Domain.of(p=BoolType(), q=IntType(0, 2))
+    results = []
+    for perm_c in itertools.permutations(range(2)):
+        cand = system("Cand", {"p": BoolType()},
+                      renumbered(("p",), ((False, True),), [0, 1], [0, 1], perm_c), [0, 1])
+        for perm_r in itertools.permutations(range(3)):
+            ref = system("Ref", dict(dom.dtypes),
+                         renumbered(names, values, [0, 1, 0, 2, 1, 0], [0, 1, 2], perm_r),
+                         [0, 0, 0])
+            res = simulates(cand, ref, dom)
+            results.append((res, res.visited))
+    res, visited = results[0]
+    assert res.failure.rows == [{"p": True, "q": 0}, {"p": False, "q": 0}]
+    assert (res.failure.cand_state, res.failure.ref_state) == ("m=1", "m=2")
+    assert visited == (("m=0", "m=0"), ("m=0", "m=1"), ("m=1", "m=2"), ("m=1", "m=1"),
+                       ("m=1", "m=0"))
+    assert all(r == results[0] for r in results)
 
 
 def test_counterexample_rows_are_shared():

@@ -33,6 +33,7 @@ from helpers import (
     EXPECTED_VERDICTS,
     FIXTURE_PAIRS,
     MIRROR,
+    MODELS_DIR,
     NESTED_ENABLED,
     NESTED_REWIRED,
     all_rows,
@@ -497,6 +498,61 @@ def test_multi_output_counterexample_is_a_shortest_refutation():
     assert fixed >= 4 and smaller >= 4, (fixed, smaller)
 
 
+def _mirror_cases():
+    """Every pair the mirror test checks: ``random_model_pair`` seeds 0-299
+    in both orders and 2458, whose upward trace once differed from the
+    mirrored backward one, ``multi_output_pair`` seeds 0-299 with their
+    overrides, and every ordered pair of bundled models."""
+    for seed in (*range(300), 2458):
+        a, b = random_model_pair(seed)
+        yield f"random {seed}", a, b, None
+        yield f"random {seed} swapped", b, a, None
+    for seed in range(300):
+        yield f"multi {seed}", *multi_output_pair(seed)
+    names = sorted(p.stem for p in MODELS_DIR.glob("*.dfm"))
+    for cand, ref in itertools.product(names, repeat=2):
+        yield f"{cand} vs {ref}", load_model(cand), load_model(ref), None
+
+
+def test_equal_domains_upward_search_mirrors_backward():
+    """``check_prepared`` builds the upward direction from the backward
+    one's unfixed search when both have one domain.  Both searches run
+    here on every such case, and the upward one must be the backward one
+    with the two states and the two outputs swapped.  On every case, equal
+    domains or not, a holding upward search implies a holding backward
+    one, so the verdict ``upward-only`` is reached by no input."""
+    equal = refuted = 0
+    for where, model_a, model_b, overrides in _mirror_cases():
+        try:
+            prep = prepare(model_a, model_b, overrides)
+        except UnmappedPort:
+            continue
+        if not prep.iface.compatible:
+            continue
+        searched = []
+        for cand, ref, dom in ((prep.unfold_a, prep.unfold_b, prep.dom_backward),
+                               (prep.unfold_b, prep.unfold_a, prep.dom_upward)):
+            try:
+                searched.append(simcheck._check_direction(cand, ref, prep.ports, dom, prep.config))
+            except (DomainTooLarge, ArithmeticOverflow) as exc:
+                searched.append(type(exc))
+        back, up = searched
+        assert not isinstance(up, tuple) or not up[0] or isinstance(back, tuple) and back[0], where
+        if prep.dom_backward != prep.dom_upward:
+            continue
+        equal += 1
+        if not isinstance(back, tuple):
+            assert up is back, where
+            continue
+        holds, per_port, failure, pairs, queries = back
+        if failure is not None:
+            refuted += 1
+            failure = replace(failure, cand_state=failure.ref_state, ref_state=failure.cand_state,
+                              expected=failure.actual, actual=failure.expected)
+        assert up == (holds, per_port, failure, pairs, queries), where
+    assert equal >= 830 and refuted >= 410, (equal, refuted)
+
+
 # ---------------------------------------------------------------------------
 # constant search for added ports
 
@@ -605,9 +661,9 @@ def test_fix_attempts_share_reference_systems(monkeypatch):
     assert sorted(unfolds) == [
         ("Keyed", ("y",)), ("Keyed", ("z",)), ("Ref", ("y",)), ("Ref", ("z",)),
     ]
-    # two port groups per search: unpinned backward, k false, k true, upward
-    assert pins == [None, None, {"k": False}, {"k": False}, {"k": True}, {"k": True},
-                    None, None]
+    # two port groups per search: unpinned backward, k false, k true; both
+    # directions have one domain, so the upward result mirrors the first
+    assert pins == [None, None, {"k": False}, {"k": False}, {"k": True}, {"k": True}]
 
 
 def test_fix_free_ports_direct():
