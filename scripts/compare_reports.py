@@ -15,8 +15,11 @@ the exit code, the standard output and error, ``report.json`` without
 Each checkout collects its results in a process of its own, running this
 file with its own sources, tests and dfbench on the path; both run at once,
 and neither writes bytecode into its checkout.
-Every path at which a case's results differ is printed, one line each;
-the exit code is 1 when any case differs.  Standard library only.
+Every path at which a case's results differ is printed, one line each,
+then per path, list indices dropped, the number of cases differing there
+(``.verdict 26``), so that a deliberate change can be checked against
+its expected counts; the exit code is 1 when any case differs.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -130,7 +134,7 @@ def differences(old, new, path: str = ""):
             if o != n:
                 yield from differences(o, n, f"{path}[{i}]")
         return
-    yield f"{path or '.'}: {json.dumps(old)[:300]} -> {json.dumps(new)[:300]}"
+    yield path or ".", old, new
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,12 +167,16 @@ def main(argv: list[str] | None = None) -> int:
         results.append(json.loads(out))
     old, new = results
     differ = 0
+    tally: dict[str, set[str]] = {}  # per path, indices dropped, the cases
     for key in list(old) + [k for k in new if k not in old]:
         if old.get(key) != new.get(key):
             differ += 1
-            for where in differences(old.get(key), new.get(key)):
-                print(f"DIFF {key} {where}")
+            for path, o, n in differences(old.get(key), new.get(key)):
+                print(f"DIFF {key} {path}: {json.dumps(o)[:300]} -> {json.dumps(n)[:300]}")
+                tally.setdefault(re.sub(r"\[\d+\]", "", path), set()).add(key)
     print(f"{len(old.keys() | new.keys())} cases, {differ} differ")
+    for path, keys in sorted(tally.items()):
+        print(f"{path} {len(keys)}")
     return 1 if differ else 0
 
 

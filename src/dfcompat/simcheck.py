@@ -140,15 +140,15 @@ class _Side:
     A state's transitions share one part: its stored names and row values,
     the interval starts of an input split into intervals and None for one
     with a row per value.  A state whose rows all take one transition has
-    the guard TRUE, with no names, which holds on every row of the domain,
-    also outside the system's declared input range.  A state's part, its
-    outputs' parts, cut points and functions, and whether an output raises
-    on some rows depend on the system alone: they are kept with it
-    (``Ts.kept``), so both directions of a check, and every fix attempt
-    reading the system, answer each once.  The direction's own are the row
-    bitsets per query space: the unfolding's bitsets serve the space with
-    the state's own rows, and on any other space each row is placed in the
-    stored row holding its values.
+    the guard TRUE, with no names, which holds on every row of the domain;
+    only a direct ``simulates`` call, not the check, passes a domain wider
+    than the candidate's declared ranges.  A state's part, its outputs'
+    parts, cut points and functions, and whether an output raises on some
+    rows depend on the system alone: they are kept with it (``Ts.kept``), so
+    the check's search, and every fix attempt reading the system, answer
+    each once.  The direction's own are the row bitsets per query space: the
+    unfolding's bitsets serve the space with the state's own rows, and on
+    any other space each row is placed in the stored row holding its values.
 
     Inputs pinned to a value are held: they are left out of every part, so
     no query's rows name them, and each row of a space is placed in the
@@ -263,6 +263,9 @@ def simulates(
     transition numbers, decide the order: a search that meets no uncovered
     row, its ``pairs``, ``queries`` and trace, depend neither on how the
     systems number their transitions nor on which one is the candidate.
+    The check passes no domain wider than the candidate's declared ranges
+    (``check_prepared``); on a direct caller's, a candidate state with one
+    transition takes a row outside them, one whose rows split does not.
 
     The counterexample is the search tree's path to that pair, each step
     the least row of the joint move that first reached the next pair,
@@ -508,8 +511,8 @@ class CompatReport:
     extra_outputs_a: list[str]
     interface_ok: bool
     interface_violations: list[tuple[str, str]]  # (port, reason)
-    backward: DirectionResult | None
-    upward: DirectionResult | None
+    backward: DirectionResult | None = None
+    upward: DirectionResult | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -524,11 +527,9 @@ class CompatReport:
             return "full"
         if back:
             return "backward-only"
-        if up:
-            # reached by no input: dom_backward lies inside dom_upward, so a
-            # holding upward direction implies a holding backward one
-            return "upward-only"
-        return "incompatible"
+        # upward holds only when no input is widened and the mirrored backward
+        # search holds, so the backward direction holds too: reached by no input
+        return "upward-only" if up else "incompatible"
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -717,12 +718,7 @@ def _check_direction(
     come in group order.  Every group runs; the failure kept is a shortest
     one, the first in group order among those of fewest rows.
     """
-    groups: list[tuple[str, ...]]
-    if config.output_split and len(ports) > 1:
-        groups = [(p,) for p in ports]
-    else:
-        groups = [tuple(ports)]
-
+    groups = [(p,) for p in ports] if config.output_split and len(ports) > 1 else [tuple(ports)]
     per_port: dict[str, bool] = {}
     failure: SimFailure | None = None
     pairs = queries = 0
@@ -846,16 +842,16 @@ def check_compatibility(
 
 
 def check_prepared(prep: _Prepared) -> CompatReport:
-    """The check on a pair prepare() built: the interface verdict, then
-    simulation both ways and the constant-fix search.  Both directions,
-    every fix attempt and the emitted artifacts read the pair's systems,
-    each built on first use.
-
-    When both directions have one domain, one search serves both: each
-    side's rows cover its declared ranges, which are the domain, so no row
-    is uncovered, and the upward search would visit the backward one's
-    pairs mirrored (``simulates``).  The upward result is the backward
-    direction's unfixed one with the states and the outputs swapped."""
+    """The check on a pair prepare() built: the interface verdict, the
+    backward search and the constant-fix search, which read the pair's
+    systems as the emitted artifacts do, each built on first use, and the
+    upward direction decided from the backward search.  A row outside B's
+    declared range of a mapped input is a row B takes in no state.  With no
+    input widened, upward is the unfixed backward result mirrored, states
+    and outputs swapped (``simulates``).  Where A widens one, upward fails
+    at step 1 on every port: on the mirrored backward mismatch when that is
+    at step 1, an in-range row, else on the least row of A's domain outside
+    B's ranges, uncovered at the initial pair."""
     report = CompatReport(
         a_name=prep.flat_a.name,
         b_name=prep.flat_b.name,
@@ -866,42 +862,46 @@ def check_prepared(prep: _Prepared) -> CompatReport:
         ),
         interface_ok=prep.iface.compatible,
         interface_violations=list(prep.iface.violations),
-        backward=None,
-        upward=None,
     )
     if not prep.iface.compatible:
         return report
 
     shared_rows: dict[tuple, dict[str, Value]] = {}
-    searched: dict[str, tuple] = {}  # per direction, its unfixed search
+    t0 = time.perf_counter()
+    holds, per_port, failure, pairs, queries = searched = _check_direction(
+        prep.unfold_a, prep.unfold_b, prep.ports, prep.dom_backward, prep.config)
+    assert failure is None or failure.kind == "output-mismatch", failure  # A's ranges hold B's
+    # a refuted backward direction keeps its counterexample when a constant
+    # fix of A's extra inputs makes it hold
+    cx = None if failure is None else _to_counterexample(prep, failure, "backward", shared_rows)
+    binding = None
+    if not holds and prep.mapping.extra_inputs_a and (fixed := fix_free_ports(prep)):
+        binding, per_port, pairs_f, queries_f = fixed
+        holds, pairs, queries = True, pairs + pairs_f, queries + queries_f
+    report.backward = DirectionResult(holds, cx, binding, per_port, pairs, queries,
+                                      time.perf_counter() - t0)
 
-    def direction(name: str, cand: Unfolder, ref: Unfolder, dom: Domain) -> DirectionResult:
-        # a refuted backward direction keeps its counterexample when a
-        # constant fix of A's extra inputs makes it hold
-        t0 = time.perf_counter()
-        if name == "upward" and dom == prep.dom_backward:
-            holds, per_port, failure, pairs, queries = searched["backward"]
-            per_port = dict(per_port)  # the backward result keeps its own
-            assert failure is None or failure.kind == "output-mismatch", failure
-            if failure is not None:
-                failure = replace(failure, cand_state=failure.ref_state, ref_state=failure.cand_state,
-                                  expected=failure.actual, actual=failure.expected)
-        else:
-            searched[name] = _check_direction(cand, ref, prep.ports, dom, prep.config)
-            holds, per_port, failure, pairs, queries = searched[name]
-        cx = None if failure is None else _to_counterexample(prep, failure, name, shared_rows)
-        binding = None
-        if not holds and name == "backward" and prep.mapping.extra_inputs_a:
-            fixed = fix_free_ports(prep)
-            if fixed is not None:
-                binding, per_port, pairs_f, queries_f = fixed
-                holds, pairs, queries = True, pairs + pairs_f, queries + queries_f
-        return DirectionResult(
-            holds, cx, binding, per_port, pairs, queries, time.perf_counter() - t0
-        )
-
-    report.backward = direction("backward", prep.unfold_a, prep.unfold_b, prep.dom_backward)
-    report.upward = direction("upward", prep.unfold_b, prep.unfold_a, prep.dom_upward)
+    t0 = time.perf_counter()
+    holds, per_port, failure, pairs, queries = searched
+    back, up = prep.dom_backward.dtypes, prep.dom_upward.dtypes
+    widened = sorted(n for n in up if up[n] != back[n])  # int ranges only (check_interface)
+    per_port = dict.fromkeys(per_port, False) if widened else dict(per_port)
+    if failure is not None:
+        failure = replace(failure, cand_state=failure.ref_state, ref_state=failure.cand_state,
+                          expected=failure.actual, actual=failure.expected)
+    if widened and (failure is None or len(failure.rows) > 1):
+        row = prep.dom_upward.first_values()
+        if all(up[n].lo == back[n].lo for n in widened):
+            row[widened[-1]] = back[widened[-1]].hi + 1
+        # the initial pair of _check_direction's first port group
+        group = tuple(prep.ports[:1] if prep.config.output_split else prep.ports)
+        cand, ref = prep.unfold_b(group), prep.unfold_a(group)
+        failure = SimFailure("uncovered-input", None, [row], cand.label(cand.init),
+                             ref.label(ref.init))
+        pairs, queries = 1, 0
+    cx = None if failure is None else _to_counterexample(prep, failure, "upward", shared_rows)
+    report.upward = DirectionResult(holds and not widened, cx, None, per_port, pairs, queries,
+                                    time.perf_counter() - t0)
 
     report.stats = {
         "a": _step_stats(prep.flat_a, prep.step_a),

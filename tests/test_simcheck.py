@@ -292,15 +292,14 @@ def test_counterexample_values_are_the_interpreters():
     assert seen > 20
 
 
-def _shortest_refutation(cand, ref, rows, ports, cap=2000, ranged=True):
+def _shortest_refutation(cand, ref, rows, ports, cap=2000):
     """The length of a shortest input sequence on which the candidate
     interpreter rejects a row or differs from the reference's on a mapped
     output, found by breadth-first search over pairs of interpreter
     states; 0 when there is none, None past cap pairs.  rows are
     (candidate row, reference row) pairs, ports (candidate port, reference
-    port) pairs.  Unless ranged, the candidate steps on rows outside its
-    declared input ranges instead of rejecting them.  The models are
-    deterministic, so the search is complete once no new pair appears."""
+    port) pairs.  The models are deterministic, so the search is complete
+    once no new pair appears."""
     def key(sa, sb):
         return tuple(sorted(sa.items())), tuple(sorted(sb.items()))
 
@@ -312,11 +311,10 @@ def _shortest_refutation(cand, ref, rows, ports, cap=2000, ranged=True):
         nxt = []
         for sa, sb in level:
             for row_a, row_b in rows:
-                if ranged:
-                    try:
-                        cand.validate_inputs(row_a)
-                    except DomainError:
-                        return depth
+                try:
+                    cand.validate_inputs(row_a)
+                except DomainError:
+                    return depth
                 out_a, na = cand.step(sa, row_a)
                 out_b, nb = ref.step(sb, row_b)
                 if any(out_a[pa] != out_b[pb] for pa, pb in ports):
@@ -412,14 +410,10 @@ def test_counterexample_is_a_shortest_refutation():
     fix, the interpreters agree, and every smaller vector that passes the
     one-step filter refutes (``_smaller_vectors_refute``).
 
-    One known divergence is counted, not failed: a candidate state whose
-    rows all take one transition answers rows outside the candidate's
-    declared range (``tests/test_sim_kernel.py::
-    test_true_guard_holds_outside_declared_range``), which its interpreter
-    rejects.  On such a direction the interpreter rejects a row before the
-    check refutes, or where it holds; the search with the candidate
-    stepping on rows outside its range then finds the check's trace length
-    (0 where it holds)."""
+    A row outside the candidate's declared range is one its interpreter
+    rejects in every state, and one the check's candidate takes in none, so
+    every direction, an upward one over a widened input included, has the
+    interpreter search's verdict and trace length."""
     # charge_pump's self-check alone walks pairs for about 0.4 s
     pairs = [(load_model(a), load_model(b)) for a, b in FIXTURE_PAIRS if a != "charge_pump"]
     pairs.append((parse_model(DELAY_KEYED), parse_model(DELAY_REF)))
@@ -428,7 +422,7 @@ def test_counterexample_is_a_shortest_refutation():
         pairs.append((parse_model(member.text_a), parse_model(member.text_b)))
     drawn = [random_model_pair(seed) for seed in range(100)]
     drawn += [narrow_widened_pair(seed) for seed in range(100)]
-    covered = refuted = fixed = smaller = uncovered = drawn_uncovered = unranged = 0
+    covered = refuted = fixed = smaller = uncovered = drawn_uncovered = 0
     for i, (model_a, model_b) in enumerate(pairs + drawn):
         for where, res, cand, ref, rows, compared, extras in _oracle_directions(model_a, model_b):
             try:
@@ -438,20 +432,11 @@ def test_counterexample_is_a_shortest_refutation():
             if depth is None:
                 continue
             cx = res.counterexample
-            got = len(cx.rows_a) if cx else 0
             covered += 1
             refuted += depth > 0
             if res.fixed_inputs is not None:
                 fixed += 1
                 smaller += _smaller_vectors_refute(res, cand, ref, rows, compared, extras)
-            if got != depth:
-                # the known divergence: the interpreter rejects a row first,
-                # and the candidate stepping on such rows gives the check's
-                # result
-                assert 0 < depth and (got == 0 or depth < got), where
-                assert _shortest_refutation(cand, ref, rows, compared, ranged=False) == got, where
-                unranged += 1
-                continue
             if cx is not None and cx.kind == "uncovered-input":
                 uncovered += 1
                 drawn_uncovered += i >= len(pairs)
@@ -460,10 +445,6 @@ def test_counterexample_is_a_shortest_refutation():
     assert covered >= 490 and refuted >= 265, (covered, refuted)
     assert fixed >= 5 and smaller >= 5, (fixed, smaller)
     assert uncovered >= 7 and drawn_uncovered >= 4, (uncovered, drawn_uncovered)
-    # every divergence comes from the widened pairs' upward directions; the
-    # count changes with the rule, or with any direction that starts to
-    # diverge (an uncovered row the check stops finding, say)
-    assert unranged == 58, unranged
 
 
 def test_multi_output_counterexample_is_a_shortest_refutation():
@@ -551,6 +532,53 @@ def test_equal_domains_upward_search_mirrors_backward():
                               expected=failure.actual, actual=failure.expected)
         assert up == (holds, per_port, failure, pairs, queries), where
     assert equal >= 830 and refuted >= 410, (equal, refuted)
+
+
+def test_widened_upward_refutes_at_step_one():
+    """A row outside B's declared range of a mapped input is a row B takes
+    in no state, so an upward direction over an input A widens is refuted
+    at step 1 on every port: by the backward mismatch mirrored when the
+    backward search fails at step 1, on a row B's interpreter accepts,
+    else by the least row of A's domain that B's interpreter rejects, as
+    an uncovered input.  Every widened case of ``narrow_widened_pair``
+    seeds 0-99 and ``random_model_pair`` seeds 0-299, both ways."""
+    mirrored = uncovered = 0
+    pairs = [narrow_widened_pair(seed) for seed in range(100)]
+    pairs += [random_model_pair(seed) for seed in range(300)]
+    for i, (model_a, model_b) in enumerate(pairs):
+        for a, b in ((model_a, model_b), (model_b, model_a)):
+            prep = prepare(a, b)
+            if not prep.iface.compatible or prep.dom_backward == prep.dom_upward:
+                continue
+            report = simcheck.check_prepared(prep)
+            where = (i, report.a_name, report.b_name)
+            up, back = report.upward, report.backward.counterexample
+            cx, interp_b = up.counterexample, Interpreter(prep.flat_b)
+            assert not up.holds and not any(up.per_port.values()), where
+            assert len(cx.rows_a) == len(cx.rows_b) == 1, where
+            if back is not None and len(back.rows_a) == 1:
+                mirrored += 1
+                assert cx == replace(back, direction="upward", cand_state=back.ref_state,
+                                     ref_state=back.cand_state, expected=back.actual,
+                                     actual=back.expected), where
+                interp_b.validate_inputs(cx.rows_b[0])
+                continue
+            uncovered += 1
+            assert cx.kind == "uncovered-input" and (up.pairs, up.queries) == (1, 0), where
+            with pytest.raises(DomainError):
+                interp_b.validate_inputs(cx.rows_b[0])
+            # the least row of A's domain, in lexicographic order, that B rejects
+            dom, to_b = prep.dom_upward, prep.mapping.a_to_b()
+            names = dom.sorted_names()
+            for combo in itertools.product(*map(dom.values, names)):
+                row = dict(zip(names, combo))
+                try:
+                    interp_b.validate_inputs({to_b[n]: v for n, v in row.items() if n in to_b})
+                except DomainError:
+                    break
+            assert cx.rows_a == [row], where
+    # 45 random and 100 narrow directions widen an input
+    assert mirrored >= 55 and uncovered >= 90, (mirrored, uncovered)
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +968,8 @@ def test_prepare_maps_ports_and_builds_both_domains_once():
     assert report.mapping == [("u", "v"), ("w", "y"), ("z", "z")]
     assert report.extra_inputs_a == ["k"]
     assert report.extra_outputs_a == ["dbg"]
-    assert report.verdict == "full"
+    # A widens v from [0,10] to [0,20], which B does not take
+    assert report.verdict == "backward-only"
 
 
 def test_interface_mismatch_short_circuits():
