@@ -85,19 +85,14 @@ class Grid:
             picked.append(vals[r])
         return dict(zip(self.names, reversed(picked)))
 
-    def index(self, row: Mapping[str, Value], dtypes: Mapping[str, DataType]) -> int | None:
-        """The row standing for the values row gives the names, None when
-        one lies outside its type in dtypes."""
-        return self.place(Grid(self.names, tuple((row[n],) for n in self.names)), dtypes)[0]
-
     def place(
         self, other: "Grid", dtypes: Mapping[str, DataType],
         held: Mapping[str, Value] | None = None,
-    ) -> list[int | None]:
-        """Per row of other, the row standing for its values, None where
-        one lies outside its type in dtypes.  other has every name of this
-        grid but those held at one value; its other names do not matter."""
-        slots: list[int | None] = [0]
+    ) -> list[int]:
+        """Per row of other, the row standing for its values, each of which
+        lies inside its type in dtypes.  other has every name of this grid
+        but those held at one value; its other names do not matter."""
+        slots = [0]
         own = dict(zip(self.names, self.values))
         cols: Iterable = zip(other.names, other.values)
         if held:
@@ -107,16 +102,12 @@ class Grid:
             if mine is None:
                 slots = [k for k in slots for _ in vals]
                 continue
-            dt, width = dtypes[n], len(mine)
-            if isinstance(dt, IntType):
-                pos = [bisect.bisect_right(mine, v) - 1 if dt.lo <= v <= dt.hi else None
-                       for v in vals]
+            if isinstance(dtypes[n], IntType):
+                pos = [bisect.bisect_right(mine, v) - 1 for v in vals]
             else:
-                pos = [mine.index(v) if v in mine else None for v in vals]
-            slots = [
-                None if k is None or p is None else k * width + p
-                for k in slots for p in pos
-            ]
+                pos = list(map(mine.index, vals))
+            width = len(mine)
+            slots = [k * width + p for k in slots for p in pos]
         return slots
 
 
@@ -147,16 +138,15 @@ def plan(
     where: Callable[[tuple[str, ...]], str],
     cache: dict | None = None,
     times: int = 1,
-    ends: Mapping[str, Collection[int]] | None = None,
     split: Split | None = None,
 ) -> Grid:
     """The rows of a query over the names of uses.
 
     uses gives each name the cut points of its comparisons with constants,
     or None when the query reads its value otherwise.  An integer with cut
-    points takes one row per interval of them and of its ``ends``, at the
-    interval's least value; every other name takes every declared value,
-    unless split.  With ``INTERVAL_ROWS`` off every name takes every value.
+    points takes one row per interval of them, at the interval's least
+    value; every other name takes every declared value, unless split.  With
+    ``INTERVAL_ROWS`` off every name takes every value.
     Each name's rows are None (every declared value) or (least, greatest)
     segments each value of which is a row; they are counted, times
     ``times``, before any value list is built, and a query over the budget
@@ -166,7 +156,6 @@ def plan(
     names dtypes does not declare.
     """
     names = tuple(sorted(uses))
-    ends = ends or {}
     cache = {} if cache is None else cache
     segs: list[tuple[tuple[int, int], ...] | None] = [None] * len(names)
     sizes: list[int] = []
@@ -177,12 +166,12 @@ def plan(
             declared_names(uses, dtypes)  # raises, naming every undeclared name
         size = None
         if c is not None:
-            s = interval_starts(dt, {*c, *ends.get(n, ())})
+            s = interval_starts(dt, c)
             if s is not None:
                 segs[k], size = tuple((lo, lo) for lo in s), len(s)
         elif (split is not None and isinstance(dt, IntType)
               and domain_size(dt) > SPLIT_MIN_VALUES and (at := split.cuts(n)) is not None):
-            s = interval_starts(dt, {*at, *ends.get(n, ())})
+            s = interval_starts(dt, at)
             if s is not None and (split.whole or len(s) > 1):
                 cut[k] = spans(dt, s)
                 segs[k] = tuple((lo, min(lo + split.keep - 1, hi)) for lo, hi in cut[k])

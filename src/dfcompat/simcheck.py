@@ -24,7 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ArithmeticOverflow, DomainTooLarge, IterationCapExceeded
+from .errors import ArithmeticOverflow, DomainError, DomainTooLarge, IterationCapExceeded
 from .exprs import (
     Binary,
     Expr,
@@ -43,6 +43,7 @@ from .model import (
     check_interface,
     derive_port_mapping,
     domain_size,
+    dtype_str,
     flatten_and_validate,
 )
 from .cfg import Cfg, extract_cfg, sorted_order
@@ -140,15 +141,14 @@ class _Side:
     A state's transitions share one part: its stored names and row values,
     the interval starts of an input split into intervals and None for one
     with a row per value.  A state whose rows all take one transition has
-    the guard TRUE, with no names, which holds on every row of the domain;
-    only a direct ``simulates`` call, not the check, passes a domain wider
-    than the candidate's declared ranges.  A state's part, its outputs'
-    parts, cut points and functions, and whether an output raises on some
-    rows depend on the system alone: they are kept with it (``Ts.kept``), so
-    the check's search, and every fix attempt reading the system, answer
-    each once.  The direction's own are the row bitsets per query space: the
-    unfolding's bitsets serve the space with the state's own rows, and on
-    any other space each row is placed in the stored row holding its values.
+    the guard TRUE, with no names, which holds on every row of the domain.
+    A state's part, its outputs' parts, cut points and functions, and
+    whether an output raises on some rows depend on the system alone: they
+    are kept with it (``Ts.kept``), so the check's search, and every fix
+    attempt reading the system, answer each once.  The direction's own are
+    the row bitsets per query space: the unfolding's bitsets serve the space
+    with the state's own rows, and on any other space each row is placed in
+    the stored row holding its values.
 
     Inputs pinned to a value are held: they are left out of every part, so
     no query's rows name them, and each row of a space is placed in the
@@ -231,11 +231,8 @@ class _Side:
         elif stored.names == space.names and stored.values == space.values:
             bits = stored.bits
         else:
-            # a row outside the declared ranges takes no transition
-            edges = stored.edges
             slots = stored.place(space, self.ts.inputs, self.held)
-            placed = ((i, edges[k]) for i, k in enumerate(slots) if k is not None)
-            bits = row_bitsets(placed, count, space.size)
+            bits = row_bitsets(enumerate(map(stored.edges.__getitem__, slots)), count, space.size)
         self._bits[key] = bits
         return bits
 
@@ -263,9 +260,9 @@ def simulates(
     transition numbers, decide the order: a search that meets no uncovered
     row, its ``pairs``, ``queries`` and trace, depend neither on how the
     systems number their transitions nor on which one is the candidate.
-    The check passes no domain wider than the candidate's declared ranges
-    (``check_prepared``); on a direct caller's, a candidate state with one
-    transition takes a row outside them, one whose rows split does not.
+    dom must lie inside both systems' declared types of the names they
+    declare, as the check's domains do (``check_prepared``); any other
+    raises DomainError before the search starts.
 
     The counterexample is the search tree's path to that pair, each step
     the least row of the joint move that first reached the next pair,
@@ -306,18 +303,19 @@ def simulates(
         value, or a pinned name at its pinned one."""
         return dom.first_values() | pinned | row
 
+    what = f"simulating {ref.name} by {cand.name}"
+    for ts in (cand, ref):
+        for n, declared in ts.inputs.items():
+            dt = dom.dtypes.get(n, declared)
+            if dt != declared and not (
+                isinstance(dt, IntType) and isinstance(declared, IntType)
+                and declared.lo <= dt.lo and dt.hi <= declared.hi
+            ):
+                raise DomainError(f"{what}: the domain's {n} : {dtype_str(dt)} is not "
+                                  f"inside {ts.name}'s {dtype_str(declared)}")
     # the planner's cache, and the spaces planned per tuple of parts
     cache: dict = {}
     spaces: dict[tuple[Part, ...], Grid] = {}
-    # both systems' declared range ends refine every integer's intervals, so
-    # the candidate's extra range, or the part of the domain it does not
-    # declare, is an interval of its own
-    ends: dict[str, set[int]] = {}
-    for ts in (cand, ref):
-        for n, dt in ts.inputs.items():
-            if isinstance(dt, IntType):
-                ends.setdefault(n, set()).update((dt.lo, dt.hi + 1))
-    what = f"simulating {ref.name} by {cand.name}"
 
     def space(pair: tuple[int, int], parts: tuple[Part, ...], split: Split | None = None) -> Grid:
         """The rows of a query over these parts, asked at the state pair:
@@ -337,7 +335,7 @@ def simulates(
         grid = plan(
             uses, dom.dtypes, budget, what,
             lambda _: f" in candidate state {cand.label(ai)}, reference state {ref.label(bi)}",
-            cache, ends=ends, split=split,
+            cache, split=split,
         )
         if split is None:
             spaces[parts] = grid
@@ -349,11 +347,11 @@ def simulates(
 
         When the outputs read one integer name by value, and both read it
         affinely (``box_reads``) within each interval of their cut points,
-        the planner may split its range at those cut points and both
-        systems' range ends, and each interval takes its two least values:
-        on it, the difference of two affine functions that is zero at both
-        is zero throughout, so a row value's outputs differ from the row's
-        at most where they do at the next one.  Evaluating the outputs at
+        the planner may split its range at those cut points, and each
+        interval takes its two least values: on it, the difference of two
+        affine functions that is zero at both is zero throughout, so a row
+        value's outputs differ from the row's at most where they do at the
+        next one.  Evaluating the outputs at
         the interval's greatest value, for every row of the other names,
         must not raise: affine nodes are monotone, so none raises anywhere
         in the interval.  An interval where one does takes every value, and
@@ -702,6 +700,12 @@ def checked_system(prep: _Prepared, tag: str) -> Ts | None:
     return ts if whole else None
 
 
+def _port_groups(ports: Sequence[str], config: CheckConfig) -> list[tuple[str, ...]]:
+    """The port groups a direction simulates, in order: one per mapped
+    output port under ``output_split``, else all ports jointly."""
+    return [(p,) for p in ports] if config.output_split and len(ports) > 1 else [tuple(ports)]
+
+
 def _check_direction(
     cand: Unfolder,
     ref: Unfolder,
@@ -718,11 +722,10 @@ def _check_direction(
     come in group order.  Every group runs; the failure kept is a shortest
     one, the first in group order among those of fewest rows.
     """
-    groups = [(p,) for p in ports] if config.output_split and len(ports) > 1 else [tuple(ports)]
     per_port: dict[str, bool] = {}
     failure: SimFailure | None = None
     pairs = queries = 0
-    for group in groups:
+    for group in _port_groups(ports, config):
         res = simulates(cand(group), ref(group), dom, config.solver_budget, pinned)
         pairs += res.pairs
         queries += res.queries
@@ -894,7 +897,7 @@ def check_prepared(prep: _Prepared) -> CompatReport:
         if all(up[n].lo == back[n].lo for n in widened):
             row[widened[-1]] = back[widened[-1]].hi + 1
         # the initial pair of _check_direction's first port group
-        group = tuple(prep.ports[:1] if prep.config.output_split else prep.ports)
+        group = _port_groups(prep.ports, prep.config)[0]
         cand, ref = prep.unfold_b(group), prep.unfold_a(group)
         failure = SimFailure("uncovered-input", None, [row], cand.label(cand.init),
                              ref.label(ref.init))

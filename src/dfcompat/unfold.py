@@ -475,22 +475,24 @@ def run_ts(
     """Execute an input trace on an unfolded transition system: each input
     row takes the transition of the stored row standing for its values.
 
-    A state with one transition takes it on every row; in any other,
-    an input outside the system's declared domain raises DomainError.  A
-    state's outputs are the system's own (``Ts.output_fn``), compiled once
-    per set of names the rows give.
+    A row giving a declared input a value outside its type raises
+    DomainError, in every state.  A state's outputs are the system's own
+    (``Ts.output_fn``), compiled once per set of names the rows give.
     """
     state = ts.init
     out: list[dict[str, Value]] = []
     for row in rows:
-        names, values = tuple(row), tuple(row.values())
-        out.append({p: ts.output_fn(state, p, names)(values) for p in ts.outputs[state]})
-        stored = ts.rows[state]
-        i = stored.index(row, ts.inputs) if len(stored.targets) > 1 else 0
-        if i is None:
+        if not all(in_domain(ts.inputs[n], v) for n, v in row.items() if n in ts.inputs):
             raise DomainError(
                 f"state {ts.label(state)}: no transition for inputs {dict(row)}"
             )
+        names, values = tuple(row), tuple(row.values())
+        out.append({p: ts.output_fn(state, p, names)(values) for p in ts.outputs[state]})
+        stored = ts.rows[state]
+        i = 0
+        if len(stored.targets) > 1:
+            (i,) = stored.place(Grid(stored.names, tuple((row[n],) for n in stored.names)),
+                                ts.inputs)
         state = stored.targets[stored.edges[i]]
     return out
 

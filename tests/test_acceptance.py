@@ -128,10 +128,10 @@ def test_criterion_04_guard_cover_and_uncovered_witness():
     assert cover.residual_witness is None
     assert len(cover.chosen) == 2
 
-    reverse = simulates(v1, v2, dom_of("bands_v2"))
+    reverse = check_compatibility(load_model("bands_v2"), load_model("bands_v1")).upward
     assert not reverse.holds
-    assert reverse.failure.kind == "uncovered-input"
-    assert reverse.failure.rows == [{"u": 70}]
+    assert reverse.counterexample.kind == "uncovered-input"
+    assert reverse.counterexample.rows_a == [{"u": 70}]
 
 
 def test_criterion_05_free_port_fixing():

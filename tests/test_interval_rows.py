@@ -283,13 +283,17 @@ def wide_step(name, outputs, updates):
     )
 
 
-def hand_built(name):
-    """One state whose two transitions each take one value of a declared
-    u : int[0, 1], so a wider domain reads u by value."""
+NARROW = IntType(0, 1000)
+
+
+def hand_built(name, read):
+    """One state whose two transitions split the values of read : int[0,
+    1000], stored value by value, so a query over it reads it by value."""
+    values = domain_values(NARROW)
     return Ts(
         name=name, var_names=(), states=[()], init=0, outputs=[{"y": Const(0)}],
-        inputs={"u": IntType(0, 1)},
-        rows=[state_rows(("u",), ((0, 1),), [0, 1], [0, 0])],
+        inputs={read: NARROW},
+        rows=[state_rows((read,), (values,), [v % 2 for v in values], [0, 0])],
     )
 
 
@@ -306,8 +310,9 @@ REFUSALS = {
         "unfolding Wide needs 1000001 input rows in state m=0 (budget 1000)",
     ),
     "simulate space": (
-        lambda: simulates(hand_built("A"), hand_built("B"), Domain.of(u=WIDE), 1000),
-        "simulating B by A needs 1000001 input rows in candidate state s0, "
+        lambda a=hand_built("A", "u"), b=hand_built("B", "v"):
+            simulates(a, b, Domain.of(u=NARROW, v=NARROW), 1000),
+        "simulating B by A needs 1002001 input rows in candidate state s0, "
         "reference state s0 (budget 1000)",
     ),
     "simulate output_space": (
@@ -339,7 +344,8 @@ REFUSALS = {
 def test_query_refused_before_any_rows_are_built(stage):
     """u, read by value, has 1,000,001 values: listing them would take
     about 36 MB, so a peak under 1 MB shows the rows were counted, not
-    built."""
+    built.  The two names of ``hand_built``, each read by value, make
+    1,002,001 rows, refused before their bitsets are built."""
     refused, message = REFUSALS[stage]
     tracemalloc.start()
     try:

@@ -12,10 +12,14 @@ import bisect
 import contextlib
 import itertools
 import math
+import re
 
 import pytest
 
-from dfcompat import ArithmeticOverflow, DfcError, Domain, check_compatibility, parse_model, simulates, unfold_to_ts
+from dfcompat import (
+    ArithmeticOverflow, DfcError, Domain, DomainError, check_compatibility, parse_model, simulates,
+    unfold_to_ts,
+)
 from dfcompat.exprs import TRUE, Binary, Const, InputRef, Ite, VarRef, eval_expr
 from dfcompat.model import BoolType, IntType, domain_values
 from dfcompat.simcheck import (
@@ -25,27 +29,22 @@ from dfcompat.simcheck import (
 )
 from dfcompat.solver import sat_witness
 from dfcompat.symbolic import SymbolicStep, restrict_to_outputs
-from dfcompat.unfold import Ts
+from dfcompat.unfold import Ts, run_ts
 from helpers import FIXTURE_PAIRS, LATE_WRAP, MOD12, load_model, random_model_pair, state_rows
 
 
 def direction_cases(model_a, model_b):
-    """(candidate, reference, domain) per direction and mapped output port,
-    as check_compatibility builds them."""
+    """(candidate, reference, domain) per mapped output port for the
+    backward direction, as check_compatibility searches it, and for its
+    mirror, B as the candidate, over the same domain."""
     prep = prepare(model_a, model_b, None, CheckConfig())
     if not prep.iface.compatible:
         return []
     out = []
-    for cand, ref, dom in (
-        (prep.step_a, prep.step_b, prep.dom_backward),
-        (prep.step_b, prep.step_a, prep.dom_upward),
-    ):
-        for port in prep.ports:
-            out.append((
-                unfold_to_ts(restrict_to_outputs(cand, [port])),
-                unfold_to_ts(restrict_to_outputs(ref, [port])),
-                dom,
-            ))
+    for port in prep.ports:
+        a = unfold_to_ts(restrict_to_outputs(prep.step_a, [port]))
+        b = unfold_to_ts(restrict_to_outputs(prep.step_b, [port]))
+        out += [(a, b, prep.dom_backward), (b, a, prep.dom_backward)]
     return out
 
 
@@ -149,29 +148,33 @@ def _latch_step(name, lo, hi, threshold):
     )
 
 
-def test_true_guard_holds_outside_declared_range(monkeypatch):
+def test_domain_outside_declared_range_refused():
+    """A domain must lie inside both systems' declared types: a candidate
+    whose state takes one transition, one whose rows split, and a reference
+    narrower than the domain are each refused before the search."""
     dom = Domain.of(u=IntType(0, 5))
     wide = unfold_to_ts(_latch_step("Wide", 0, 5, 10))
-    # every row of [0, 3] reaches m = true, so the guard is TRUE and also
-    # answers u = 4 and 5, which the narrow system never declared
-    narrow = unfold_to_ts(_latch_step("Narrow", 0, 3, 10))
-    assert narrow.transitions[0] == [(TRUE, 1)]
-    answered = record_bits(monkeypatch)
-    assert simulates(narrow, wide, dom).holds
-    assert_bits_match_guards(answered)
+    one = unfold_to_ts(_latch_step("Narrow", 0, 3, 10))
+    split = unfold_to_ts(_latch_step("Narrow", 0, 3, 2))
+    assert one.transitions[0] == [(TRUE, 1)] and len(split.transitions[0]) == 2
+    for cand, ref in ((one, wide), (split, wide), (wide, split)):
+        with pytest.raises(DomainError, match=re.escape(
+            f"simulating {ref.name} by {cand.name}: the domain's u : int[0,5] is not "
+            "inside Narrow's int[0,3]"
+        )):
+            simulates(cand, ref, dom)
+    # inside both declared ranges the search runs
+    assert simulates(one, wide, Domain.of(u=IntType(0, 3))).holds
 
 
-def test_listed_guard_fails_outside_declared_range(monkeypatch):
-    dom = Domain.of(u=IntType(0, 5))
-    wide = unfold_to_ts(_latch_step("Wide", 0, 5, 2))
-    narrow = unfold_to_ts(_latch_step("Narrow", 0, 3, 2))
-    assert len(narrow.transitions[0]) == 2
-    answered = record_bits(monkeypatch)
-    res = simulates(narrow, wide, dom)
-    assert not res.holds
-    assert res.failure.kind == "uncovered-input"
-    assert res.failure.rows == [{"u": 4}]
-    assert_bits_match_guards(answered)
+def test_run_ts_refuses_out_of_range_inputs_in_every_state():
+    """A row outside the declared range takes no transition, also in a
+    state whose rows all take one."""
+    one = unfold_to_ts(_latch_step("Narrow", 0, 3, 10))
+    assert len(one.rows[one.init].targets) == 1
+    assert run_ts(one, [{"u": 3}]) == [{"y": False}]
+    with pytest.raises(DomainError, match="no transition for inputs"):
+        run_ts(one, [{"u": 5}])
 
 
 def _single_state(name, out):
@@ -328,7 +331,7 @@ def test_stored_rows_placed_in_a_wider_space(monkeypatch):
 def test_place_reads_held_names_at_their_value():
     """Placing a grid without some of the stored names, those held at one
     value, picks per row the stored row holding its values and the held
-    ones; a held value outside its declared range places no row."""
+    ones."""
     from dfcompat.rows import Grid
 
     types = {"i": IntType(0, 9), "j": IntType(-3, 40)}
@@ -336,4 +339,3 @@ def test_place_reads_held_names_at_their_value():
     other = Grid(("j",), ((-3, 12),))
     assert grid.place(other, types, {"i": 7}) == [2, 3]
     assert grid.place(other, types, {"i": 4}) == [0, 1]
-    assert grid.place(other, types, {"i": 12}) == [None, None]
