@@ -124,6 +124,15 @@ def counter_text(name: str, top: int) -> str:
     )
 
 
+def latch_text(name: str, hi: int, threshold: int) -> str:
+    """y shows m, which latches u < threshold each step, over u : int[0, hi]."""
+    return (
+        f"model {name}\nin u : int[0,{hi}]\nout y : bool\nblock M : UnitDelay(false)\n"
+        f"block T : Constant({threshold})\nblock Lt : Relational(<)\n"
+        "wire u -> Lt.in1\nwire T -> Lt.in2\nwire Lt -> M.in\nwire M -> y\n"
+    )
+
+
 # the late counter wraps one count after the mod-12 one: the states agree
 # for twelve increments, so refuting it takes a 13-step counterexample, the
 # search's path through twelve good pairs to the first bad one

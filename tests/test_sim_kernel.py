@@ -30,7 +30,9 @@ from dfcompat.simcheck import (
 from dfcompat.solver import sat_witness
 from dfcompat.symbolic import SymbolicStep, restrict_to_outputs
 from dfcompat.unfold import Ts, run_ts
-from helpers import FIXTURE_PAIRS, LATE_WRAP, MOD12, load_model, random_model_pair, state_rows
+from helpers import (
+    FIXTURE_PAIRS, LATE_WRAP, MOD12, latch_text, load_model, random_model_pair, state_rows,
+)
 
 
 def direction_cases(model_a, model_b):
@@ -165,6 +167,42 @@ def test_domain_outside_declared_range_refused():
             simulates(cand, ref, dom)
     # inside both declared ranges the search runs
     assert simulates(one, wide, Domain.of(u=IntType(0, 3))).holds
+
+
+def _widened_latch(threshold, monkeypatch):
+    """The state of Narrow, u : int[0, 3], and the check of Wide, the same
+    latch over u : int[0, 5], against it, every bitset it answered checked
+    against the guards."""
+    wide = parse_model(latch_text("Wide", 5, threshold))
+    narrow = parse_model(latch_text("Narrow", 3, threshold))
+    answered = record_bits(monkeypatch)
+    report = check_compatibility(wide, narrow)
+    assert answered
+    assert_bits_match_guards(answered)
+    state = unfold_to_ts(prepare(wide, narrow).step_b).transitions[0]
+    return state, report
+
+
+def test_true_guard_holds_outside_declared_range(monkeypatch):
+    """Every row of Narrow's [0, 3] reaches m = true, so its state's one
+    guard is TRUE and holds on u = 4 and 5 too, which Narrow never
+    declared.  The guard does not answer there: the upward direction is
+    refuted on u = 4, as it is where the rows split."""
+    state, report = _widened_latch(10, monkeypatch)
+    assert state == [(TRUE, 1)] and eval_expr(TRUE, {"u": 4})
+    assert report.backward.holds and not report.upward.holds
+    assert report.upward.counterexample.kind == "uncovered-input"
+    assert report.upward.counterexample.rows_a == [{"u": 4}]
+
+
+def test_listed_guard_fails_outside_declared_range(monkeypatch):
+    """Narrow's rows split at u = 2 into two listed guards, neither of
+    which holds on u = 4: the upward direction is refuted there."""
+    state, report = _widened_latch(2, monkeypatch)
+    assert len(state) == 2 and not any(eval_expr(g, {"u": 4}) for g, _ in state)
+    assert report.backward.holds and not report.upward.holds
+    assert report.upward.counterexample.kind == "uncovered-input"
+    assert report.upward.counterexample.rows_a == [{"u": 4}]
 
 
 def test_run_ts_refuses_out_of_range_inputs_in_every_state():

@@ -37,6 +37,7 @@ from helpers import (
     NESTED_ENABLED,
     NESTED_REWIRED,
     all_rows,
+    latch_text,
     load_model,
     multi_output_pair,
     narrow_widened_pair,
@@ -196,6 +197,26 @@ def test_outputs_compared_only_inside_domain():
     assert not res.holds
     assert res.failure.kind == "output-mismatch"
     assert res.failure.rows == [{"u": 6}]
+
+
+def test_partial_guard_coverage_reported_as_uncovered():
+    """B declares u : int[0, 3], and its rows, which m's update splits,
+    cover none of u = 4 and 5 that A adds: upward is refuted at step 1 on
+    the least of them, an uncovered input on no port, which B's own
+    interpreter rejects."""
+    prep = prepare(parse_model(latch_text("Wide", 5, 2)), parse_model(latch_text("Narrow", 3, 2)))
+    assert len(unfold_to_ts(prep.step_b).transitions[0]) == 2
+    report = simcheck.check_prepared(prep)
+    assert report.verdict == "backward-only"
+    up = report.upward
+    assert (up.pairs, up.queries) == (1, 0)
+    cx = up.counterexample
+    assert (cx.kind, cx.port) == ("uncovered-input", None)
+    assert cx.rows_a == cx.rows_b == [{"u": 4}]
+    interp_b = Interpreter(prep.flat_b)
+    interp_b.validate_inputs({"u": 3})
+    with pytest.raises(DomainError):
+        interp_b.validate_inputs(cx.rows_b[0])
 
 
 def test_search_stops_at_the_first_bad_pair():
