@@ -3,9 +3,12 @@
 
     python3 scripts/compare_reports.py OLD_DIR NEW_DIR
 
-The cases are every member of the four dfbench workloads at seeds 1 and 2
-and ``random_model_pair(seed)`` of each checkout's test helpers for seeds
-0-299, checked in both directions.  A library case's result is
+The cases are every member of the four dfbench workloads at seeds 1 and 2,
+and, from each checkout's test helpers, ``random_model_pair(seed)`` and
+``multi_output_pair(seed)`` for seeds 0-299, each checked in both
+directions; a multi-output pair is checked with its overrides, and the
+other way round with them inverted.  Only the multi-output pairs have two
+or more port groups per direction.  A library case's result is
 its report without ``elapsed`` (``queries`` kept) or its error class and
 message.  big_diagram members go through ``dfcompat check`` with every
 ``--emit-*`` flag, as dfbench runs them plus ``--emit-smt``; their result is
@@ -38,6 +41,7 @@ from pathlib import Path
 
 SEEDS = (1, 2)
 RANDOM_PAIRS = 300
+MULTI_PAIRS = 300
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +59,9 @@ def _failed(exc: BaseException) -> dict:
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _library_case(api, text_a: str, text_b: str) -> dict:
+def _library_case(api, model_a, model_b, overrides=None) -> dict:
     try:
-        report = api.check_compatibility(api.parse_model(text_a), api.parse_model(text_b))
+        report = api.check_compatibility(model_a, model_b, overrides)
     except Exception as exc:  # noqa: BLE001 - an error is a result to compare
         return _failed(exc)
     return _scrubbed(report.to_dict())
@@ -94,7 +98,7 @@ def collect(checkout: Path) -> dict[str, dict]:
     import dfcompat
     from dfcompat import cli
     import run as bench
-    from helpers import random_model_pair
+    from helpers import multi_output_pair, random_model_pair
 
     results: dict[str, dict] = {}
     for workload, (members_of, mode) in bench.WORKLOADS.items():
@@ -104,15 +108,18 @@ def collect(checkout: Path) -> dict[str, dict]:
                 if mode == "cli":
                     results[key] = _cli_case(cli, m.text_a, m.text_b)
                 else:
-                    results[key] = _library_case(dfcompat, m.text_a, m.text_b)
+                    results[key] = _library_case(
+                        dfcompat, dfcompat.parse_model(m.text_a), dfcompat.parse_model(m.text_b)
+                    )
     for seed in range(RANDOM_PAIRS):
         model_a, model_b = random_model_pair(seed)
-        for tag, (x, y) in (("ab", (model_a, model_b)), ("ba", (model_b, model_a))):
-            try:
-                got = _scrubbed(dfcompat.check_compatibility(x, y).to_dict())
-            except Exception as exc:  # noqa: BLE001 - an error is a result to compare
-                got = _failed(exc)
-            results[f"random/{seed}/{tag}"] = got
+        results[f"random/{seed}/ab"] = _library_case(dfcompat, model_a, model_b)
+        results[f"random/{seed}/ba"] = _library_case(dfcompat, model_b, model_a)
+    for seed in range(MULTI_PAIRS):
+        model_a, model_b, overrides = multi_output_pair(seed)
+        inverted = {a: b for b, a in overrides.items()}
+        results[f"multi/{seed}/ab"] = _library_case(dfcompat, model_a, model_b, overrides)
+        results[f"multi/{seed}/ba"] = _library_case(dfcompat, model_b, model_a, inverted)
     return results
 
 

@@ -27,12 +27,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ArithmeticOverflow, DomainError, DomainTooLarge, IterationCapExceeded
 from .exprs import (
     Binary,
+    Const,
     Expr,
     InputRef,
+    Ite,
+    Unary,
     Value,
     VarRef,
     conjoin,
     partial_eval,
+    postorder,
 )
 from .model import (
     FlatModel,
@@ -63,6 +67,7 @@ from .rows import (
 )
 from .symbolic import (
     DEFAULT_SPLIT_CAP,
+    Cones,
     SymbolicStep,
     bind_inputs,
     prune_clones,
@@ -297,11 +302,16 @@ def simulates(
     pinned = pinned or {}
     pin_names = tuple(sorted(pinned))
     pin_cols = tuple((pinned[n],) for n in pin_names)
+    # every name at its first value, or a pinned name at its pinned one:
+    # built for the first failure row
+    base: dict[str, Value] | None = None
 
     def total(row: dict[str, Value]) -> dict[str, Value]:
-        """A failure row over some names, every other name at its first
-        value, or a pinned name at its pinned one."""
-        return dom.first_values() | pinned | row
+        """A failure row over some names, every other name as in base."""
+        nonlocal base
+        if base is None:
+            base = dom.first_values() | pinned
+        return base | row
 
     what = f"simulating {ref.name} by {cand.name}"
     for ts in (cand, ref):
@@ -476,7 +486,7 @@ def _low(bits: int) -> int:
 # reporting types
 
 
-@dataclass
+@dataclass(slots=True)
 class Counterexample:
     direction: str  # "backward" | "upward"
     kind: str
@@ -489,7 +499,7 @@ class Counterexample:
     ref_state: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectionResult:
     holds: bool
     counterexample: Counterexample | None = None
@@ -500,7 +510,7 @@ class DirectionResult:
     elapsed: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class CompatReport:
     a_name: str
     b_name: str
@@ -594,9 +604,6 @@ def cfg_and_step(
     return cfg, step
 
 
-Unfolder = Callable[[tuple[str, ...]], Ts]
-
-
 @dataclass
 class _Prepared:
     """A pair worked out once, under its config, for the check, the fix
@@ -652,8 +659,8 @@ def prepare(
     extras = {n: step_a.inputs[n] for n in mapping.extra_inputs_a}
     prep.dom_backward = Domain({a: b_in[b] for b, a in mapping.inputs} | extras)
     prep.dom_upward = Domain({a: a_in[a] for _, a in mapping.inputs} | extras)
-    prep.unfold_a = _unfolder(step_a, config, prep.systems["A"])
-    prep.unfold_b = _unfolder(step_b, config, prep.systems["B"])
+    prep.unfold_a = Unfolder(step_a, config, prep.systems["A"])
+    prep.unfold_b = Unfolder(step_b, config, prep.systems["B"])
     return prep
 
 
@@ -671,20 +678,33 @@ def _initial_agreement(prep: _Prepared) -> list[Binary]:
     ]
 
 
-def _unfolder(
-    step: SymbolicStep, config: CheckConfig, systems: dict[tuple[str, ...], Ts]
-) -> Unfolder:
-    """Per port group, the step restricted to the group's outputs and
-    unfolded; built once and kept in systems."""
-    def build(group: tuple[str, ...]) -> Ts:
-        ts = systems.get(group)
+class Unfolder:
+    """Per port group, the step restricted to the group's outputs
+    (``restricted``) and that restriction unfolded (calling it with the
+    group); each is built once and kept, the systems in systems.  Every
+    restriction reads one ``Cones`` of the step, so each expression's free
+    names are found once for all groups."""
+
+    def __init__(
+        self, step: SymbolicStep, config: CheckConfig, systems: dict[tuple[str, ...], Ts]
+    ):
+        self.step, self.config, self.systems = step, config, systems
+        self._cones = Cones(step)
+        self._restricted: dict[tuple[str, ...], SymbolicStep] = {}
+
+    def restricted(self, group: tuple[str, ...]) -> SymbolicStep:
+        sub = self._restricted.get(group)
+        if sub is None:
+            sub = self._restricted[group] = restrict_to_outputs(self.step, group, self._cones)
+        return sub
+
+    def __call__(self, group: tuple[str, ...]) -> Ts:
+        ts = self.systems.get(group)
         if ts is None:
-            ts = systems[group] = unfold_to_ts(
-                restrict_to_outputs(step, group), config.state_budget, config.solver_budget
+            ts = self.systems[group] = unfold_to_ts(
+                self.restricted(group), self.config.state_budget, self.config.solver_budget
             )
         return ts
-
-    return build
 
 
 def checked_system(prep: _Prepared, tag: str) -> Ts | None:
@@ -719,21 +739,112 @@ def _check_direction(
 
     A group's systems are obtained, the candidate's first, only when its
     simulation starts, so errors from building and from simulating them
-    come in group order.  Every group runs; the failure kept is a shortest
-    one, the first in group order among those of fewest rows.
+    come in group order.  Every group runs, or is answered by an earlier
+    equal group that held: with two or more groups, a group whose key
+    (``_group_key``) is that of an earlier group whose search held takes
+    that search's result, its ``pairs`` and ``queries`` included, and
+    nothing is unfolded or searched for it.  Equal keys make equal searches
+    up to names, so this changes no result; a group equal to one that
+    refuted or raised runs, so every failure is its own group's.  The
+    failure kept is a shortest one, the first in group order among those
+    of fewest rows.
     """
     per_port: dict[str, bool] = {}
     failure: SimFailure | None = None
     pairs = queries = 0
-    for group in _port_groups(ports, config):
-        res = simulates(cand(group), ref(group), dom, config.solver_budget, pinned)
-        pairs += res.pairs
-        queries += res.queries
+    groups = _port_groups(ports, config)
+    # the node table of every key of this call, and per key of a group
+    # whose search held, its pairs and queries
+    table: dict[tuple, int] | None = {} if len(groups) > 1 else None
+    held: dict[tuple, tuple[int, int]] = {}
+    for group in groups:
+        key = None if table is None else _group_key(
+            cand.restricted(group), ref.restricted(group), dom, pinned, table
+        )
+        if key in held:
+            holds, (n_pairs, n_queries) = True, held[key]
+        else:
+            res = simulates(cand(group), ref(group), dom, config.solver_budget, pinned)
+            holds, n_pairs, n_queries = res.holds, res.pairs, res.queries
+            if not holds and (failure is None or len(res.failure.rows) < len(failure.rows)):
+                failure = res.failure
+            if holds and key is not None:
+                held[key] = n_pairs, n_queries
+        pairs += n_pairs
+        queries += n_queries
         for p in group:
-            per_port[p] = res.holds
-        if not res.holds and (failure is None or len(res.failure.rows) < len(failure.rows)):
-            failure = res.failure
+            per_port[p] = holds
     return all(per_port.values()) if per_port else True, per_port, failure, pairs, queries
+
+
+def _group_key(
+    cand: SymbolicStep,
+    ref: SymbolicStep,
+    dom: Domain,
+    pinned: Mapping[str, Value] | None,
+    table: dict[tuple, int],
+) -> tuple | None:
+    """A port group's search up to renaming, given both sides' steps
+    restricted to the group: the outputs and updates of each, interned in
+    table (``_interned``) with each side's variables renamed to their rank
+    in sorted order and the inputs of both sides to their rank in the
+    sorted union; each variable's declared type and initial value; each
+    input's declared type on each side, or None where a side lacks it; and
+    each input's type in dom and pinned value.
+
+    The renaming keeps the sorted order of each side's variables and of the
+    inputs, which is every order the unfolding (``unfold_to_ts``) and the
+    search (``simulates``) read names in: groups of one key have the same
+    row layouts, successor order and discovery order, so the same
+    ``holds``, ``pairs`` and ``queries``.  None, so the group is searched,
+    where a side has a variable and an input of one name: specialising a
+    state binds both."""
+    inputs = sorted(cand.inputs.keys() | ref.inputs.keys())
+    at = {n: i for i, n in enumerate(inputs)}
+    pinned = pinned or {}
+    key: list[tuple] = [
+        tuple((dom.dtypes.get(n), n in pinned, pinned.get(n)) for n in inputs)
+    ]
+    for step in (cand, ref):
+        if not step.vars.keys().isdisjoint(step.inputs):
+            return None
+        names = sorted(step.vars)
+        rank = {v: i for i, v in enumerate(names)}
+        roots = [step.outputs[p] for p in sorted(step.outputs)]
+        roots += [step.updates[v] for v in names]
+        key += (
+            _interned(roots, at, rank, table),
+            tuple((step.vars[v][0], type(step.vars[v][1]), step.vars[v][1]) for v in names),
+            tuple(step.inputs.get(n) for n in inputs),
+        )
+    return tuple(key)
+
+
+def _interned(
+    roots: list[Expr], inputs: Mapping[str, int], variables: Mapping[str, int],
+    table: dict[tuple, int],
+) -> tuple[int, ...]:
+    """Each root's number in table, which numbers nodes bottom-up by kind
+    and operator and their children's numbers, a constant by its value's
+    type and value, and a reference by its name's rank (its name when it
+    has none).  One table numbers equal structures alike, and only them."""
+    num: dict[int, int] = {}
+    for n in postorder(roots):
+        kind = type(n)
+        if kind is Binary:
+            shape = (kind, n.op, num[id(n.left)], num[id(n.right)])
+        elif kind is Unary:
+            shape = (kind, n.op, num[id(n.arg)])
+        elif kind is Ite:
+            shape = (kind, num[id(n.cond)], num[id(n.then)], num[id(n.other)])
+        elif kind is Const:
+            shape = (kind, type(n.value), n.value)
+        elif kind is InputRef:
+            shape = (kind, inputs.get(n.name, n.name))
+        else:
+            shape = (kind, variables.get(n.name, n.name))
+        num[id(n)] = table.setdefault(shape, len(table))
+    return tuple(num[id(r)] for r in roots)
 
 
 def _to_counterexample(
@@ -817,7 +928,7 @@ def fix_free_ports(prep: _Prepared) -> tuple[dict[str, Value], dict[str, bool], 
                 prep.unfold_a, ref, ports, dom, config, vector
             )
         except (DomainTooLarge, ArithmeticOverflow):
-            bound = _unfolder(bind_inputs(prep.step_a, vector), config, {})
+            bound = Unfolder(bind_inputs(prep.step_a, vector), config, {})
             holds, per_port, _, pairs, queries = _check_direction(
                 bound, ref, ports, dom, config
             )

@@ -404,15 +404,34 @@ def step_to_text(step: SymbolicStep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def restrict_to_outputs(step: SymbolicStep, ports: Sequence[str]) -> SymbolicStep:
-    """Keep only the given outputs plus the state they transitively need."""
-    found: dict[int, frozenset[str]] = {}
+class Cones:
+    """What restrictions of one step to groups of its outputs share
+    (``restrict_to_outputs``): each expression's free names, found once,
+    and each input's and variable's position in the step."""
 
-    def names(e: Expr) -> frozenset[str]:  # once per distinct expression
-        if id(e) not in found:
-            found[id(e)] = free_names(e)
-        return found[id(e)]
+    def __init__(self, step: SymbolicStep):
+        self.found: dict[int, frozenset[str]] = {}
+        self.input_at = {n: i for i, n in enumerate(step.inputs)}
+        self.var_at = {v: i for i, v in enumerate(step.vars)}
 
+    def names(self, e: Expr) -> frozenset[str]:
+        """``free_names(e)``, once per distinct expression."""
+        names = self.found.get(id(e))
+        if names is None:
+            names = self.found[id(e)] = free_names(e)
+        return names
+
+
+def restrict_to_outputs(
+    step: SymbolicStep, ports: Sequence[str], cones: Cones | None = None
+) -> SymbolicStep:
+    """Keep only the given outputs plus the state they transitively need,
+    inputs and variables in the step's order, updates in the variables'
+    order.  cones, when given, is
+    ``Cones(step)``, kept across calls: the restriction is then built from
+    the outputs' cone alone."""
+    cones = Cones(step) if cones is None else cones
+    names = cones.names
     used = set().union(*(names(step.outputs[p]) for p in ports))
     keep: set[str] = set()
     frontier = used & step.vars.keys()
@@ -421,11 +440,12 @@ def restrict_to_outputs(step: SymbolicStep, ports: Sequence[str]) -> SymbolicSte
         new = set().union(*(names(step.updates[v]) for v in frontier))
         used |= new
         frontier = (new & step.vars.keys()) - keep
-    used_inputs = used & step.inputs.keys()
+    inputs = sorted(used & step.inputs.keys(), key=cones.input_at.__getitem__)
+    kept = sorted(keep, key=cones.var_at.__getitem__)
     return replace(
         step,
-        inputs={n: d for n, d in step.inputs.items() if n in used_inputs},
-        vars={v: d for v, d in step.vars.items() if v in keep},
+        inputs={n: step.inputs[n] for n in inputs},
+        vars={v: step.vars[v] for v in kept},
         outputs={p: step.outputs[p] for p in ports},
-        updates={v: step.updates[v] for v in keep},
+        updates={v: step.updates[v] for v in kept},
     )

@@ -616,10 +616,28 @@ def _record_unfolds(monkeypatch) -> list[str]:
     return names
 
 
+# two latches whose cones differ: x toggles on a, y latches a or b
+TWO_CONES = (
+    "model TwoCones\nin a : bool\nin b : bool\nout x : bool\nout y : bool\n"
+    "block Dx : UnitDelay(false)\nblock Tx : Logic(XOR)\n"
+    "block Dy : UnitDelay(false)\nblock Oy : Logic(OR)\n"
+    "wire a -> Tx.in1\nwire Dx -> Tx.in2\nwire Tx -> Dx.in\nwire Dx -> x\n"
+    "wire a -> Oy.in1\nwire b -> Oy.in2\nwire Oy -> Dy.in\nwire Dy -> y\n"
+)
+
+
 def test_both_directions_share_unfolded_systems(monkeypatch):
+    """tri_latch's three latch groups are one problem up to renaming: the
+    first is unfolded on both sides and searched, and the other two take
+    its result.  Groups whose cones differ are each unfolded on both
+    sides."""
     unfolds = _record_unfolds(monkeypatch)
     assert report_for("tri_latch", "tri_latch").verdict == "full"
-    assert len(unfolds) == 2 * 3
+    assert len(unfolds) == 2
+    unfolds.clear()
+    model = parse_model(TWO_CONES)
+    assert check_compatibility(model, model).verdict == "full"
+    assert len(unfolds) == 2 * 2
 
 
 def test_rows_evaluated_by_compiled_code(monkeypatch):
@@ -1006,6 +1024,197 @@ def test_globalized_stores_compared_at_boundary():
     assert internal.verdict == "full"
     assert boundary.verdict == "full"
     assert ("Box", "Box") in [tuple(p) for p in boundary.mapping]
+
+
+# ---------------------------------------------------------------------------
+# port groups equal up to renaming
+
+
+def _each_group_searched(cand, ref, ports, config, dom, pinned=None):
+    """``_check_direction``'s result computed with no group answered by
+    another: every group's restriction of both steps unfolded afresh and
+    searched, the failure kept a shortest one, the first in group order;
+    or the error's class and message."""
+    per_port, failure, pairs, queries = {}, None, 0, 0
+    try:
+        for group in simcheck._port_groups(ports, config):
+            systems = [
+                unfold_to_ts(restrict_to_outputs(step, group), config.state_budget,
+                             config.solver_budget)
+                for step in (cand, ref)
+            ]
+            res = simulates(*systems, dom, config.solver_budget, pinned)
+            pairs, queries = pairs + res.pairs, queries + res.queries
+            per_port.update(dict.fromkeys(group, res.holds))
+            if not res.holds and (failure is None or len(res.failure.rows) < len(failure.rows)):
+                failure = res.failure
+    except Exception as exc:  # noqa: BLE001 - an error is a result to compare
+        return type(exc), str(exc)
+    return all(per_port.values()), per_port, failure, pairs, queries
+
+
+def _direction_or_error(cand, ref, ports, config, dom, pinned=None):
+    try:
+        return simcheck._check_direction(cand, ref, ports, dom, config, pinned)
+    except Exception as exc:  # noqa: BLE001 - an error is a result to compare
+        return type(exc), str(exc)
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    """A one-element count of the simulates calls from here on."""
+    calls = [0]
+    real = simcheck.simulates
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(simcheck, "simulates", counted)
+    return calls
+
+
+# the candidate toggles x on a and y on b when its extra input k is high,
+# and follows them inverted when it is low; the reference always toggles
+KEYED_PAIR = (
+    "model KeyedPair\nin a : bool\nin b : bool\nin k : bool\nout x : bool\nout y : bool\n"
+    "block Ix : Logic(NOT)\nblock Px : Switch\nblock Tx : Logic(XOR)\nblock Dx : UnitDelay(false)\n"
+    "block Iy : Logic(NOT)\nblock Py : Switch\nblock Ty : Logic(XOR)\nblock Dy : UnitDelay(false)\n"
+    "wire a -> Ix.in1\nwire k -> Px.ctrl\nwire a -> Px.in1\nwire Ix -> Px.in3\n"
+    "wire Px -> Tx.in1\nwire Dx -> Tx.in2\nwire Tx -> Dx.in\nwire Dx -> x\n"
+    "wire b -> Iy.in1\nwire k -> Py.ctrl\nwire b -> Py.in1\nwire Iy -> Py.in3\n"
+    "wire Py -> Ty.in1\nwire Dy -> Ty.in2\nwire Ty -> Dy.in\nwire Dy -> y\n"
+)
+KEYED_PAIR_REF = (
+    "model KeyedPairRef\nin a : bool\nin b : bool\nout x : bool\nout y : bool\n"
+    "block Tx : Logic(XOR)\nblock Dx : UnitDelay(false)\n"
+    "block Ty : Logic(XOR)\nblock Dy : UnitDelay(false)\n"
+    "wire a -> Tx.in1\nwire Dx -> Tx.in2\nwire Tx -> Dx.in\nwire Dx -> x\n"
+    "wire b -> Ty.in1\nwire Dy -> Ty.in2\nwire Ty -> Dy.in\nwire Dy -> y\n"
+)
+
+
+def _group_cases():
+    """(where, model A, model B, overrides, pinned vectors) of every case
+    the equal-groups test checks."""
+    for seed in (1, 2):
+        for make in (families.toggle_bank, families.toggle_bank_broken):
+            member = make(8, seed)
+            yield member.name, parse_model(member.text_a), parse_model(member.text_b), None, [None]
+    tri = load_model("tri_latch")
+    broken = parse_model((MODELS_DIR / "tri_latch.dfm").read_text().replace("XOR", "OR"))
+    yield "tri_latch", tri, tri, None, [None]
+    yield "tri_latch broken", tri, broken, None, [None]
+    for seed in range(100):
+        yield f"multi {seed}", *multi_output_pair(seed), [None]
+    keyed = parse_model(KEYED_PAIR), parse_model(KEYED_PAIR_REF)
+    yield "keyed pair", *keyed, None, [None, {"k": False}, {"k": True}]
+
+
+def test_groups_equal_up_to_renaming_are_answered_by_the_first(monkeypatch):
+    """On every case, in both orders of its sides, over the backward domain
+    and with each pinned vector, ``_check_direction`` gives what searching
+    every group afresh gives: the same holds, per-port results and failure,
+    and the same summed pairs and queries, or the same error.  Groups it
+    answers from an earlier equal group are counted: all but one per class
+    of holding banks, none of a class that refutes."""
+    calls = _count_searches(monkeypatch)
+    answered = refuted = 0
+    for where, model_a, model_b, overrides, vectors in _group_cases():
+        prep = prepare(model_a, model_b, overrides)
+        assert prep.iface.compatible, where
+        groups = len(simcheck._port_groups(prep.ports, prep.config))
+        sides = ((prep.unfold_a, prep.step_a), (prep.unfold_b, prep.step_b))
+        for (cand, cand_step), (ref, ref_step) in (sides, sides[::-1]):
+            for pinned in vectors:
+                if pinned is not None and cand is prep.unfold_b:
+                    continue  # B has no extra input to pin
+                args = prep.ports, prep.config, prep.dom_backward, pinned
+                want = _each_group_searched(cand_step, ref_step, *args)
+                calls[0] = 0
+                got = _direction_or_error(cand, ref, *args)
+                assert got == want, (where, pinned)
+                if isinstance(got[0], bool):
+                    answered += groups - calls[0]
+                    refuted += got[2] is not None
+    # per order of both seeds: toggle_bank(8)'s eight latches are one class,
+    # the broken bank's refuting latch is a class of its own; tri_latch's
+    # three latches are one class; the keyed pair's two with k high.  The
+    # multi-output pairs' groups all differ.
+    assert answered == 4 * 7 + 4 * 6 + 2 * 2 + 1 and refuted >= 100, (answered, refuted)
+
+
+def test_fix_search_answers_equal_groups_under_pinned_values(monkeypatch):
+    """With k pinned low both of KeyedPair's groups refute, and each is
+    searched; pinned high they hold, and y takes x's result."""
+    calls = _count_searches(monkeypatch)
+    report = check_compatibility(parse_model(KEYED_PAIR), parse_model(KEYED_PAIR_REF))
+    assert report.backward.fixed_inputs == {"k": True}
+    assert report.backward.per_port == {"x": True, "y": True}
+    # the unpinned search, then k false, then k true
+    assert calls[0] == 2 + 2 + 1
+
+
+def _counter(var, ins, op="add", k=1, init=0, in_hi=1):
+    """One port's cone: its output is var, which steps by k through op,
+    kept in [0, 3], when the first of the two inputs ins is above the
+    second.  Returns its inputs, variables, output and update."""
+    first, second = (InputRef(n) for n in ins)
+    stepped = Binary("max", Binary("min", Binary(op, VarRef(var), Const(k)), Const(3)), Const(0))
+    update = Ite(Binary("gt", first, second), stepped, VarRef(var))
+    return (dict.fromkeys(sorted(ins), IntType(0, in_hi)), {var: (IntType(0, 3), init)},
+            VarRef(var), update)
+
+
+def _two_ports(p, q) -> SymbolicStep:
+    """A step with ports p and q, the counters ``_counter`` makes of the
+    keyword dicts p and q over variables x and y."""
+    cones = (_counter("x", **p), _counter("y", **q))
+    return SymbolicStep(
+        "TwoPorts",
+        inputs={n: t for c in cones for n, t in c[0].items()},
+        vars={v: d for c in cones for v, d in c[1].items()},
+        outputs={"p": cones[0][2], "q": cones[1][2]},
+        updates={"x": cones[0][3], "y": cones[1][3]},
+    )
+
+
+@pytest.mark.parametrize("p,q,dom,pinned,searches", [
+    # equal up to renaming: q takes p's result
+    ({}, {}, {}, None, 1),
+    ({}, {}, {}, {"a": 1, "c": 1}, 1),
+    # an operator, as ``x + 1`` against ``x - 1``
+    ({}, {"op": "sub"}, {}, None, 2),
+    # a constant
+    ({}, {"k": 2}, {}, None, 2),
+    # an initial value
+    ({}, {"init": 1}, {}, None, 2),
+    # a declared range, over one domain
+    ({"in_hi": 2}, {}, {"a": IntType(0, 1), "b": IntType(0, 1)}, None, 2),
+    # the domain's type of an input
+    ({"in_hi": 2}, {"in_hi": 2}, {"c": IntType(0, 1)}, None, 2),
+    # a pinned value
+    ({}, {}, {}, {"a": 1, "c": 0}, 2),
+    # q compares d with c where p compares a with b: renaming each by first
+    # use would make them equal, but not keep c before d
+    ({}, {"ins": ("d", "c")}, {}, None, 2),
+])
+def test_groups_differing_up_to_renaming_are_each_searched(
+    monkeypatch, p, q, dom, pinned, searches
+):
+    """Two-port steps whose cones have one shape: q's counter equals p's up
+    to renaming, or differs from it in one way, and is then searched too.
+    Either way the direction gives what searching each group afresh gives."""
+    step = _two_ports({"ins": ("a", "b"), **p}, {"ins": ("c", "d"), **q})
+    config, ports = CheckConfig(), ["p", "q"]
+    domain = Domain(dict(step.inputs) | dom)
+    calls = _count_searches(monkeypatch)
+    got = _direction_or_error(
+        simcheck.Unfolder(step, config, {}), simcheck.Unfolder(step, config, {}),
+        ports, config, domain, pinned,
+    )
+    assert calls[0] == searches
+    assert got == _each_group_searched(step, step, ports, config, domain, pinned)
+    assert got[0] is True
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dfcompat import (
 from dfcompat.exprs import Binary, Const, InputRef, Ite, Unary, VarRef, eval_expr
 from dfcompat.model import domain_values
 from dfcompat.symbolic import (
+    Cones,
     bind_inputs,
     detect_clones,
     rename_inputs,
@@ -226,6 +227,29 @@ def test_restrict_follows_update_chain():
     step = summarize(extract_cfg(flatten_and_validate(parse_model(text))))
     kept = restrict_to_outputs(step, ["y"])
     assert set(kept.vars) == {"A", "B"}
+
+
+def test_restrictions_sharing_cones_keep_the_step_order():
+    """Restrictions reading one ``Cones`` of the step are the restrictions
+    made alone, with inputs and variables in the step's order and updates
+    in the variables' order."""
+    text = (
+        "model Mixed\nin c : bool\nin a : bool\nin b : bool\nout y : bool\nout z : bool\n"
+        "block Q : UnitDelay(false)\nblock P : UnitDelay(false)\nblock X : Logic(XOR)\n"
+        "block O : Logic(OR)\n"
+        "wire c -> X.in1\nwire a -> X.in2\nwire X -> Q.in\nwire Q -> O.in1\nwire b -> O.in2\n"
+        "wire O -> P.in\nwire P -> y\nwire Q -> z\n"
+    )
+    step = summarize(extract_cfg(flatten_and_validate(parse_model(text))))
+    cones = Cones(step)
+    for ports in (["y"], ["z"], ["z", "y"]):
+        shared, alone = restrict_to_outputs(step, ports, cones), restrict_to_outputs(step, ports)
+        assert shared == alone
+        for part in ("inputs", "vars"):
+            got, whole = list(getattr(shared, part)), list(getattr(step, part))
+            assert got == [n for n in whole if n in got], (ports, part)
+        assert list(shared.updates) == list(shared.vars)
+    assert list(restrict_to_outputs(step, ["y"], cones).inputs) == ["c", "a", "b"]
 
 
 def test_step_text_dump():
