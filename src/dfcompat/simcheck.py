@@ -996,14 +996,17 @@ def check_prepared(prep: _Prepared) -> CompatReport:
                                       time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    holds, per_port, failure, pairs, queries = searched
+    holds, per_port, _, pairs, queries = searched
     back, up = prep.dom_backward.dtypes, prep.dom_upward.dtypes
     widened = sorted(n for n in up if up[n] != back[n])  # int ranges only (check_interface)
-    per_port = dict.fromkeys(per_port, False) if widened else dict(per_port)
-    if failure is not None:
-        failure = replace(failure, cand_state=failure.ref_state, ref_state=failure.cand_state,
-                          expected=failure.actual, actual=failure.expected)
-    if widened and (failure is None or len(failure.rows) > 1):
+    if widened:
+        per_port = dict.fromkeys(per_port, False)
+    # the unfixed backward counterexample mirrored; both directions' reports
+    # share its rows and outputs, as they share per_port when equal
+    if cx is not None:
+        cx = replace(cx, direction="upward", cand_state=cx.ref_state, ref_state=cx.cand_state,
+                     expected=cx.actual, actual=cx.expected)
+    if widened and (cx is None or len(cx.rows_a) > 1):
         row = prep.dom_upward.first_values()
         if all(up[n].lo == back[n].lo for n in widened):
             row[widened[-1]] = back[widened[-1]].hi + 1
@@ -1012,8 +1015,8 @@ def check_prepared(prep: _Prepared) -> CompatReport:
         cand, ref = prep.unfold_b(group), prep.unfold_a(group)
         failure = SimFailure("uncovered-input", None, [row], cand.label(cand.init),
                              ref.label(ref.init))
+        cx = _to_counterexample(prep, failure, "upward", shared_rows)
         pairs, queries = 1, 0
-    cx = None if failure is None else _to_counterexample(prep, failure, "upward", shared_rows)
     report.upward = DirectionResult(holds and not widened, cx, None, per_port, pairs, queries,
                                     time.perf_counter() - t0)
 
