@@ -349,23 +349,31 @@ def run_cfg_step(
 
 
 def cfg_to_dot(cfg: Cfg, title: str = "cfg") -> str:
-    """Graphviz rendering with assignments in nodes and guards on edges."""
+    """Graphviz rendering with assignments in nodes and guards on edges;
+    an edge whose guard is TRUE has no label."""
     lines = [f"digraph \"{title}\" {{", "  node [shape=box, fontname=monospace];"]
+    labelled = [g is not TRUE and g != TRUE for g in (e.guard for e in cfg.edges)]
     text = render([e for assigns in cfg.nodes.values() for _, _, e in assigns]
-                  + [e.guard for e in cfg.edges])
+                  + [e.guard for e, keep in zip(cfg.edges, labelled) if keep])
     for nid, assigns in cfg.nodes.items():
-        body = "\\n".join(
-            f"{t}' := {text[id(e)]}" if space == "var" else f"{t} := {text[id(e)]}"
-            for space, t, e in assigns
-        ) or " "
-        shape = ""
-        if nid == cfg.entry:
-            shape = ", style=bold"
+        if len(assigns) == 1:  # most nodes: one block's assignment
+            (space, t, e), = assigns
+            body = f"{t}' := {text[id(e)]}" if space == "var" else f"{t} := {text[id(e)]}"
+        else:
+            body = "\\n".join(
+                f"{t}' := {text[id(e)]}" if space == "var" else f"{t} := {text[id(e)]}"
+                for space, t, e in assigns
+            ) or " "
         if nid == cfg.exit:
-            shape = ", style=filled, fillcolor=lightgray"
-        lines.append(f"  n{nid} [label=\"{body}\"{shape}];")
-    for e in cfg.edges:
-        label = "" if e.guard == TRUE else f" [label=\"{text[id(e.guard)]}\"]"
-        lines.append(f"  n{e.src} -> n{e.dst}{label};")
+            lines.append(f"  n{nid} [label=\"{body}\", style=filled, fillcolor=lightgray];")
+        elif nid == cfg.entry:
+            lines.append(f"  n{nid} [label=\"{body}\", style=bold];")
+        else:
+            lines.append(f"  n{nid} [label=\"{body}\"];")
+    for e, keep in zip(cfg.edges, labelled):
+        if keep:
+            lines.append(f"  n{e.src} -> n{e.dst} [label=\"{text[id(e.guard)]}\"];")
+        else:
+            lines.append(f"  n{e.src} -> n{e.dst};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -105,6 +105,8 @@ def _load_model(path: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for all four subcommands.  ``main`` builds one on its
+    first call and reuses it for every later call in the process."""
     top = argparse.ArgumentParser(
         prog="dfcompat",
         description="behavioral compatibility checking for dataflow models",
@@ -300,22 +302,22 @@ def _write_smt(prep, outdir: Path, solver_cmd: str | None, echo: bool) -> bool:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    wants_emit = any(
+        getattr(args, f"emit_{f}") for f in ("cfg", "efa", "ts", "summary", "smt")
+    )
+    if wants_emit and not args.artifacts:
+        print("error: --emit-* flags require --artifacts DIR", file=sys.stderr)
+        return 3
     config = _config_from(args)
     model_a = _load_model(args.model_a)
     model_b = _load_model(args.model_b)
     overrides = (
         parse_mapping_file(Path(args.map_file).read_text()) if args.map_file else {}
     )
-    wants_emit = any(
-        getattr(args, f"emit_{f}") for f in ("cfg", "efa", "ts", "summary", "smt")
-    )
     outdir: Path | None = None
     if args.artifacts:
         outdir = Path(args.artifacts)
         outdir.mkdir(parents=True, exist_ok=True)
-    elif wants_emit:
-        print("error: --emit-* flags require --artifacts DIR", file=sys.stderr)
-        return 3
 
     prep = prepare(model_a, model_b, overrides, config)
     report = check_prepared(prep)
@@ -326,13 +328,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             _write_counterexamples(report, outdir, prep)
             pairs = (("A", prep.cfg_a, prep.step_a), ("B", prep.cfg_b, prep.step_b))
             for tag, cfg, step in pairs:
+                text: dict[int, str] = {}  # one render memo for the step and its efa
                 if args.emit_cfg:
                     (outdir / f"cfg.{tag}.dot").write_text(cfg_to_dot(cfg, cfg.flat.name))
                 if args.emit_summary:
-                    (outdir / f"summary.{tag}.txt").write_text(step_to_text(step))
+                    (outdir / f"summary.{tag}.txt").write_text(step_to_text(step, text))
                 if args.emit_efa:
                     efa = build_efa(step, config.split_cap, config.solver_budget)
-                    (outdir / f"efa.{tag}.txt").write_text(efa_to_text(efa))
+                    (outdir / f"efa.{tag}.txt").write_text(efa_to_text(efa, text))
                 if args.emit_ts:
                     ts = checked_system(prep, tag) or unfold_to_ts(
                         step, config.state_budget, config.solver_budget
@@ -439,8 +442,17 @@ def _cmd_emit_smt(args: argparse.Namespace) -> int:
     return 0 if _write_smt(prep, Path(args.artifacts), args.solver_cmd, echo=True) else 4
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.  The parser is built on
+    the first call and reused by later calls in the same process; argparse
+    exits with code 2 on a usage error and 0 after ``--help``."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     handlers = {
         "check": _cmd_check,
         "replay": _cmd_replay,

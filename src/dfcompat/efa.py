@@ -165,7 +165,10 @@ def image_map(
     return maps
 
 
-def efa_to_text(efa: Efa) -> str:
+def efa_to_text(efa: Efa, text: dict[int, str] | None = None) -> str:
+    """Readable dump of the guarded transitions; text is a ``render`` memo
+    to share, such as the one ``step_to_text`` filled for ``efa.step``,
+    whose expressions an unsplit transition reuses."""
     lines = [f"machine {efa.step.name}"]
     lines.append(f"  inputs: {', '.join(sorted(efa.step.inputs)) or '(none)'}")
     lines.append(
@@ -176,7 +179,8 @@ def efa_to_text(efa: Efa) -> str:
         )
     )
     text = render(
-        e for t in efa.transitions for e in (t.guard, *t.outputs.values(), *t.updates.values())
+        [e for t in efa.transitions for e in (t.guard, *t.outputs.values(), *t.updates.values())],
+        text,
     )
     for i, t in enumerate(efa.transitions):
         guard = "true" if t.guard == TRUE else text[id(t.guard)]

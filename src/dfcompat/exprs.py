@@ -518,30 +518,46 @@ def to_str(e: Expr) -> str:
     return render([e])[id(e)]
 
 
-def render(roots: Iterable[Expr]) -> dict[int, str]:
+def render(roots: Iterable[Expr], text: dict[int, str] | None = None) -> dict[int, str]:
     """``to_str`` of every node under roots, by node id: the text of a
-    shared node is built once and repeated where it occurs."""
-    text: dict[int, str] = {}
+    shared node is built once and repeated where it occurs.
+
+    text, when given, is what an earlier call returned, and every node it
+    names must still be alive, since an id names one live object only.
+    Roots it holds are not rendered again; it is extended and returned."""
+    if text is None:
+        text = {}
+    else:
+        roots = [r for r in roots if id(r) not in text]
     for n in postorder(roots):
         kind = type(n)
         if kind is Binary:
-            a, b = text[id(n.left)], text[id(n.right)]
-            if n.op in ("min", "max"):
-                s = f"{n.op}({a}, {b})"
+            left, right = n.left, n.right
+            a, b = text[id(left)], text[id(right)]
+            op = n.op
+            if op == "min" or op == "max":
+                s = f"{op}({a}, {b})"
             else:  # a compound operand is parenthesised
-                a = f"({a})" if type(n.left) in (Binary, Ite) else a
-                b = f"({b})" if type(n.right) in (Binary, Ite) else b
-                s = f"{a} {_INFIX[n.op]} {b}"
+                if type(left) in _COMPOUND:
+                    a = f"({a})"
+                if type(right) in _COMPOUND:
+                    b = f"({b})"
+                s = f"{a} {_INFIX[op]} {b}"
         elif kind is Unary:
-            a = text[id(n.arg)]
-            a = f"({a})" if type(n.arg) in (Binary, Ite) else a
+            arg = n.arg
+            a = text[id(arg)]
+            if type(arg) in _COMPOUND:
+                a = f"({a})"
             s = ("!" if n.op == "not" else "-") + a
-        elif kind is Ite:
-            s = f"ite({text[id(n.cond)]}, {text[id(n.then)]}, {text[id(n.other)]})"
         elif kind is Const:
             v = n.value
-            s = ("true" if v else "false") if isinstance(v, bool) else str(v)
+            s = ("true" if v else "false") if v is True or v is False else str(v)
+        elif kind is Ite:
+            s = f"ite({text[id(n.cond)]}, {text[id(n.then)]}, {text[id(n.other)]})"
         else:
             s = n.name
         text[id(n)] = s
     return text
+
+
+_COMPOUND = frozenset({Binary, Ite})

@@ -24,7 +24,6 @@ from .exprs import (
     Value,
     VarRef,
     equal,
-    fold,
     free_names,
     free_signals,
     normalize,
@@ -240,7 +239,12 @@ def split_expr(
     condition can hold, so a node past the cap marks its parents as past
     it too, and only the marked root raises.
     """
-    root = fold(e)
+    order = postorder([e])
+    root = rewrite([e], fold=True, order=order)[0]
+    # without an ite the folded e is the one alternative (a cap of 0 still
+    # refuses it below)
+    if cap >= 1 and all(type(n) is not Ite for n in order):
+        return [GuardedDef((), root)]
     # per node id: its (conds, value) alternatives, or None past the cap
     alts: dict[int, list[tuple[tuple[Expr, ...], Expr]] | None] = {}
     for n in postorder([root]):
@@ -389,10 +393,12 @@ def _rewrite_step(
     return dict(zip(step.outputs, done)), dict(zip(kept, done[len(step.outputs):]))
 
 
-def step_to_text(step: SymbolicStep) -> str:
-    """Readable dump of the closed-form step definitions."""
+def step_to_text(step: SymbolicStep, text: dict[int, str] | None = None) -> str:
+    """Readable dump of the closed-form step definitions; text is a
+    ``render`` memo to share, as the one ``efa_to_text`` of the step's
+    guarded transitions takes."""
     lines = [f"step {step.name}"]
-    text = render([*step.outputs.values(), *step.updates.values()])
+    text = render([*step.outputs.values(), *step.updates.values()], text)
     for n, dt in sorted(step.inputs.items()):
         lines.append(f"  in  {n} : {dt}")
     for v, (dt, init) in sorted(step.vars.items()):

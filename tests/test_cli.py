@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: exit codes, text output, artifacts."""
 
+import hashlib
+import io
 import json
+import re
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -223,6 +227,10 @@ def test_emit_requires_artifacts():
     code, _, err = run_cli("check", FLIPFLOP, FLIPFLOP, "--emit-efa")
     assert code == 3
     assert "--emit-* flags require --artifacts" in err
+    # the flags are checked before any model is read
+    code, _, err = run_cli("check", "no_such.dfm", FLIPFLOP, "--emit-cfg")
+    assert code == 3
+    assert err == "error: --emit-* flags require --artifacts DIR\n"
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +483,272 @@ def test_emit_smt_interface_mismatch(tmp_path):
     code, _, err = run_cli("emit-smt", a, b, "--artifacts", str(tmp_path / "s"))
     assert code == 2
     assert "interface: y:" in err
+
+
+# ---------------------------------------------------------------------------
+# help text and usage errors, pinned at 80 columns
+
+HELP_TOP = """\
+usage: dfcompat [-h] {check,replay,stats,emit-smt} ...
+
+behavioral compatibility checking for dataflow models
+
+positional arguments:
+  {check,replay,stats,emit-smt}
+    check               compare two model versions
+    replay              run an input trace on a model
+    stats               pipeline size numbers for one model
+    emit-smt            write key queries as SMT-LIB 2
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+HELP_CHECK = """\
+usage: dfcompat check [-h] [--map FILE] [--format {text,json}]
+                      [--artifacts DIR] [--emit-cfg] [--emit-efa] [--emit-ts]
+                      [--emit-summary] [--emit-smt] [--solver-cmd CMD]
+                      [--no-clone-pruning] [--no-output-split]
+                      [--datastore {internal,global}]
+                      [--datastore-order {strict,schedule}]
+                      [--solver-budget N] [--state-budget N] [--split-cap N]
+                      [--fix-iterations N]
+                      model_a model_b
+
+positional arguments:
+  model_a               candidate (newer) model file
+  model_b               reference (older) model file
+
+options:
+  -h, --help            show this help message and exit
+  --map FILE            port mapping overrides, lines of 'oldPort = newPort'
+  --format {text,json}
+  --artifacts DIR       directory for report, traces and emitted artifacts
+  --emit-cfg            write the cfg artifacts (needs --artifacts)
+  --emit-efa            write the efa artifacts (needs --artifacts)
+  --emit-ts             write the ts artifacts (needs --artifacts)
+  --emit-summary        write the summary artifacts (needs --artifacts)
+  --emit-smt            write the smt artifacts (needs --artifacts)
+  --solver-cmd CMD      external SMT solver to cross-check emitted queries
+  --no-clone-pruning    keep provably duplicated state variables
+  --no-output-split     check all output ports on one joint state space
+  --datastore {internal,global}
+                        treat data stores as hidden state or as extra ports
+  --datastore-order {strict,schedule}
+                        reject or allow reads scheduled before same-step
+                        writes
+  --solver-budget N     max evaluations per satisfiability query
+  --state-budget N      max reachable states per transition system
+  --split-cap N         max alternatives per case split
+  --fix-iterations N    max constant-fix candidates to verify
+"""
+
+HELP_REPLAY = """\
+usage: dfcompat replay [-h] [--against MODEL] [--datastore {internal,global}]
+                       [--datastore-order {strict,schedule}]
+                       model trace
+
+positional arguments:
+  model                 model file
+  trace                 input trace CSV
+
+options:
+  -h, --help            show this help message and exit
+  --against MODEL       also run a second model and report the first step
+                        where shared outputs diverge
+  --datastore {internal,global}
+  --datastore-order {strict,schedule}
+"""
+
+HELP_STATS = """\
+usage: dfcompat stats [-h] [--format {text,json}] [--no-clone-pruning]
+                      [--no-output-split] [--datastore {internal,global}]
+                      [--datastore-order {strict,schedule}]
+                      [--solver-budget N] [--state-budget N] [--split-cap N]
+                      [--fix-iterations N]
+                      model
+
+positional arguments:
+  model                 model file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --no-clone-pruning    keep provably duplicated state variables
+  --no-output-split     check all output ports on one joint state space
+  --datastore {internal,global}
+                        treat data stores as hidden state or as extra ports
+  --datastore-order {strict,schedule}
+                        reject or allow reads scheduled before same-step
+                        writes
+  --solver-budget N     max evaluations per satisfiability query
+  --state-budget N      max reachable states per transition system
+  --split-cap N         max alternatives per case split
+  --fix-iterations N    max constant-fix candidates to verify
+"""
+
+HELP_EMIT_SMT = """\
+usage: dfcompat emit-smt [-h] [--map FILE] --artifacts DIR [--solver-cmd CMD]
+                         [--no-clone-pruning] [--no-output-split]
+                         [--datastore {internal,global}]
+                         [--datastore-order {strict,schedule}]
+                         [--solver-budget N] [--state-budget N]
+                         [--split-cap N] [--fix-iterations N]
+                         model_a model_b
+
+positional arguments:
+  model_a
+  model_b
+
+options:
+  -h, --help            show this help message and exit
+  --map FILE
+  --artifacts DIR
+  --solver-cmd CMD      run each script and compare with the enumeration
+  --no-clone-pruning    keep provably duplicated state variables
+  --no-output-split     check all output ports on one joint state space
+  --datastore {internal,global}
+                        treat data stores as hidden state or as extra ports
+  --datastore-order {strict,schedule}
+                        reject or allow reads scheduled before same-step
+                        writes
+  --solver-budget N     max evaluations per satisfiability query
+  --state-budget N      max reachable states per transition system
+  --split-cap N         max alternatives per case split
+  --fix-iterations N    max constant-fix candidates to verify
+"""
+
+
+def run_main(monkeypatch, *argv: str) -> tuple[int, str, str]:
+    """run_cli at 80 columns, also where argparse exits: (exit code, stdout,
+    stderr)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def usage_of(help_text: str) -> str:
+    return help_text.split("\n\n")[0] + "\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    ((), HELP_TOP),
+    (("check",), HELP_CHECK),
+    (("replay",), HELP_REPLAY),
+    (("stats",), HELP_STATS),
+    (("emit-smt",), HELP_EMIT_SMT),
+])
+def test_help_text(monkeypatch, argv, text):
+    assert run_main(monkeypatch, *argv, "--help") == (0, text, "")
+
+
+def test_usage_error_without_subcommand(monkeypatch):
+    assert run_main(monkeypatch) == (
+        2, "", usage_of(HELP_TOP)
+        + "dfcompat: error: the following arguments are required: command\n",
+    )
+
+
+def test_usage_error_check_with_one_model(monkeypatch):
+    assert run_main(monkeypatch, "check", FLIPFLOP) == (
+        2, "", usage_of(HELP_CHECK)
+        + "dfcompat check: error: the following arguments are required: model_b\n",
+    )
+
+
+# ---------------------------------------------------------------------------
+# main builds its parser once and reuses it
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None)
+    run_main(monkeypatch, "stats", FLIPFLOP)
+    run_main(monkeypatch, "check", FLIPFLOP)
+    run_main(monkeypatch, "check", FLIPFLOP, FLIPFLOP)
+    assert len(built) == 1
+
+
+def scrubbed(monkeypatch, *argv: str) -> tuple[int, str, str]:
+    """run_main with each direction's run-dependent ``elapsed`` zeroed."""
+    code, out, err = run_main(monkeypatch, *argv)
+    return code, re.sub(r'"elapsed": [^,\n]+', '"elapsed": 0', out), err
+
+
+def fresh(monkeypatch, *argv: str) -> tuple[int, str, str]:
+    monkeypatch.setattr(cli, "_parser", None)
+    return scrubbed(monkeypatch, *argv)
+
+
+@pytest.mark.parametrize("first, then", [
+    (("check", LIMITER_A, LIMITER_B, "--format", "json"), ("check", LIMITER_A, LIMITER_B)),
+    (("stats", FLIPFLOP, "--format", "json"), ("stats", FLIPFLOP)),
+    (("check", FLIPFLOP), ("check", LIMITER_A, LIMITER_B)),
+])
+def test_reused_parser_keeps_nothing_between_calls(monkeypatch, first, then):
+    expected = [fresh(monkeypatch, *first), fresh(monkeypatch, *then)]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [scrubbed(monkeypatch, *first), scrubbed(monkeypatch, *then)] == expected
+
+
+# ---------------------------------------------------------------------------
+# artifact bytes
+
+# sha256 of each file the four --emit-* flags write, as the checker wrote
+# them before the emitters were reworked for speed
+ARTIFACT_SHA256 = {
+    ("bands_v1", "bands_v0"): {
+        "cfg.A.dot": "6a7de4cf596621f9233bb7542aa46411a4600a73bb2a1350fafb914cc7b8ce8c",
+        "cfg.B.dot": "c3f91e2037f254b257e06d71e62ed7afdb713382b996ecd2e4fc979d292bf01e",
+        "efa.A.txt": "e53de9f655c98cf697785f20c10d828ac7f145934736df577b96a7014e4cd2ab",
+        "efa.B.txt": "42935b47fd5d2d575fcb4461b2a80f95182f0fdf5c0d6b8aa6d51416d709e9d8",
+        "summary.A.txt": "95c18dd90c14aa064a79ceeb9037cc40066d357cf5f200d8ca7b053362304819",
+        "summary.B.txt": "463af92f66faec7d6357203f34a7095a7ff3398bce5af4264367f792728f338b",
+        "ts.A.dot": "3b9c2c08ad2b9f344dd81a7c0f0020f1f310a2a1a3a8223bcfb655f1247f1c83",
+        "ts.B.dot": "c36702d250d25a1838897e1a1e7d4c682b38ffd175cd2c6c4f0e34fafb3e4f24",
+    },
+    ("flipflop_reset", "flipflop"): {
+        "cfg.A.dot": "b2966833057561071972f5fcb04a0ec10d4282dc979828efbbb7ac50849f2dee",
+        "cfg.B.dot": "3e4860e9b11f148ca12680438949404f8ff1f3785f6e21b5611b6b510f2d5f16",
+        "efa.A.txt": "c377991747c233ce78e93b2d6d037f45d30cf92cb4b798eb86d910fe02166751",
+        "efa.B.txt": "8ec659bc87c183271ae803628226c70d7a33038df64a379093d35a9916c754d6",
+        "summary.A.txt": "3434856450a8f662b7b6f65937a0d49f75fce59abbb09a414c6cbd6e5ba2dcf0",
+        "summary.B.txt": "8728c9519cdf1c9eec3de17937f9038395d334e3b81d30fe5ea69ee67796b395",
+        "ts.A.dot": "42bc4258bbfcd7df97a9fbb022468f19c39f5b1a30458984cd19f5ccd96b5242",
+        "ts.B.dot": "7d7b1dadb0781cfd81184005402bc7d6ce1b2dd99836473b686a2d2d55b5d7a2",
+    },
+    ("pulse_keeper", "pulse_keeper"): {
+        "cfg.A.dot": "78ff66833205a38e4e2f68458d1bb7d73c73aecf207fd57d795c2412657c143d",
+        "efa.A.txt": "044cf609fa96a1e096115e79f40487db4b9c055993fa24966485ee8f75217cef",
+        "summary.A.txt": "0552b56d2ae6f4fc489593973458d657946ecf308a03c3bef836f9b540edabfa",
+        "ts.A.dot": "a7bd315ec450ba4b0549a4705575c76592c93db621e07196c339aa615a506209",
+    },
+    ("tri_latch", "tri_latch"): {
+        "cfg.A.dot": "446cafb39ffdeeb4061760ecc12bd807353182a3773cb516a9469fb19c4f46f8",
+        "efa.A.txt": "2107d93e0179385c748db7bcf8669a2431aab4163f3d5ea9db8fee46cc8f179b",
+        "summary.A.txt": "e8c547efcaad4014a3337c502654cadba8534933071a1eb5e470e0169ce9d583",
+        "ts.A.dot": "f056c625031be43a658380ebde817a23e43a7ca9e81dd66bb695318f4226e419",
+    },
+}
+
+
+@pytest.mark.parametrize("a, b", sorted(ARTIFACT_SHA256))
+def test_artifact_bytes(tmp_path, a, b):
+    outdir = tmp_path / "arts"
+    run_cli("check", str(model_path(a)), str(model_path(b)), "--artifacts", str(outdir),
+            "--emit-cfg", "--emit-summary", "--emit-efa", "--emit-ts")
+    expected = dict(ARTIFACT_SHA256[(a, b)])
+    if a == b:  # a model checked against itself writes each artifact twice
+        expected.update({k.replace(".A.", ".B."): v for k, v in list(expected.items())})
+    got = {
+        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        for name in expected
+    }
+    assert got == expected
